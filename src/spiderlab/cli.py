@@ -1,9 +1,15 @@
 """Command-line front end.
 
 Subcommands: simulate | exact | verify | clt | converge.  Global flags:
---seed, --threads, --format json|csv, --out PATH, --config PATH.  Exit
-codes: 0 ok, 1 runtime failure, 2 usage or config error, 3 verification
-failure.
+--seed, --threads, --format json|csv, --out PATH, --config PATH.
+
+Exit codes: 0 ok, 1 runtime failure, 2 usage or config error, 3
+verification failure.  A run resolves and validates its whole
+configuration before it echoes it and starts work, so every usage or
+config error (a bad or wrongly typed flag or file value, a non-integer
+count, --threads < 1, clt with fewer than 10 replicates) exits 2 with
+"config error" before any replicate runs; any error raised after the
+echo exits 1 with "runtime error".
 
 Every run prints its fully resolved configuration, including the effective
 seed, as one JSON line on stderr; re-running with that configuration
@@ -23,9 +29,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .analytics import moment_catalog, oracle_moment
+from .analytics import moment_catalog, oracle_moment, oracle_variance
 from .indices import NAMED_INDICES, index_name, parse_index
 from .montecarlo import (
+    KS_MIN_SAMPLES,
     SimConfig,
     convergence_probe,
     ks_normal,
@@ -66,6 +73,8 @@ def _parse_probability(text: str):
 
 
 def _parse_model(text: str):
+    if not isinstance(text, str):
+        raise ConfigError(f"field 'model' must be 'uniform:<p>' or 'preferential', got {text!r}")
     text = text.strip().lower()
     if text == "preferential":
         return Preferential()
@@ -74,7 +83,11 @@ def _parse_model(text: str):
     raise ConfigError(f"field 'model' must be 'uniform:<p>' or 'preferential', got {text!r}")
 
 
-def _parse_indices(text: str):
+def _parse_indices(text):
+    if isinstance(text, (list, tuple)) and all(isinstance(name, str) for name in text):
+        text = ",".join(text)
+    if not isinstance(text, str):
+        raise ConfigError(f"field 'indices' must be a comma list or a list of names, got {text!r}")
     names = [part for part in text.split(",") if part.strip()]
     if not names:
         raise ConfigError("field 'indices' is empty")
@@ -95,8 +108,8 @@ def _parse_n_values(args) -> list[int]:
     if args.n is not None and args.n_range is not None:
         raise ConfigError("give either field 'n' or 'n-range', not both")
     if args.n is not None:
-        return [args.n]
-    if args.n_range is not None:
+        n_values = [args.n]
+    elif args.n_range is not None:
         parts = args.n_range.split(":")
         if len(parts) not in (2, 3):
             raise ConfigError(f"field 'n-range' must be 'start:stop[:step]', got {args.n_range!r}")
@@ -107,8 +120,12 @@ def _parse_n_values(args) -> list[int]:
             raise ConfigError(f"field 'n-range' must be integers, got {args.n_range!r}") from None
         if step < 1 or stop < start:
             raise ConfigError(f"field 'n-range' must be increasing, got {args.n_range!r}")
-        return list(range(start, stop + 1, step))
-    raise ConfigError("missing required field 'n' (or 'n-range')")
+        n_values = list(range(start, stop + 1, step))
+    else:
+        raise ConfigError("missing required field 'n' (or 'n-range')")
+    if n_values[0] < 1:
+        raise ConfigError(f"horizons must be >= 1, got {n_values[0]}")
+    return n_values
 
 
 def _load_config_file(path) -> dict:
@@ -116,8 +133,8 @@ def _load_config_file(path) -> dict:
         return {}
     try:
         data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -134,11 +151,33 @@ def _resolve(args, file_config: dict, flag: str, file_key: str, default=None):
     return default
 
 
+def _resolve_int(args, file_config: dict, flag: str, file_key: str, default=None):
+    """``_resolve`` for integer fields: a config-file value that is not a JSON
+    integer is rejected rather than truncated."""
+    value = _resolve(args, file_config, flag, file_key, default)
+    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise ConfigError(f"field {file_key!r} must be an integer, got {value!r}")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for --threads."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _effective_seed(args, file_config: dict) -> int:
-    seed = _resolve(args, file_config, "seed", "master_seed")
+    seed = _resolve_int(args, file_config, "seed", "master_seed")
     if seed is None:
-        seed = secrets.randbits(63)
-    return int(seed)
+        return secrets.randbits(63)
+    if seed < 0:
+        raise ConfigError(f"field 'master_seed' must be non-negative, got {seed}")
+    return seed
 
 
 def _echo_config(resolved: dict) -> None:
@@ -179,44 +218,50 @@ def _emit(text: str, out_path) -> None:
 
 
 # -- subcommand handlers -------------------------------------------------------
+#
+# Each handler resolves and validates its whole configuration, then returns
+# the resolved config (echoed on stderr) and a function that does the work.
+# Anything raised before the return is a usage error; anything raised by
+# the work function is a runtime failure.
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     file_config = _load_config_file(args.config)
     model_text = _resolve(args, file_config, "model", "model")
     if model_text is None:
         raise ConfigError("missing required field 'model'")
-    model = model_text if not isinstance(model_text, str) else _parse_model(model_text)
-    horizon = _resolve(args, file_config, "n", "horizon")
+    model = _parse_model(model_text)
+    horizon = _resolve_int(args, file_config, "n", "horizon")
     if horizon is None:
         raise ConfigError("missing required field 'n' (horizon)")
-    replicates = int(_resolve(args, file_config, "replicates", "replicates", 10_000))
-    indices_text = _resolve(args, file_config, "indices", "indices", DEFAULT_INDICES)
-    if isinstance(indices_text, (list, tuple)):
-        indices_text = ",".join(indices_text)
-    indices = _parse_indices(indices_text)
-    clt_shift = float(_resolve(args, file_config, "clt_shift", "clt_shift", 0.0))
+    replicates = _resolve_int(args, file_config, "replicates", "replicates", 10_000)
+    indices = _parse_indices(_resolve(args, file_config, "indices", "indices", DEFAULT_INDICES))
+    clt_shift = _resolve(args, file_config, "clt_shift", "clt_shift", 0.0)
+    if isinstance(clt_shift, bool) or not isinstance(clt_shift, (int, float)):
+        raise ConfigError(f"field 'clt_shift' must be a number, got {clt_shift!r}")
     seed = _effective_seed(args, file_config)
 
-    config = SimConfig(model=model, horizon=int(horizon), replicates=replicates,
-                       master_seed=seed, indices=indices, clt_shift=clt_shift)
+    config = SimConfig(model=model, horizon=horizon, replicates=replicates,
+                       master_seed=seed, indices=indices, clt_shift=float(clt_shift))
     resolved = {"command": "simulate", "threads": args.threads, "format": args.format,
                 **config.to_json()}
-    _echo_config(resolved)
 
-    summary = run_experiment(config, threads=args.threads)
-    if args.format == "csv":
-        p = model_probability(model)
-        rows = [
-            [key, config.horizon, p, config.replicates, stats.mean, stats.variance]
-            for key, stats in summary.stats.items()
-        ]
-        _emit(_csv_text(SIMULATE_HEADER, rows), args.out)
-    else:
-        _emit(summary.to_json_str(), args.out)
-    return EXIT_OK
+    def run() -> int:
+        summary = run_experiment(config, threads=args.threads)
+        if args.format == "csv":
+            p = model_probability(model)
+            rows = [
+                [key, config.horizon, p, config.replicates, stats.mean, stats.variance]
+                for key, stats in summary.stats.items()
+            ]
+            _emit(_csv_text(SIMULATE_HEADER, rows), args.out)
+        else:
+            _emit(summary.to_json_str(), args.out)
+        return EXIT_OK
+
+    return resolved, run
 
 
-def _cmd_exact(args) -> int:
+def _cmd_exact(args):
     file_config = _load_config_file(args.config)
     if args.index is None:
         raise ConfigError("missing required field 'index'")
@@ -233,50 +278,55 @@ def _cmd_exact(args) -> int:
     resolved = {"command": "exact", "index": entry.key, "p": str(p),
                 "n_values": n_values, "oracle": bool(args.oracle),
                 "master_seed": seed, "format": args.format}
-    _echo_config(resolved)
 
-    rows = []
-    exact_mode = isinstance(p, Fraction)
-    for n in n_values:
-        mean = entry.mean(n, p)
-        variance = entry.variance(n, p)
-        oracle_mean = oracle_variance = None
-        match = None
-        if args.oracle:
-            oracle_mean = oracle_moment(index, n, p, 1)
-            oracle_variance = oracle_moment(index, n, p, 2) - oracle_mean ** 2
-            if exact_mode:
-                match = mean == oracle_mean and variance == oracle_variance
-            else:
-                match = (
-                    abs(mean - oracle_mean) <= 1e-12 * max(1.0, abs(oracle_mean))
-                    and abs(variance - oracle_variance) <= 1e-12 * max(1.0, abs(oracle_variance))
-                )
-        rows.append([entry.key, n, p, mean, variance, oracle_mean, oracle_variance, match])
+    def run() -> int:
+        rows = []
+        exact_mode = isinstance(p, Fraction)
+        for n in n_values:
+            mean = entry.mean(n, p)
+            variance = entry.variance(n, p)
+            oracle_mean = oracle_var = None
+            match = None
+            if args.oracle:
+                oracle_mean = oracle_moment(index, n, p, 1)
+                oracle_var = oracle_variance(index, n, p)
+                if exact_mode:
+                    match = mean == oracle_mean and variance == oracle_var
+                else:
+                    match = (
+                        abs(mean - oracle_mean) <= 1e-12 * max(1.0, abs(oracle_mean))
+                        and abs(variance - oracle_var) <= 1e-12 * max(1.0, abs(oracle_var))
+                    )
+            rows.append([entry.key, n, p, mean, variance, oracle_mean, oracle_var, match])
 
-    if args.format == "csv":
-        _emit(_csv_text(EXACT_HEADER, rows), args.out)
-    else:
-        payload = {"rows": [dict(zip(EXACT_HEADER, (_fmt(c) for c in row))) for row in rows]}
-        _emit(_json_text(payload), args.out)
-    return EXIT_OK
+        if args.format == "csv":
+            _emit(_csv_text(EXACT_HEADER, rows), args.out)
+        else:
+            payload = {"rows": [dict(zip(EXACT_HEADER, (_fmt(c) for c in row))) for row in rows]}
+            _emit(_json_text(payload), args.out)
+        return EXIT_OK
+
+    return resolved, run
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     file_config = _load_config_file(args.config)
     seed = _effective_seed(args, file_config)
     resolved = {"command": "verify", "level": args.level, "master_seed": seed}
-    _echo_config(resolved)
-    failures, counts = run_level(args.level, master_seed=seed)
-    lines = [f"verification level={args.level}"]
-    lines += [f"  {key}: {value}" for key, value in counts.items() if key != "level"]
-    if failures:
-        lines.append(f"FAILURES ({len(failures)}):")
-        lines += [f"  {failure}" for failure in failures]
-    else:
-        lines.append("all suites passed")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_VERIFY if failures else EXIT_OK
+
+    def run() -> int:
+        failures, counts = run_level(args.level, master_seed=seed)
+        lines = [f"verification level={args.level}"]
+        lines += [f"  {key}: {value}" for key, value in counts.items() if key != "level"]
+        if failures:
+            lines.append(f"FAILURES ({len(failures)}):")
+            lines += [f"  {failure}" for failure in failures]
+        else:
+            lines.append("all suites passed")
+        _emit("\n".join(lines) + "\n", args.out)
+        return EXIT_VERIFY if failures else EXIT_OK
+
+    return resolved, run
 
 
 def _diag_output(args, rows) -> None:
@@ -287,7 +337,15 @@ def _diag_output(args, rows) -> None:
         _emit(_json_text(payload), args.out)
 
 
-def _cmd_clt(args) -> int:
+def _diag_model(args):
+    if args.model is not None:
+        return _parse_model(args.model)
+    if args.p is not None:
+        return UniformLeaf(float(_parse_probability(args.p)))
+    raise ConfigError("missing required field 'p' (or 'model')")
+
+
+def _cmd_clt(args):
     file_config = _load_config_file(args.config)
     if args.index is None:
         raise ConfigError("missing required field 'index'")
@@ -295,37 +353,40 @@ def _cmd_clt(args) -> int:
     entry = moment_catalog(index)
     if entry.clt is None:
         raise ConfigError(f"index {entry.key!r} has no cataloged CLT normalizer")
-    if args.model is not None:
-        model = _parse_model(args.model)
-    elif args.p is not None:
-        model = UniformLeaf(float(_parse_probability(args.p)))
-    else:
-        raise ConfigError("missing required field 'p' (or 'model')")
+    model = _diag_model(args)
     p = model_probability(model)
     if args.n is None:
         raise ConfigError("missing required field 'n'")
     n_values = _parse_int_list(args.n, "n")
-    replicates = int(_resolve(args, file_config, "replicates", "replicates", 20_000))
+    replicates = _resolve_int(args, file_config, "replicates", "replicates", 20_000)
+    if replicates < KS_MIN_SAMPLES:
+        raise ConfigError(
+            f"field 'replicates' must be at least {KS_MIN_SAMPLES} for a KS diagnostic, "
+            f"got {replicates}")
     k = float(args.k)
     seed = _effective_seed(args, file_config)
+    configs = [SimConfig(model=model, horizon=n, replicates=replicates,
+                         master_seed=seed, indices=(index,), clt_shift=k)
+               for n in n_values]
     resolved = {"command": "clt", "index": entry.key, "model": model.name,
                 "n_values": n_values, "replicates": replicates, "clt_shift": k,
                 "master_seed": seed, "threads": args.threads, "format": args.format}
-    _echo_config(resolved)
 
-    rows = []
-    for n in n_values:
-        config = SimConfig(model=model, horizon=n, replicates=replicates,
-                           master_seed=seed, indices=(index,), clt_shift=k)
-        summary = run_experiment(config, threads=args.threads, keep_samples=True)
-        z = standardize(summary.samples[entry.key], index, n, p, k)
-        rows.append([entry.key, n, p, float(z.mean()), float(z.var(ddof=1)),
-                     ks_normal(z), None, None, None])
-    _diag_output(args, rows)
-    return EXIT_OK
+    def run() -> int:
+        rows = []
+        for config in configs:
+            n = config.horizon
+            summary = run_experiment(config, threads=args.threads, keep_samples=True)
+            z = standardize(summary.samples[entry.key], index, n, p, k)
+            rows.append([entry.key, n, p, float(z.mean()), float(z.var(ddof=1)),
+                         ks_normal(z), None, None, None])
+        _diag_output(args, rows)
+        return EXIT_OK
+
+    return resolved, run
 
 
-def _cmd_converge(args) -> int:
+def _cmd_converge(args):
     file_config = _load_config_file(args.config)
     if args.index is None:
         raise ConfigError("missing required field 'index'")
@@ -333,30 +394,33 @@ def _cmd_converge(args) -> int:
     entry = moment_catalog(index)
     if entry.limit is None:
         raise ConfigError(f"index {entry.key!r} has no cataloged limit constant")
-    if args.model is not None:
-        model = _parse_model(args.model)
-    elif args.p is not None:
-        model = UniformLeaf(float(_parse_probability(args.p)))
-    else:
-        raise ConfigError("missing required field 'p' (or 'model')")
+    model = _diag_model(args)
     n_grid = _parse_int_list(args.n_grid, "n-grid")
-    replicates = int(_resolve(args, file_config, "replicates", "replicates", 10_000))
+    replicates = _resolve_int(args, file_config, "replicates", "replicates", 10_000)
+    if args.eps <= 0 or args.r <= 0:
+        raise ConfigError(f"fields 'eps' and 'r' must be positive, got {args.eps}, {args.r}")
     seed = _effective_seed(args, file_config)
+    for n in n_grid:
+        # the probe builds these itself; building them here validates them first
+        SimConfig(model=model, horizon=n, replicates=replicates, master_seed=seed,
+                  indices=(index,))
     resolved = {"command": "converge", "index": entry.key, "model": model.name,
                 "n_grid": n_grid, "replicates": replicates, "epsilon": args.eps,
                 "r": args.r, "master_seed": seed, "threads": args.threads,
                 "format": args.format}
-    _echo_config(resolved)
 
-    probe = convergence_probe(index, model, n_grid, args.eps, args.r,
-                              replicates, seed, threads=args.threads)
-    rows = [
-        [row.index, row.n, row.p, row.mean, row.variance, None,
-         row.exceedance, row.r_mean_error, row.limit]
-        for row in probe
-    ]
-    _diag_output(args, rows)
-    return EXIT_OK
+    def run() -> int:
+        probe = convergence_probe(index, model, n_grid, args.eps, args.r,
+                                  replicates, seed, threads=args.threads)
+        rows = [
+            [row.index, row.n, row.p, row.mean, row.variance, None,
+             row.exceedance, row.r_mean_error, row.limit]
+            for row in probe
+        ]
+        _diag_output(args, rows)
+        return EXIT_OK
+
+    return resolved, run
 
 
 # -- parser --------------------------------------------------------------------
@@ -369,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="master seed (drawn from system entropy and echoed when omitted)")
-    common.add_argument("--threads", type=int, default=1, help="worker processes for replicates")
+    common.add_argument("--threads", type=_positive_int, default=1,
+                        help="worker processes for replicates")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="output file (stdout when omitted)")
     common.add_argument("--config", default=None, help="JSON config file; flags override its values")
@@ -431,12 +496,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
-    except ValueError as exc:
-        # ConfigError, bad probabilities, unknown indices, bad SimConfig fields.
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
+        try:
+            resolved, run = _HANDLERS[args.command](args)
+        except ValueError as exc:
+            # ConfigError, bad probabilities, unknown indices, bad SimConfig fields.
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        _echo_config(resolved)
+        return run()
+    except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

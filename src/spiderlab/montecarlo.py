@@ -8,15 +8,23 @@ block statistics are merged in block order with the pairwise
 mean/M2 update, which keeps variance accumulation single-pass and stable
 at any replicate count.
 
-A deterministic one-percent subsample of replicates is audited by
-re-evaluating every requested index directly from the degree multiset and
-comparing against the closed form the engine actually uses.
+Every index is a function of the time n and the leaf count L alone, so the
+engine does not grow trees: for each replicate it draws the same uniforms
+a grown tree would consume and counts the centroid recruits among them
+(``tree.leaf_count``), then evaluates the closed forms on the counted L.
+
+A deterministic one-percent subsample of replicates is audited: each is
+also grown in full from an identically keyed stream (``tree.grow_legs``),
+its leg count must equal the counted L, and every requested index is
+re-evaluated directly from the degree multiset and compared against the
+closed form the engine actually uses.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -26,7 +34,7 @@ from scipy.special import ndtr
 
 from .analytics import moment_catalog
 from .indices import Generic, IndexSpec, UnknownIndexError, eval_direct, index_name, reduced_values
-from .tree import GrowthModel, RngStream, TreeState, grow_legs
+from .tree import GrowthModel, RngStream, TreeState, grow_legs, leaf_count
 
 __all__ = [
     "SimConfig",
@@ -43,6 +51,7 @@ CHUNK_SIZE = 1024          # replicates per reduction block; fixed so results ne
 SPOT_CHECK_STRIDE = 100    # deterministic 1% direct-evaluation audit
 SAMPLE_CAP = 1_000_000     # retained samples per index, thinned deterministically beyond this
 DIRECT_CHECK_RTOL = 1e-12
+KS_MIN_SAMPLES = 10        # smallest sample ks_normal accepts
 
 
 def model_probability(model: GrowthModel) -> float:
@@ -68,11 +77,15 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(self.indices))
+        for field in ("horizon", "replicates", "master_seed"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if int(self.master_seed) < 0:
+        if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if not self.indices:
             raise ValueError("at least one index is required")
@@ -82,8 +95,9 @@ class SimConfig:
             )
         for spec in self.indices:
             if isinstance(spec, Generic):
-                # Surface bad degree functions before any replicate runs.
-                for d in (1, 2, 3):
+                # Surface bad degree functions before any replicate runs: leaves
+                # have degree 1, internal nodes 2, the centroid 3..horizon+2.
+                for d in range(1, self.horizon + 3):
                     if not spec.h(d) > 0:
                         raise UnknownIndexError(
                             f"degree function must be positive on occurring degrees; "
@@ -135,7 +149,12 @@ class SampleSummary:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
 
-def _audit_replicate(config: SimConfig, legs: np.ndarray) -> None:
+def _audit_replicate(config: SimConfig, legs: np.ndarray, counted: int) -> None:
+    if counted != len(legs):
+        raise RuntimeError(
+            f"leaf-count mismatch at n={config.horizon}: counted L={counted}, "
+            f"grown tree has {len(legs)} legs"
+        )
     state = TreeState(time=config.horizon, legs=tuple(legs.tolist()))
     for spec in config.indices:
         direct = float(eval_direct(state, spec))
@@ -149,15 +168,23 @@ def _audit_replicate(config: SimConfig, legs: np.ndarray) -> None:
 
 
 def _chunk_worker(args) -> tuple:
+    """Replicates ``start..stop-1``: per-index (count, mean, M2) block
+    statistics, the kept samples, and the number of audited replicates.
+
+    Each replicate's leaf count is counted from its stream, not grown;
+    replicates whose index is a multiple of SPOT_CHECK_STRIDE are also grown
+    from a second stream with the same key and audited.
+    """
     config, start, stop, keep_stride = args
+    model, horizon, seed = config.model, config.horizon, config.master_seed
     size = stop - start
     leaf_counts = np.empty(size, dtype=np.int64)
     spot_checks = 0
     for i in range(start, stop):
-        legs = grow_legs(config.model, config.horizon, RngStream(config.master_seed, i))
-        leaf_counts[i - start] = len(legs)
+        counted = leaf_count(model, horizon, RngStream(seed, i))
+        leaf_counts[i - start] = counted
         if i % SPOT_CHECK_STRIDE == 0:
-            _audit_replicate(config, legs)
+            _audit_replicate(config, grow_legs(model, horizon, RngStream(seed, i)), counted)
             spot_checks += 1
     stats = []
     kept = []
@@ -190,6 +217,8 @@ def run_experiment(config: SimConfig, threads: int = 1, keep_samples: bool = Fal
     index values (thinned to at most SAMPLE_CAP per index by a fixed
     replicate stride) for later diagnostics.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     R = config.replicates
     keep_stride = math.ceil(R / SAMPLE_CAP) if keep_samples else 0
     tasks = [
@@ -240,8 +269,9 @@ def ks_normal(samples) -> float:
     distribution of ``samples`` and the standard normal."""
     x = np.sort(np.asarray(samples, dtype=np.float64))
     size = len(x)
-    if size < 10:
-        raise ValueError(f"need at least 10 samples for a KS diagnostic, got {size}")
+    if size < KS_MIN_SAMPLES:
+        raise ValueError(
+            f"need at least {KS_MIN_SAMPLES} samples for a KS diagnostic, got {size}")
     cdf = ndtr(x)
     i = np.arange(1, size + 1)
     d_plus = (i / size - cdf).max()

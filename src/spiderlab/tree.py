@@ -15,6 +15,10 @@ probability proportional to its degree; since the centroid's degree always
 equals the leaf count, the centroid is picked with probability exactly 1/2
 at every step, so the rule coincides with ``UniformLeaf(1/2)`` and shares
 its code path.
+
+Everything the indices need is the leaf count, so ``leaf_count`` reads a
+replicate's stream exactly as ``grow_legs`` would but only counts the
+centroid recruits, without building the leg vector.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "step",
     "grow",
     "grow_legs",
+    "leaf_count",
     "degree_multiset",
 ]
 
@@ -199,6 +204,22 @@ def grow_legs(model: GrowthModel, horizon_n: int, rng: RngStream) -> np.ndarray:
     legs = np.ones(leg_total, dtype=np.int64)
     legs += np.bincount(picks, minlength=leg_total)
     return legs
+
+
+def leaf_count(model: GrowthModel, horizon_n: int, rng: RngStream) -> int:
+    """Leaf count at time ``horizon_n`` without building the tree.
+
+    Draws the same ``2 * (horizon_n - 1)`` uniforms as ``grow_legs`` and
+    counts the centroid decisions among them, so it equals
+    ``len(grow_legs(model, horizon_n, rng))`` on an identically keyed
+    stream and leaves the stream in the same state.
+    """
+    if horizon_n < 1:
+        raise ValueError(f"horizon_n must be >= 1, got {horizon_n}")
+    if horizon_n == 1:
+        return 3
+    draws = rng.doubles(2 * (horizon_n - 1))
+    return 3 + int(np.count_nonzero(draws[0::2] < model.centroid_probability))
 
 
 def grow(model: GrowthModel, horizon_n: int, rng: RngStream) -> TreeState:

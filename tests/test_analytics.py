@@ -33,6 +33,7 @@ from spiderlab import (
     moment_catalog,
     new_seed,
     oracle_moment,
+    oracle_variance,
     step,
     support_pmf,
 )
@@ -88,7 +89,7 @@ def test_pmf_contract_examples():
 def test_pmf_normalizes():
     assert sum(support_pmf(LeafLaw(40, Fraction(2, 7)))) == 1
     assert sum(support_pmf(LeafLaw(40, 2 / 7))) == pytest.approx(1.0, abs=1e-12)
-    # log-scale float path survives horizons where the tail masses underflow
+    # float path survives horizons where the tail masses underflow
     assert sum(support_pmf(LeafLaw(5000, 0.5))) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -352,6 +353,26 @@ def test_oracle_float_mode_close_to_exact():
     exact = oracle_moment(ZAGREB, 30, Fraction(2, 5), 2)
     approx = oracle_moment(ZAGREB, 30, 0.4, 2)
     assert approx == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_float_pmf_matches_exact_masses():
+    p = 0.3
+    floats = support_pmf(LeafLaw(400, p))
+    exact = support_pmf(LeafLaw(400, Fraction(p)))  # the float's exact binary value
+    peak = max(floats)
+    for a, b in zip(floats, exact):
+        assert abs(a - float(b)) <= 3e-17
+        if b > 1e-6 * peak:
+            assert a == pytest.approx(float(b), rel=1e-14)
+
+
+def test_oracle_variance_exact_and_float():
+    for spec in NAMED_INDICES:
+        entry = moment_catalog(spec)
+        assert oracle_variance(spec, 12, Fraction(2, 5)) == entry.variance(12, Fraction(2, 5))
+        for n in (1000, 5000):
+            expected = float(entry.variance(n, 0.3))
+            assert oracle_variance(spec, n, 0.3) == pytest.approx(expected, rel=2e-15), spec
 
 
 def test_oracle_rejects_bad_order():

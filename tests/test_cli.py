@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 import spiderlab.cli as cli
+from spiderlab import NAMED_INDICES
 from spiderlab.verify import Failure
 
 
@@ -153,6 +156,18 @@ def test_exact_oracle_matches_over_range(capsys):
     assert all(row["match"] == "True" for row in rows)
 
 
+@pytest.mark.parametrize("index", [spec.name for spec in NAMED_INDICES])
+def test_exact_float_oracle_matches_at_large_n(capsys, index):
+    # float p: the oracle must meet the 1e-12 tolerance even where the support
+    # spans thousands of masses and E[X^2] dwarfs the variance
+    code, out, _ = run_cli(capsys, "exact", "--index", index, "--n-range", "1000:5000:4000",
+                           "--p", "0.3", "--oracle", "--format", "csv")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert [row["n"] for row in rows] == ["1000", "5000"]
+    assert [row["match"] for row in rows] == ["True", "True"]
+
+
 def test_exact_json_rows(capsys):
     code, out, _ = run_cli(capsys, "exact", "--index", "leaves", "--n", "12", "--p", "1/4")
     assert code == 0
@@ -238,3 +253,77 @@ def test_csv_schema_stability(capsys):
                                    "--p", "0.5", "--oracle", "--format", "csv")
     assert code == code2 == 0
     assert out_plain.splitlines()[0] == out_oracle.splitlines()[0]
+
+
+# -- validation before work, and truthful exit codes ---------------------------
+
+def assert_rejected_before_work(code, err):
+    assert code == 2
+    assert "config error" in err or "error: argument" in err
+    assert "resolved config" not in err  # the echo precedes any work
+
+
+def test_config_file_bad_values_rejected(capsys, tmp_path):
+    # fractional counts were once truncated, wrongly typed values once exited 1
+    for field, value in (("horizon", 20.9), ("replicates", 3.7), ("master_seed", 2.5),
+                         ("model", 5), ("indices", 5), ("indices", ["zagreb", 2]),
+                         ("clt_shift", [1])):
+        config = {"model": "uniform:0.5", "horizon": 20, "replicates": 30, "master_seed": 9}
+        config[field] = value
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert_rejected_before_work(code, err)
+        assert field in err and out == ""
+
+
+def test_unreadable_config_file_rejected(capsys, tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert_rejected_before_work(code, err)
+        assert "cannot read config file" in err
+
+
+def test_nonpositive_threads_rejected(capsys):
+    for threads in ("-3", "0"):
+        code, _, err = run_cli(capsys, "simulate", "--model", "uniform:0.5", "--n", "5",
+                               "--replicates", "10", "--seed", "1", "--threads", threads)
+        assert_rejected_before_work(code, err)
+        assert "--threads" in err
+
+
+def test_negative_seed_rejected(capsys):
+    code, _, err = run_cli(capsys, "verify", "--level", "quick", "--seed", "-4")
+    assert_rejected_before_work(code, err)
+
+
+def test_exact_zero_horizon_rejected(capsys):
+    code, _, err = run_cli(capsys, "exact", "--index", "zagreb", "--n", "0", "--p", "0.5")
+    assert_rejected_before_work(code, err)
+
+
+def test_clt_too_few_replicates_rejected_before_run(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    code, _, err = run_cli(capsys, "clt", "--index", "leaves", "--n", "100", "--p", "0.5",
+                           "--replicates", "5", "--seed", "1")
+    assert_rejected_before_work(code, err)
+    assert "at least 10" in err
+
+
+def test_converge_bad_epsilon_rejected(capsys):
+    code, _, err = run_cli(capsys, "converge", "--index", "gini", "--p", "0.5",
+                           "--n-grid", "100", "--eps", "-0.1", "--seed", "1")
+    assert_rejected_before_work(code, err)
+
+
+def test_error_during_run_is_runtime_failure(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("worker fault")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    code, out, err = run_cli(capsys, "simulate", "--model", "uniform:0.5", "--n", "5",
+                             "--replicates", "10", "--seed", "1")
+    assert code == 1
+    assert "resolved config" in err
+    assert "runtime error: worker fault" in err
+    assert "config error" not in err and out == ""

@@ -22,8 +22,9 @@ from spiderlab import (
     run_experiment,
     standardize,
 )
-from spiderlab.indices import Affine, Generic
-from spiderlab.montecarlo import SAMPLE_CAP, model_probability
+import spiderlab.montecarlo as montecarlo
+from spiderlab.indices import Affine, Generic, Table
+from spiderlab.montecarlo import CHUNK_SIZE, SAMPLE_CAP, model_probability
 
 
 def test_seed_horizon_experiment_is_deterministic():
@@ -50,11 +51,23 @@ def test_rerun_is_bit_identical():
 def test_parallel_run_matches_serial():
     config = SimConfig(model=UniformLeaf(0.6), horizon=80, replicates=4000,
                        master_seed=123, indices=(LEAVES, ZAGREB, GINI))
+    assert config.replicates > 3 * CHUNK_SIZE
     serial = run_experiment(config, threads=1, keep_samples=True)
-    parallel = run_experiment(config, threads=3, keep_samples=True)
-    assert serial.to_json() == parallel.to_json()
-    for key in serial.samples:
-        assert np.array_equal(serial.samples[key], parallel.samples[key])
+    for threads in (2, 3):
+        parallel = run_experiment(config, threads=threads, keep_samples=True)
+        assert serial.to_json_str() == parallel.to_json_str()
+        assert serial.samples.keys() == parallel.samples.keys()
+        for key in serial.samples:
+            assert np.array_equal(serial.samples[key], parallel.samples[key])
+
+
+def test_audit_rejects_a_counted_leaf_count_that_disagrees_with_the_tree(monkeypatch):
+    real = montecarlo.leaf_count
+    monkeypatch.setattr(montecarlo, "leaf_count", lambda model, n, rng: real(model, n, rng) + 1)
+    config = SimConfig(model=UniformLeaf(0.5), horizon=40, replicates=5,
+                       master_seed=3, indices=(LEAVES,))
+    with pytest.raises(RuntimeError, match="leaf-count mismatch"):
+        run_experiment(config)
 
 
 def test_preferential_equals_uniform_half():
@@ -112,6 +125,41 @@ def test_config_validation_happens_before_work():
     with pytest.raises(UnknownIndexError):
         SimConfig(model=UniformLeaf(0.5), horizon=5, replicates=10,
                   master_seed=1, indices=(Generic(Affine(1, -3), 2),))
+    # counts are never truncated
+    with pytest.raises(ValueError, match="horizon"):
+        SimConfig(model=UniformLeaf(0.5), horizon=20.9, replicates=10,
+                  master_seed=1, indices=(LEAVES,))
+    with pytest.raises(ValueError, match="replicates"):
+        SimConfig(model=UniformLeaf(0.5), horizon=20, replicates=3.7,
+                  master_seed=1, indices=(LEAVES,))
+    with pytest.raises(ValueError, match="master_seed"):
+        SimConfig(model=UniformLeaf(0.5), horizon=20, replicates=10,
+                  master_seed=1.5, indices=(LEAVES,))
+
+
+def test_config_checks_table_on_every_reachable_degree():
+    # at n=50 the centroid degree ranges over 3..52, not just 3
+    n = 50
+    short = Generic(Table.from_mapping({1: 1.0, 2: 2.0, 3: 3.0}), 1)
+    with pytest.raises(UnknownIndexError, match="degree 4"):
+        SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=10,
+                  master_seed=1, indices=(short,))
+    missing_top = Generic(Table.from_mapping({d: float(d) for d in range(1, n + 2)}), 1)
+    with pytest.raises(UnknownIndexError, match=f"degree {n + 2}"):
+        SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=10,
+                  master_seed=1, indices=(missing_top,))
+    full = Generic(Table.from_mapping({d: float(d) for d in range(1, n + 3)}), 1)
+    config = SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=300,
+                       master_seed=1, indices=(full,))
+    assert run_experiment(config).spot_checks == 3
+
+
+def test_run_rejects_nonpositive_threads():
+    config = SimConfig(model=UniformLeaf(0.5), horizon=5, replicates=10,
+                       master_seed=1, indices=(LEAVES,))
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            run_experiment(config, threads=threads)
 
 
 def test_sample_retention_and_thinning():

@@ -13,6 +13,7 @@ from spiderlab import (
     degree_multiset,
     grow,
     grow_legs,
+    leaf_count,
     new_seed,
     step,
 )
@@ -88,6 +89,8 @@ def test_boundary_probabilities_rejected():
 def test_grow_rejects_zero_horizon():
     with pytest.raises(ValueError):
         grow(UniformLeaf(0.5), 0, RngStream(1))
+    with pytest.raises(ValueError):
+        leaf_count(UniformLeaf(0.5), 0, RngStream(1))
 
 
 def test_grow_zero_steps_is_seed():
@@ -175,3 +178,32 @@ def test_rng_streams_independent_and_replayable():
     c = RngStream(10, 1).doubles(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# -- leaf-count engine -------------------------------------------------------
+
+models = st.one_of(
+    st.floats(0.01, 0.99, exclude_min=True, exclude_max=True).map(UniformLeaf),
+    st.just(Preferential()),
+)
+
+
+@given(models, st.integers(1, 600), st.integers(0, 2**63 - 1), st.integers(0, 10**9))
+def test_leaf_count_equals_grown_leg_count(model, n, master_seed, stream_index):
+    counted_rng = RngStream(master_seed, stream_index)
+    grown_rng = RngStream(master_seed, stream_index)
+    assert leaf_count(model, n, counted_rng) == len(grow_legs(model, n, grown_rng))
+    # both consumed the same uniforms, so the streams continue in step
+    assert np.array_equal(counted_rng.doubles(4), grown_rng.doubles(4))
+
+
+def test_leaf_count_at_seed_is_three_and_draws_nothing():
+    rng = RngStream(4, 2)
+    assert leaf_count(UniformLeaf(0.5), 1, rng) == 3
+    assert np.array_equal(rng.doubles(3), RngStream(4, 2).doubles(3))
+
+
+def test_leaf_count_scripted_decisions():
+    # centroid, leaf, centroid: two recruits by the centroid on top of the seed's 3
+    stream = ScriptedStream([0.1, 0.5, 0.9, 0.5, 0.2, 0.5])
+    assert leaf_count(UniformLeaf(0.3), 4, stream) == 5
