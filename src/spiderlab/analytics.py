@@ -33,6 +33,7 @@ from .indices import (
     IndexSpec,
     UnknownIndexError,
     eval_reduced,
+    horner,
     index_name,
 )
 from .tree import InvalidProbabilityError
@@ -223,13 +224,6 @@ def leaf_raw_moment_asymptotic(n: int, p, order: int):
 
 # -- polynomial plumbing for the catalog --------------------------------------
 
-def _horner(coeffs, x):
-    out = 0
-    for c in coeffs:
-        out = out * x + c
-    return out
-
-
 def _exact_eval(fn, n, p):
     """Evaluate fn(n, p) in exact rational arithmetic.
 
@@ -264,10 +258,7 @@ class PolyNP:
         return _exact_eval(self._eval, n, p)
 
     def _eval(self, n, p):
-        out = 0
-        for row in self.rows:
-            out = out * n + _horner(row, p)
-        return out
+        return horner([horner(row, p) for row in self.rows], n)
 
     def to_json(self):
         return [[_coeff_json(c) for c in row] for row in self.rows]
@@ -284,7 +275,7 @@ class RationalFormula:
         return _exact_eval(self._eval, n, p)
 
     def _eval(self, n, p):
-        return self.num._eval(n, p) / Fraction(_horner(self.den, n))
+        return self.num._eval(n, p) / Fraction(horner(self.den, n))
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": list(self.den)}
@@ -300,8 +291,8 @@ class LimitLaw:
 
     def constant_value(self, p):
         if isinstance(p, float):
-            return float(_horner(self.constant, Fraction(p)))
-        return _horner(self.constant, p)
+            return float(horner(self.constant, Fraction(p)))
+        return horner(self.constant, p)
 
     def to_json(self):
         return {"exponent": self.exponent, "constant": [_coeff_json(c) for c in self.constant]}
@@ -316,9 +307,6 @@ class CltNormalizer:
     coeff: int
     p_power: int
     nk_power: int
-
-    def center_value(self, n, p):
-        return self.center(n, p)
 
     def scale_value(self, n, p, k=0.0) -> float:
         p = float(p)
@@ -415,42 +403,38 @@ _GS_CLT = CltNormalizer(center=PolyNP(((H, 0, 0), (0,), (0,))), coeff=1, p_power
 _PLATT_CLT = CltNormalizer(center=PolyNP(((1, 0, 0), (0,), (0,))), coeff=2, p_power=3, nk_power=3)
 
 
-def _poly_formula(poly, den=(1,)):
-    return RationalFormula(poly, den)
-
-
 _CATALOG: dict[str, MomentCatalogEntry] = {
     "leaves": MomentCatalogEntry(
         key="leaves",
-        mean=_poly_formula(_LEAVES_MEAN),
-        variance=_poly_formula(_LEAVES_VAR),
+        mean=RationalFormula(_LEAVES_MEAN),
+        variance=RationalFormula(_LEAVES_VAR),
         clt=_LEAVES_CLT,
     ),
     "zagreb": MomentCatalogEntry(
         key="zagreb",
-        mean=_poly_formula(_ZAGREB_MEAN),
-        variance=_poly_formula(_ZAGREB_VAR),
+        mean=RationalFormula(_ZAGREB_MEAN),
+        variance=RationalFormula(_ZAGREB_VAR),
         limit=LimitLaw(2, (1, 0, 0)),
         clt=_ZAGREB_CLT,
     ),
     "gordon_scantlebury": MomentCatalogEntry(
         key="gordon_scantlebury",
-        mean=_poly_formula(_GS_MEAN),
-        variance=_poly_formula(_GS_VAR),
+        mean=RationalFormula(_GS_MEAN),
+        variance=RationalFormula(_GS_VAR),
         limit=LimitLaw(2, (H, 0, 0)),
         clt=_GS_CLT,
     ),
     "platt": MomentCatalogEntry(
         key="platt",
-        mean=_poly_formula(_PLATT_MEAN),
-        variance=_poly_formula(_ZAGREB_VAR),
+        mean=RationalFormula(_PLATT_MEAN),
+        variance=RationalFormula(_ZAGREB_VAR),
         limit=LimitLaw(2, (1, 0, 0)),
         clt=_PLATT_CLT,
     ),
     "forgotten": MomentCatalogEntry(
         key="forgotten",
-        mean=_poly_formula(_FORGOTTEN_MEAN),
-        variance=_poly_formula(_FORGOTTEN_VAR),
+        mean=RationalFormula(_FORGOTTEN_MEAN),
+        variance=RationalFormula(_FORGOTTEN_VAR),
         limit=LimitLaw(3, (1, 0, 0, 0)),
     ),
     "gini": MomentCatalogEntry(
@@ -492,8 +476,8 @@ def moment_catalog(index: IndexSpec) -> MomentCatalogEntry:
             # The power sum with exponent 1 is the degree sum 2(n + 2).
             return MomentCatalogEntry(
                 key=key,
-                mean=_poly_formula(PolyNP(((2,), (4,)))),
-                variance=_poly_formula(PolyNP(((0,),))),
+                mean=RationalFormula(PolyNP(((2,), (4,)))),
+                variance=RationalFormula(PolyNP(((0,),))),
             )
         limit = LimitLaw(a, (1,) + (0,) * a)
         if a == 2:

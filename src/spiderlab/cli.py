@@ -36,7 +36,6 @@ from .montecarlo import (
     SimConfig,
     convergence_probe,
     ks_normal,
-    model_probability,
     run_experiment,
     standardize,
 )
@@ -248,7 +247,7 @@ def _cmd_simulate(args):
     def run() -> int:
         summary = run_experiment(config, threads=args.threads)
         if args.format == "csv":
-            p = model_probability(model)
+            p = model.centroid_probability
             rows = [
                 [key, config.horizon, p, config.replicates, stats.mean, stats.variance]
                 for key, stats in summary.stats.items()
@@ -354,7 +353,7 @@ def _cmd_clt(args):
     if entry.clt is None:
         raise ConfigError(f"index {entry.key!r} has no cataloged CLT normalizer")
     model = _diag_model(args)
-    p = model_probability(model)
+    p = model.centroid_probability
     if args.n is None:
         raise ConfigError("missing required field 'n'")
     n_values = _parse_int_list(args.n, "n")

@@ -37,6 +37,7 @@ from spiderlab import (
     step,
     support_pmf,
 )
+from spiderlab.indices import horner
 from spiderlab.verify import stirling2
 
 from conftest import ScriptedStream
@@ -285,6 +286,27 @@ def test_catalog_against_oracle_spot_grid():
                 assert entry.variance(n, p) == m2 - m1 * m1
 
 
+@pytest.mark.parametrize("spec", NAMED_INDICES, ids=lambda spec: spec.name)
+def test_reduced_table_moments_match_catalog(spec):
+    # The reduced form is a polynomial in L over den, so its mean and variance
+    # follow from the triangle's exact raw moments E[L^k], k <= 2 * degree.
+    form = spec.reduced_form
+    entry = moment_catalog(spec)
+    for n in (1, 2, 7, 50):
+        coeffs = [horner(poly, n + 2) for poly in form.coeffs]  # decreasing powers of L
+        den = Fraction(horner(form.den, n + 2))
+        degree = len(coeffs) - 1
+        square = [sum(coeffs[i] * coeffs[j - i] for i in range(len(coeffs)) if 0 <= j - i <= degree)
+                  for j in range(2 * degree + 1)]
+        for p in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
+            law = LeafLaw(n, p)
+            raw = [1] + [leaf_raw_moment_exact(law, k) for k in range(1, 2 * degree + 1)]
+            mean = sum(c * raw[degree - i] for i, c in enumerate(coeffs)) / den
+            second = sum(c * raw[2 * degree - i] for i, c in enumerate(square)) / den ** 2
+            assert entry.mean(n, p) == mean
+            assert entry.variance(n, p) == second - mean ** 2
+
+
 def test_generalized_zagreb_catalog_aliases():
     z = moment_catalog(ZAGREB)
     gz2 = moment_catalog(GeneralizedZagreb(2))
@@ -333,7 +355,7 @@ def test_clt_normalizers_present_where_stated():
 
 def test_clt_normalizer_values():
     clt = moment_catalog(ZAGREB).clt
-    assert clt.center_value(100, Fraction(1, 2)) == 2500
+    assert clt.center(100, Fraction(1, 2)) == 2500
     assert clt.scale_value(100, 0.5, 0.0) == pytest.approx(2 * math.sqrt(0.5**3 * 0.5 * 100**3))
     k_shift = moment_catalog(LEAVES).clt
     assert k_shift.scale_value(50, 0.5, 14.0) == pytest.approx(math.sqrt(0.25 * 64))

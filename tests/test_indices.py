@@ -74,6 +74,20 @@ def test_direct_equals_reduced_on_grown_trees(n, p, seed):
         assert abs(direct - reduced) <= 1e-12 * max(1.0, abs(reduced))
 
 
+@given(st.integers(1, 200), st.floats(0.05, 0.95), st.integers(0, 10**6), st.data())
+def test_reduced_table_equals_direct_for_real_exponents(n, p, seed, data):
+    state = grow(UniformLeaf(p), n, RngStream(seed))
+    L = state.leaf_count
+    alpha = data.draw(st.floats(-3, 5).filter(lambda a: not a.is_integer()), label="alpha")
+    affine = Affine(data.draw(st.floats(0.1, 3), label="a"), data.draw(st.floats(0, 2), label="b"))
+    values = data.draw(st.lists(st.floats(0.5, 2), min_size=n + 2, max_size=n + 2), label="table")
+    table = Table.from_mapping(dict(enumerate(values, start=1)))
+    for spec in (GeneralizedZagreb(alpha), Generic(affine, alpha), Generic(table, alpha)):
+        direct = float(eval_direct(state, spec))
+        assert eval_reduced(n, L, spec) == pytest.approx(direct, rel=1e-12, abs=0)
+        assert reduced_values(spec, n, [L])[0] == pytest.approx(direct, rel=1e-12, abs=0)
+
+
 @given(st.integers(1, 200), st.integers(0, 10**6))
 def test_direct_equals_reduced_exactly_in_rational_mode(n, seed):
     state = grow(UniformLeaf(0.5), n, RngStream(seed))
@@ -140,6 +154,18 @@ def test_generic_table_h():
     assert value == 5.0 + 3 * 2.0
     with pytest.raises(UnknownIndexError):
         eval_direct(grow(UniformLeaf(0.5), 10, RngStream(0)), Generic(table, 1))
+
+
+def test_table_looks_degrees_up_by_value():
+    table = Table.from_mapping({3: 5.0, 1: 2.0, 2: 1.0})
+    same = Table(((1, 2.0), (2, 1.0), (3, 5.0)))
+    assert table == same and hash(table) == hash(same)
+    assert table(3) == 5.0 and table(1) == 2.0
+    assert table(np.array([3.0, 1.0, 3.0, 2.0])).tolist() == [5.0, 2.0, 5.0, 1.0]
+    with pytest.raises(UnknownIndexError, match="degree 4"):
+        table(4)
+    with pytest.raises(UnknownIndexError, match="degree 4"):
+        table(np.array([3.0, 4.0]))
 
 
 def test_reduced_values_vectorised_matches_scalar():

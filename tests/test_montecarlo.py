@@ -1,8 +1,8 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from spiderlab import (
     FORGOTTEN,
@@ -24,7 +24,7 @@ from spiderlab import (
 )
 import spiderlab.montecarlo as montecarlo
 from spiderlab.indices import Affine, Generic, Table
-from spiderlab.montecarlo import CHUNK_SIZE, SAMPLE_CAP, model_probability
+from spiderlab.montecarlo import CHUNK_SIZE, SAMPLE_CAP
 
 
 def test_seed_horizon_experiment_is_deterministic():
@@ -154,6 +154,18 @@ def test_config_checks_table_on_every_reachable_degree():
     assert run_experiment(config).spot_checks == 3
 
 
+def test_config_rejects_table_missing_top_degree_at_large_n(monkeypatch):
+    n = 5000
+    values = {d: float(d) for d in range(1, n + 2)}
+    monkeypatch.setattr(montecarlo, "leaf_count", None)  # no replicate may run
+    with pytest.raises(UnknownIndexError, match=f"degree {n + 2}"):
+        SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=10,
+                  master_seed=1, indices=(Generic(Table.from_mapping(values), 1),))
+    values[n + 2] = float(n + 2)
+    SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=10,
+              master_seed=1, indices=(Generic(Table.from_mapping(values), 1),))
+
+
 def test_run_rejects_nonpositive_threads():
     config = SimConfig(model=UniformLeaf(0.5), horizon=5, replicates=10,
                        master_seed=1, indices=(LEAVES,))
@@ -174,8 +186,8 @@ def test_sample_retention_and_thinning():
 
 
 def test_model_probability():
-    assert model_probability(UniformLeaf(0.3)) == 0.3
-    assert model_probability(Preferential()) == 0.5
+    assert UniformLeaf(0.3).centroid_probability == 0.3
+    assert Preferential().centroid_probability == 0.5
 
 
 # -- standardize ---------------------------------------------------------------
@@ -216,7 +228,8 @@ def test_standardize_requires_cataloged_normalizer():
 
 def test_ks_on_exact_normal_quantiles():
     size = 1000
-    quantiles = ndtri((np.arange(1, size + 1) - 0.5) / size)
+    inv_cdf = NormalDist().inv_cdf
+    quantiles = np.array([inv_cdf((i - 0.5) / size) for i in range(1, size + 1)])
     assert ks_normal(quantiles) < 0.002
 
 
