@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from typing import Optional, Union
 
 from .indices import (
@@ -42,6 +43,8 @@ __all__ = [
     "LeafLaw",
     "leaf_pmf",
     "support_pmf",
+    "support_weights",
+    "exact_mean_variance",
     "leaf_mgf",
     "affine_mgf",
     "coefficient_triangle",
@@ -130,6 +133,38 @@ def support_pmf(law: LeafLaw) -> list:
         out[j - 1] = w
     total = math.fsum(out)
     return [w / total for w in out]
+
+
+def support_weights(law: LeafLaw) -> tuple[list[int], int]:
+    """pmf over the whole support as integer numerators over one common
+    denominator, for Fraction p.
+
+    With p = a/c in lowest terms and m = n - 1, the mass of k = 3 + j is
+    C(m, j) a**j (c - a)**(m - j) / c**m.  Returns those numerators, in
+    order j = 0, ..., m, and c**m; the numerators sum to c**m.
+    """
+    a, c = law.p.numerator, law.p.denominator
+    m = law.n - 1
+    return [math.comb(m, j) * a ** j * (c - a) ** (m - j) for j in range(m + 1)], c ** m
+
+
+def exact_mean_variance(weights: list[int], total: int, values) -> tuple[Fraction, Fraction]:
+    """Exact mean and variance of ``values[L - 3]`` under the integer
+    weights of ``support_weights`` (``total`` being their sum).
+
+    The values, ints, Fractions or floats, are scaled by the lcm d of their
+    exact denominators to integers x, so both sums stay in integers:
+    S1 = sum w x and S2 = sum w x**2 give the mean S1 / (total d) and the
+    variance (total S2 - S1**2) / (total d)**2.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    # Pairwise: math.lcm(*denominators) grew RSS on every call under CPython 3.11.
+    d = reduce(math.lcm, (den for _, den in ratios), 1)
+    xs = [num * (d // den) for num, den in ratios]
+    s1 = sum(w * x for w, x in zip(weights, xs))
+    s2 = sum(w * x * x for w, x in zip(weights, xs))
+    scale = total * d
+    return Fraction(s1, scale), Fraction(total * s2 - s1 * s1, scale * scale)
 
 
 def leaf_mgf(law: LeafLaw, t: float) -> float:
@@ -249,7 +284,11 @@ class PolyNP:
     """Polynomial in n with coefficients polynomial in p.
 
     ``rows[i]`` holds the p-coefficients (decreasing powers of p) of
-    n**(deg - i); rows are listed in decreasing powers of n.
+    n**(deg - i); rows are listed in decreasing powers of n.  Evaluation
+    runs across them: each column, the coefficient of one power of p as a
+    polynomial in n (short rows padded with leading zeros), is evaluated
+    at n first, in integers for integer n and integer coefficients, and
+    one Horner pass in p then combines the columns.
     """
 
     rows: tuple[tuple, ...]
@@ -257,8 +296,13 @@ class PolyNP:
     def __call__(self, n, p):
         return _exact_eval(self._eval, n, p)
 
+    @cached_property
+    def _columns(self) -> tuple[tuple, ...]:
+        width = max(map(len, self.rows))
+        return tuple(zip(*((0,) * (width - len(row)) + tuple(row) for row in self.rows)))
+
     def _eval(self, n, p):
-        return horner([horner(row, p) for row in self.rows], n)
+        return horner([horner(column, n) for column in self._columns], p)
 
     def to_json(self):
         return [[_coeff_json(c) for c in row] for row in self.rows]
@@ -524,34 +568,36 @@ def oracle_moment(index: IndexSpec, n: int, p, order: int = 1):
 
     This is the verification oracle: it never uses the catalog polynomials,
     only the reduced closed form per leaf count weighted by the binomial
-    pmf.  Exact for Fraction p; for float p the terms are added by
+    pmf.  Exact for Fraction p, through the integer sums of
+    ``exact_mean_variance``; for float p the terms are added by
     ``math.fsum``, so the result carries only the pmf's error (see
     ``support_pmf``).
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     law = LeafLaw(n, p)
-    terms = (w * eval_reduced(n, k, index) ** order
-             for k, w in zip(law.support, support_pmf(law)))
-    return sum(terms) if isinstance(p, Fraction) else math.fsum(terms)
+    values = [eval_reduced(n, k, index) ** order for k in law.support]
+    if isinstance(p, Fraction):
+        return exact_mean_variance(*support_weights(law), values)[0]
+    return math.fsum(w * v for w, v in zip(support_pmf(law), values))
 
 
 def oracle_variance(index: IndexSpec, n: int, p):
     """Var[index] by direct summation over the leaf-count support.
 
-    Exact for Fraction p, as E[X**2] - E[X]**2 in rationals.  For float p
-    that difference would cancel away up to three digits (E[X]**2 is
-    hundreds of times the variance for Zagreb-type indices at n = 5000),
-    so the sum is centred in two passes instead, each added by
-    ``math.fsum``, with each deviation from the mean taken exactly before
-    it is rounded.  Against the exact catalog, mean and variance of every
-    named index are within 7e-16 relative for p in [0.01, 0.99] and
-    n in [2, 10000].
+    Exact for Fraction p, as (total S2 - S1**2) / (total d)**2 in integers
+    (``exact_mean_variance``).  For float p, E[X**2] - E[X]**2 would cancel
+    away up to three digits (E[X]**2 is hundreds of times the variance for
+    Zagreb-type indices at n = 5000), so the sum is centred in two passes
+    instead, each added by ``math.fsum``, with each deviation from the mean
+    taken exactly before it is rounded.  Against the exact catalog, mean
+    and variance of every named index are within 7e-16 relative for p in
+    [0.01, 0.99] and n in [2, 10000].
     """
-    mean = oracle_moment(index, n, p, 1)
-    if isinstance(p, Fraction):
-        return oracle_moment(index, n, p, 2) - mean ** 2
     law = LeafLaw(n, p)
-    centre = Fraction(mean)
-    return math.fsum(w * float(eval_reduced(n, k, index) - centre) ** 2
-                     for k, w in zip(law.support, support_pmf(law)))
+    values = [eval_reduced(n, k, index) for k in law.support]
+    if isinstance(p, Fraction):
+        return exact_mean_variance(*support_weights(law), values)[1]
+    weights = support_pmf(law)
+    centre = Fraction(math.fsum(w * v for w, v in zip(weights, values)))
+    return math.fsum(w * float(v - centre) ** 2 for w, v in zip(weights, values))

@@ -102,17 +102,18 @@ class TreeState:
     legs: tuple[int, ...]
 
     def __post_init__(self):
-        legs = tuple(int(x) for x in self.legs)
+        legs = tuple(map(int, self.legs))
         object.__setattr__(self, "legs", legs)
         if self.time < 1:
             raise ValueError(f"time must be >= 1, got {self.time}")
         if len(legs) < 3:
             raise ValueError(f"a spider tree needs at least 3 legs, got {len(legs)}")
-        if any(x < 1 for x in legs):
+        if min(legs) < 1:
             raise ValueError("leg lengths must be positive")
-        if sum(legs) != self.time + 2:
+        total = sum(legs)
+        if total != self.time + 2:
             raise ValueError(
-                f"leg lengths sum to {sum(legs)}, expected time + 2 = {self.time + 2}"
+                f"leg lengths sum to {total}, expected time + 2 = {self.time + 2}"
             )
 
     @property
@@ -121,7 +122,8 @@ class TreeState:
 
     @property
     def internal_count(self) -> int:
-        return sum(self.legs) - len(self.legs)
+        # sum(legs) == time + 2 is enforced at construction.
+        return self.time + 2 - len(self.legs)
 
     @property
     def node_count(self) -> int:

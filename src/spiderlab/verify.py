@@ -4,8 +4,11 @@ Four suites cross-check the package against routes that do not share code
 with what they test:
 
 * catalog formulas against the brute-force summation oracle, in exact
-  rational arithmetic (a mismatch is reported as a formula flag with its
-  (index, n, p) witness, never silently patched);
+  arithmetic: the binomial masses and the reduced index values are summed
+  as integers over one common denominator (``support_weights``,
+  ``exact_mean_variance``), never through a catalog polynomial (a mismatch
+  is reported as a formula flag with its (index, n, p) witness, never
+  silently patched);
 * direct degree-multiset evaluation against the reduced closed forms on
   randomly grown trees;
 * the coefficient triangle against Stirling numbers of the second kind
@@ -20,7 +23,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytics import LeafLaw, coefficient_triangle, moment_catalog, support_pmf
+from .analytics import (
+    LeafLaw,
+    coefficient_triangle,
+    exact_mean_variance,
+    moment_catalog,
+    support_weights,
+)
+from .analytics import support_pmf  # noqa: F401  unused, but bench/run.py --trace 1 rebinds it here
 from .indices import (
     NAMED_INDICES,
     Affine,
@@ -93,12 +103,9 @@ def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
             for key, spec in specs.items()
         }
         for p in p_values:
-            weights = support_pmf(LeafLaw(n, p))
+            weights, total = support_weights(LeafLaw(n, p))
             for key, entry in catalog.items():
-                values = reduced[key]
-                m1 = sum(w * v for w, v in zip(weights, values))
-                m2 = sum(w * v * v for w, v in zip(weights, values))
-                oracle_var = m2 - m1 * m1
+                m1, oracle_var = exact_mean_variance(weights, total, reduced[key])
                 mean_formula = entry.mean(n, p)
                 var_formula = entry.variance(n, p)
                 if mean_formula != m1:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -37,8 +38,9 @@ from spiderlab import (
     step,
     support_pmf,
 )
-from spiderlab.indices import horner
-from spiderlab.verify import stirling2
+from spiderlab.analytics import PolyNP, exact_mean_variance, support_weights
+from spiderlab.indices import eval_reduced, horner
+from spiderlab.verify import catalog_oracle_suite, stirling2
 
 from conftest import ScriptedStream
 
@@ -395,6 +397,66 @@ def test_oracle_variance_exact_and_float():
         for n in (1000, 5000):
             expected = float(entry.variance(n, 0.3))
             assert oracle_variance(spec, n, 0.3) == pytest.approx(expected, rel=2e-15), spec
+
+
+def test_poly_np_matches_row_by_row_horner():
+    # Reference: a Horner pass in p per row, then one in n, in exact rationals.
+    def rowwise(poly, n, p):
+        value = horner([horner(row, Fraction(p)) for row in poly.rows], n)
+        return float(value) if isinstance(p, float) else value
+
+    polys = [PolyNP(((1, 0), (3,))), PolyNP(((Fraction(1, 2), 0, 0), (2,), (-1, 5)))]
+    for spec in NAMED_INDICES:
+        entry = moment_catalog(spec)
+        polys += [entry.mean.num, entry.variance.num] + ([entry.clt.center] if entry.clt else [])
+    for poly in polys:
+        for n in (1, 2, 9, 5000):
+            for p in (Fraction(2, 5), Fraction(1, 3), 0.3, 0.5):
+                value = poly(n, p)
+                assert value == rowwise(poly, n, p) and type(value) is type(rowwise(poly, n, p))
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 50])
+@pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(2, 7), Fraction(1, 2), Fraction(9, 10)])
+def test_support_weights_are_the_exact_masses(n, p):
+    law = LeafLaw(n, p)
+    weights, total = support_weights(law)
+    assert all(isinstance(w, int) for w in weights)
+    assert total == p.denominator ** (n - 1)
+    assert sum(weights) == total
+    assert [Fraction(w, total) for w in weights] == support_pmf(law)
+
+
+def test_exact_mean_variance_matches_fraction_sums():
+    law = LeafLaw(9, Fraction(3, 7))
+    pmf = support_pmf(law)
+    for spec in NAMED_INDICES + (GeneralizedZagreb(2.5),):
+        values = [eval_reduced(law.n, k, spec) for k in law.support]
+        m1 = sum(w * Fraction(v) for w, v in zip(pmf, values))
+        m2 = sum(w * Fraction(v) ** 2 for w, v in zip(pmf, values))
+        assert exact_mean_variance(*support_weights(law), values) == (m1, m2 - m1 * m1)
+
+
+@pytest.mark.parametrize("field", ["mean", "variance"])
+@pytest.mark.parametrize("key", ["zagreb", "gini"])
+def test_catalog_oracle_suite_reports_a_tiny_perturbation(field, key):
+    # A formula off by 1e-100 at one grid point must be flagged there, and
+    # only there: the oracle is exact, not merely close.
+    n_bad, p_bad = 7, Fraction(3, 10)
+    catalog = {spec.name: moment_catalog(spec) for spec in NAMED_INDICES}
+    formula = getattr(catalog[key], field)
+
+    def perturbed(n, p):
+        value = formula(n, p)
+        return value + Fraction(1, 10 ** 100) if (n, p) == (n_bad, p_bad) else value
+
+    catalog[key] = dataclasses.replace(catalog[key], **{field: perturbed})
+    failures = catalog_oracle_suite(P_GRID, range(1, 11), catalog)
+    assert len(failures) == 1
+    failure = failures[0]
+    assert (failure.suite, failure.index, failure.witness) == (
+        "catalog-oracle", key, {"n": n_bad, "p": p_bad})
+    assert failure.detail.startswith(f"{field} formula ")
 
 
 def test_oracle_rejects_bad_order():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +243,16 @@ def test_converge_requires_limit(capsys):
     code, _, err = run_cli(capsys, "converge", "--index", "leaves", "--p", "0.5")
     assert code == 2
     assert "limit" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m spiderlab` must reach the same entry point as the script.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "spiderlab"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: spiderlab")
+    assert "{simulate,exact,verify,clt,converge}" in done.stderr
 
 
 def test_unknown_subcommand_usage(capsys):

@@ -69,12 +69,33 @@ def test_step_picks_any_leg():
 
 
 def test_tree_state_invariants_enforced():
-    with pytest.raises(ValueError):
-        TreeState(time=1, legs=(1, 1))  # fewer than 3 legs
-    with pytest.raises(ValueError):
-        TreeState(time=2, legs=(1, 1, 1))  # sum != time + 2
-    with pytest.raises(ValueError):
-        TreeState(time=3, legs=(0, 2, 3))  # empty leg
+    for wrap in (tuple, lambda legs: np.array(legs, dtype=np.int64)):
+        with pytest.raises(ValueError):
+            TreeState(time=1, legs=wrap((1, 1)))  # fewer than 3 legs
+        with pytest.raises(ValueError):
+            TreeState(time=2, legs=wrap((1, 1, 1)))  # sum != time + 2
+        with pytest.raises(ValueError):
+            TreeState(time=3, legs=wrap((0, 2, 3)))  # empty leg
+        with pytest.raises(ValueError):
+            TreeState(time=3, legs=wrap((-1, 3, 3)))  # negative leg
+
+
+@given(st.integers(1, 300), st.integers(0, 10**6), st.floats(0.05, 0.95))
+def test_counts_follow_the_legs_on_grown_trees(n, seed, p):
+    model = UniformLeaf(p)
+    grown = TreeState(time=n, legs=grow_legs(model, n, RngStream(seed)))
+    stepped = new_seed()
+    rng = RngStream(seed)
+    for _ in range(min(n, 60) - 1):
+        stepped = step(stepped, model, rng)
+    for state in (grown, stepped):
+        legs = state.legs
+        assert all(type(x) is int for x in legs)
+        assert state.internal_count == sum(legs) - len(legs)
+        expected = {len(legs): 1, 1: len(legs)}
+        if sum(legs) > len(legs):
+            expected[2] = sum(legs) - len(legs)
+        assert degree_multiset(state) == expected
 
 
 def test_boundary_probabilities_rejected():
