@@ -1,23 +1,37 @@
 """Parallel Monte Carlo experiments over random spider trees.
 
-Each replicate owns its random stream, keyed by (master_seed, replicate
-index), so a run is a pure function of its configuration: the same config
-gives bit-identical summaries no matter how many workers execute it or in
-what order they finish.  Replicates are processed in fixed-size blocks and
-block statistics are merged in block order with the pairwise
-mean/M2 update, which keeps variance accumulation single-pass and stable
-at any replicate count.
+Every index is a function of the time n and the leaf count L alone, and L
+is 3 plus the number of centroid recruits among the n - 1 growth steps, so
+the engine does not grow trees: it draws each replicate's n - 1 *decision*
+uniforms and counts those below p (``tree.leaf_count``), then evaluates
+the closed forms on the counted L.
 
-Every index is a function of the time n and the leaf count L alone, so the
-engine does not grow trees: for each replicate it draws the same uniforms
-a grown tree would consume and counts the centroid recruits among them
-(``tree.leaf_count``), then evaluates the closed forms on the counted L.
+Streams.  Replicates are laid out in fixed blocks of STREAM_BLOCK = 64:
+replicate i is row i % 64 of block b = i // 64, and block b draws from the
+one stream ``RngStream(master_seed, b)``.  That stream first yields the
+block's decision matrix, ``(rows, n - 1)`` uniforms in row-major order, one
+row per replicate in replicate order.  The matrix is drawn in row-major
+pieces of whole rows, at most DRAW_PIECE uniforms each unless one row is
+longer; PCG64 yields the same numbers whatever the piece size, so the cap
+bounds memory and is not part of the contract.  A replicate's L therefore
+depends only on (master_seed, i, n, model): not on the replicate count, the
+worker count or the order in which workers finish.
 
-A deterministic one-percent subsample of replicates is audited: each is
-also grown in full from an identically keyed stream (``tree.grow_legs``),
-its leg count must equal the counted L, and every requested index is
-re-evaluated directly from the degree multiset and compared against the
-closed form the engine actually uses.
+Audit.  Replicates whose index is a multiple of SPOT_CHECK_STRIDE are
+audited; a block holds at most one.  After the block's decision rows, its
+stream yields n - 1 *pick* uniforms for that replicate, and the tree is
+regrown from the replicate's own decision row and those picks
+(``tree.grow_legs``).  Its leg count must equal the counted L, and every
+requested index is re-evaluated directly from the degree multiset and
+compared against the closed form the engine actually uses.
+
+Reduction.  Replicates are processed in chunks of CHUNK_SIZE (a multiple of
+STREAM_BLOCK, so no block straddles two chunks), and chunk statistics are
+merged in chunk order with the pairwise mean/M2 update, which keeps
+variance accumulation single-pass and stable at any replicate count.
+Chunks go to a process pool only when the run draws at least
+POOL_MIN_UNIFORMS decision uniforms; below that, starting the pool costs
+more than it saves.  The result is the same either way.
 """
 
 from __future__ import annotations
@@ -47,7 +61,10 @@ __all__ = [
     "convergence_probe",
 ]
 
-CHUNK_SIZE = 1024          # replicates per reduction block; fixed so results never depend on worker count
+CHUNK_SIZE = 1024          # replicates per reduction chunk; fixed so results never depend on worker count
+STREAM_BLOCK = 64          # replicates per random stream; divides CHUNK_SIZE
+DRAW_PIECE = 1 << 14       # most decision uniforms held at once, unless one row is longer
+POOL_MIN_UNIFORMS = 8_000_000  # R * (n - 1) below which the pool costs more than it saves
 SPOT_CHECK_STRIDE = 100    # deterministic 1% direct-evaluation audit
 SAMPLE_CAP = 1_000_000     # retained samples per index, thinned deterministically beyond this
 DIRECT_CHECK_RTOL = 1e-12
@@ -159,23 +176,33 @@ def _audit_replicate(config: SimConfig, legs: np.ndarray, counted: int) -> None:
 
 
 def _chunk_worker(args) -> tuple:
-    """Replicates ``start..stop-1``: per-index (count, mean, M2) block
+    """Replicates ``start..stop-1``: per-index (count, mean, M2) chunk
     statistics, the kept samples, and the number of audited replicates.
 
-    Each replicate's leaf count is counted from its stream, not grown;
-    replicates whose index is a multiple of SPOT_CHECK_STRIDE are also grown
-    from a second stream with the same key and audited.
+    ``start`` is a multiple of STREAM_BLOCK; each block's leaf counts are
+    counted from its decision rows, and its audited replicate, if any, is
+    regrown from its decision row and the picks at the stream's tail.
     """
     config, start, stop, keep_stride = args
-    model, horizon, seed = config.model, config.horizon, config.master_seed
+    model, steps, seed = config.model, config.horizon - 1, config.master_seed
     size = stop - start
+    rows_per_piece = max(1, DRAW_PIECE // max(steps, 1))
     leaf_counts = np.empty(size, dtype=np.int64)
     spot_checks = 0
-    for i in range(start, stop):
-        counted = leaf_count(model, horizon, RngStream(seed, i))
-        leaf_counts[i - start] = counted
-        if i % SPOT_CHECK_STRIDE == 0:
-            _audit_replicate(config, grow_legs(model, horizon, RngStream(seed, i)), counted)
+    for first in range(start, stop, STREAM_BLOCK):
+        rows = min(STREAM_BLOCK, stop - first)
+        stream = RngStream(seed, first // STREAM_BLOCK)
+        audited = -first % SPOT_CHECK_STRIDE  # row of the block's multiple of the stride
+        for row in range(0, rows, rows_per_piece):
+            height = min(rows_per_piece, rows - row)
+            piece = stream.doubles(height * steps).reshape(height, steps)
+            offset = first - start + row
+            leaf_counts[offset:offset + height] = leaf_count(model, piece)
+            if row <= audited < row + height:
+                audit_decisions = piece[audited - row]
+        if audited < rows:
+            legs = grow_legs(model, audit_decisions, stream.doubles(steps))
+            _audit_replicate(config, legs, int(leaf_counts[first - start + audited]))
             spot_checks += 1
     stats = []
     kept = []
@@ -203,8 +230,9 @@ def _merge_stats(a: tuple, b: tuple) -> tuple:
 def run_experiment(config: SimConfig, threads: int = 1, keep_samples: bool = False) -> SampleSummary:
     """Run the experiment described by ``config``.
 
-    ``threads`` > 1 distributes replicate blocks over worker processes;
-    the result is identical either way.  ``keep_samples`` retains the raw
+    ``threads`` > 1 distributes replicate chunks over worker processes
+    when the run draws at least POOL_MIN_UNIFORMS decision uniforms; the
+    result is identical either way.  ``keep_samples`` retains the raw
     index values (thinned to at most SAMPLE_CAP per index by a fixed
     replicate stride) for later diagnostics.
     """
@@ -216,7 +244,7 @@ def run_experiment(config: SimConfig, threads: int = 1, keep_samples: bool = Fal
         (config, start, min(start + CHUNK_SIZE, R), keep_stride)
         for start in range(0, R, CHUNK_SIZE)
     ]
-    if threads > 1 and len(tasks) > 1:
+    if threads > 1 and len(tasks) > 1 and R * (config.horizon - 1) >= POOL_MIN_UNIFORMS:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_chunk_worker, tasks, chunksize=1))
     else:

@@ -16,9 +16,15 @@ equals the leaf count, the centroid is picked with probability exactly 1/2
 at every step, so the rule coincides with ``UniformLeaf(1/2)`` and shares
 its code path.
 
-Everything the indices need is the leaf count, so ``leaf_count`` reads a
-replicate's stream exactly as ``grow_legs`` would but only counts the
-centroid recruits, without building the leg vector.
+Growth is written once, over given uniforms: ``grow_legs(model, decisions,
+picks)`` applies one step per (decision, pick) pair, and ``leaf_count(model,
+decisions)`` reads only the decision uniforms and counts the centroid
+recruits, along the last axis, so it counts one schedule or a whole block of
+them.  Everything the indices need is that count.  ``grow`` and ``step``
+draw their uniforms from an ``RngStream`` interleaved, (decision, pick) per
+step, so a grown tree equals a stepped one bit for bit.  How the Monte
+Carlo engine lays its replicates' uniforms out over streams is documented
+in ``spiderlab.montecarlo``.
 """
 
 from __future__ import annotations
@@ -135,8 +141,9 @@ class RngStream:
 
     Equal addresses replay the same sequence; distinct stream indices give
     statistically independent streams (PCG64 keyed through a SeedSequence).
-    One stream per Monte Carlo replicate makes parallel runs reproducible
-    with no shared state.
+    Keying costs about as much as drawing a thousand uniforms, so the Monte
+    Carlo engine keys one stream per block of replicates, not one per
+    replicate.
     """
 
     __slots__ = ("master_seed", "stream_index", "_generator")
@@ -184,49 +191,46 @@ def step(state: TreeState, model: GrowthModel, rng: RngStream) -> TreeState:
     return TreeState(time=state.time + 1, legs=legs)
 
 
-def grow_legs(model: GrowthModel, horizon_n: int, rng: RngStream) -> np.ndarray:
-    """Leg lengths at time ``horizon_n`` as an int64 array (fast path).
+def grow_legs(model: GrowthModel, decisions: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Leg lengths, as an int64 array, after one growth step per decision
+    uniform, starting from the seed.
 
-    Vectorised equivalent of ``horizon_n - 1`` calls to ``step`` from the
-    seed: it consumes the same uniforms in the same order, so it produces
-    bit-identical trees.
+    Step ``k`` recruits at the centroid when ``decisions[k] < p``; otherwise
+    the leaf of leg ``floor(picks[k] * leaves)`` recruits, where ``leaves``
+    is the leaf count before step ``k``.  This is the rule ``step`` applies
+    to its two uniforms, vectorised over the whole schedule.
     """
-    if horizon_n < 1:
-        raise ValueError(f"horizon_n must be >= 1, got {horizon_n}")
-    steps = horizon_n - 1
-    if steps == 0:
-        return np.ones(3, dtype=np.int64)
-    draws = rng.doubles(2 * steps).reshape(steps, 2)
-    centroid = draws[:, 0] < model.centroid_probability
+    centroid = decisions < model.centroid_probability
     # Leaf count seen by step k is 3 plus the centroid recruits before k.
-    leaves_before = 3 + np.concatenate(([0], np.cumsum(centroid[:-1])))
+    leaves_before = 3 + np.cumsum(centroid) - centroid
     extend = ~centroid
-    picks = np.floor(draws[extend, 1] * leaves_before[extend]).astype(np.int64)
-    leg_total = 3 + int(centroid.sum())
-    legs = np.ones(leg_total, dtype=np.int64)
-    legs += np.bincount(picks, minlength=leg_total)
-    return legs
+    chosen = np.floor(picks[extend] * leaves_before[extend]).astype(np.int64)
+    leg_total = 3 + int(np.count_nonzero(centroid))
+    return 1 + np.bincount(chosen, minlength=leg_total)
 
 
-def leaf_count(model: GrowthModel, horizon_n: int, rng: RngStream) -> int:
-    """Leaf count at time ``horizon_n`` without building the tree.
+def leaf_count(model: GrowthModel, decisions: np.ndarray):
+    """Leaf count after one growth step per decision uniform, without
+    building the tree: 3 plus the centroid recruits ``decisions < p``.
 
-    Draws the same ``2 * (horizon_n - 1)`` uniforms as ``grow_legs`` and
-    counts the centroid decisions among them, so it equals
-    ``len(grow_legs(model, horizon_n, rng))`` on an identically keyed
-    stream and leaves the stream in the same state.
+    Counts along the last axis, so a 1-D schedule gives one count and a
+    ``(rows, steps)`` block gives one count per row.  It equals
+    ``len(grow_legs(model, decisions, picks))`` for any picks.
     """
-    if horizon_n < 1:
-        raise ValueError(f"horizon_n must be >= 1, got {horizon_n}")
-    if horizon_n == 1:
-        return 3
-    draws = rng.doubles(2 * (horizon_n - 1))
-    return 3 + int(np.count_nonzero(draws[0::2] < model.centroid_probability))
+    return 3 + np.count_nonzero(decisions < model.centroid_probability, axis=-1)
 
 
 def grow(model: GrowthModel, horizon_n: int, rng: RngStream) -> TreeState:
-    """Grow a tree from the seed to time ``horizon_n`` (>= 1)."""
-    legs = grow_legs(model, horizon_n, rng)
+    """Grow a tree from the seed to time ``horizon_n`` (>= 1).
+
+    Draws ``2 * (horizon_n - 1)`` uniforms, interleaved (decision, pick) per
+    step exactly as repeated ``step`` calls consume them, so the result is
+    bit-identical to stepping.
+    """
+    if horizon_n < 1:
+        raise ValueError(f"horizon_n must be >= 1, got {horizon_n}")
+    draws = rng.doubles(2 * (horizon_n - 1)).reshape(horizon_n - 1, 2)
+    legs = grow_legs(model, draws[:, 0], draws[:, 1])
     return TreeState(time=horizon_n, legs=tuple(legs.tolist()))
 
 

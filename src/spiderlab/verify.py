@@ -139,7 +139,8 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int,
         u = meta.doubles(2)
         n = 1 + int(u[0] * max_n)
         p = 0.05 + 0.9 * float(u[1])
-        legs = grow_legs(UniformLeaf(p), n, RngStream(master_seed, trial + 1))
+        draws = RngStream(master_seed, trial + 1).doubles(2 * (n - 1)).reshape(n - 1, 2)
+        legs = grow_legs(UniformLeaf(p), draws[:, 0], draws[:, 1])
         state = TreeState(time=n, legs=tuple(legs.tolist()))
         for spec in specs:
             direct = float(eval_direct(state, spec))

@@ -35,6 +35,7 @@ from spiderlab import (
     oracle_moment,
     run_experiment,
     standardize,
+    support_pmf,
 )
 from spiderlab.verify import (
     FULL_N_VALUES,
@@ -291,3 +292,26 @@ def test_c9_preferential_leaf_counts_match_binomial_half():
         assert z <= 5.0, f"bin with probability {prob:.5f}: {z:.2f} SE"
     report(9, f"preferential leaf counts match Binomial(49, 1/2) in {len(bins)} bins "
               f"(worst {worst:.2f} SE)", True)
+
+
+# -- engine streams against the exact leaf law ----------------------------------------
+
+DKW_ALPHA, DKW_REPLICATES = 1e-6, 20_000
+
+
+@pytest.mark.parametrize("n,p", [(201, 0.4), (5000, 0.5), (2, 0.3)])
+def test_engine_leaf_counts_within_dkw_band_of_binomial(n, p):
+    # Dvoretzky-Kiefer-Wolfowitz with Massart's constant: for R iid draws,
+    # P(sup |F_R - F| > eps) <= 2 exp(-2 R eps^2), so a correct engine
+    # exceeds eps = sqrt(ln(2 / alpha) / (2R)) with probability <= alpha.
+    eps = math.sqrt(math.log(2 / DKW_ALPHA) / (2 * DKW_REPLICATES))
+    config = SimConfig(model=UniformLeaf(p), horizon=n, replicates=DKW_REPLICATES,
+                       master_seed=MASTER_SEED + 23, indices=(LEAVES,))
+    counts = run_experiment(config, keep_samples=True).samples["leaves"].astype(np.int64)
+    # both CDFs are step functions jumping only on the support 3..n+2
+    exact_cdf = np.cumsum(support_pmf(LeafLaw(n, p)))
+    empirical_cdf = np.cumsum(np.bincount(counts - 3, minlength=n)) / DKW_REPLICATES
+    d = float(np.abs(empirical_cdf - exact_cdf).max())
+    ok = report("DKW", f"engine L at n={n}, p={p}, R=2e4: sup|F_R - F|={d:.4f} <= {eps:.4f}",
+                d <= eps)
+    assert ok

@@ -24,7 +24,8 @@ from spiderlab import (
 )
 import spiderlab.montecarlo as montecarlo
 from spiderlab.indices import Affine, Generic, Table
-from spiderlab.montecarlo import CHUNK_SIZE, SAMPLE_CAP
+from spiderlab.montecarlo import CHUNK_SIZE, DRAW_PIECE, SAMPLE_CAP, STREAM_BLOCK
+from spiderlab.tree import RngStream, leaf_count
 
 
 def test_seed_horizon_experiment_is_deterministic():
@@ -48,26 +49,135 @@ def test_rerun_is_bit_identical():
         assert np.array_equal(a.samples[key], b.samples[key])
 
 
-def test_parallel_run_matches_serial():
-    config = SimConfig(model=UniformLeaf(0.6), horizon=80, replicates=4000,
-                       master_seed=123, indices=(LEAVES, ZAGREB, GINI))
-    assert config.replicates > 3 * CHUNK_SIZE
-    serial = run_experiment(config, threads=1, keep_samples=True)
-    for threads in (2, 3):
-        parallel = run_experiment(config, threads=threads, keep_samples=True)
-        assert serial.to_json_str() == parallel.to_json_str()
-        assert serial.samples.keys() == parallel.samples.keys()
-        for key in serial.samples:
-            assert np.array_equal(serial.samples[key], parallel.samples[key])
+def test_parallel_run_matches_serial(monkeypatch):
+    monkeypatch.setattr(montecarlo, "POOL_MIN_UNIFORMS", 0)  # start the pool at any size
+    many_chunks = SimConfig(model=UniformLeaf(0.6), horizon=80, replicates=4000,
+                            master_seed=123, indices=(LEAVES, ZAGREB, GINI))
+    assert many_chunks.replicates > 3 * CHUNK_SIZE
+    partial_block = SimConfig(model=UniformLeaf(0.4), horizon=201, replicates=1100,
+                              master_seed=11, indices=(LEAVES, ZAGREB, GINI))
+    assert partial_block.replicates % STREAM_BLOCK and partial_block.replicates > CHUNK_SIZE
+    for config in (many_chunks, partial_block):
+        serial = run_experiment(config, threads=1, keep_samples=True)
+        for threads in (2, 3):
+            parallel = run_experiment(config, threads=threads, keep_samples=True)
+            assert serial.to_json_str() == parallel.to_json_str()
+            assert serial.samples.keys() == parallel.samples.keys()
+            for key in serial.samples:
+                assert np.array_equal(serial.samples[key], parallel.samples[key])
 
 
 def test_audit_rejects_a_counted_leaf_count_that_disagrees_with_the_tree(monkeypatch):
     real = montecarlo.leaf_count
-    monkeypatch.setattr(montecarlo, "leaf_count", lambda model, n, rng: real(model, n, rng) + 1)
+    monkeypatch.setattr(montecarlo, "leaf_count",
+                        lambda model, decisions: real(model, decisions) + 1)
     config = SimConfig(model=UniformLeaf(0.5), horizon=40, replicates=5,
                        master_seed=3, indices=(LEAVES,))
     with pytest.raises(RuntimeError, match="leaf-count mismatch"):
         run_experiment(config)
+
+
+# -- stream contract -------------------------------------------------------------
+
+def leaf_samples(n, p, replicates, master_seed, threads=1):
+    config = SimConfig(model=UniformLeaf(p), horizon=n, replicates=replicates,
+                       master_seed=master_seed, indices=(LEAVES,))
+    return run_experiment(config, threads=threads, keep_samples=True).samples["leaves"]
+
+
+@pytest.mark.parametrize("seed,i,n,p,expected", [
+    (11, 0, 201, 0.4, 92),
+    (11, 63, 201, 0.4, 75),
+    (11, 64, 201, 0.4, 78),
+    (11, 1099, 201, 0.4, 84),
+    (7, 5, 1, 0.5, 3),
+    (7, 3, 2, 0.3, 4),
+    (7, 4, 2, 0.3, 3),
+    (7, 128, 2, 0.3, 4),
+    (20250808, 3, 5000, 0.5, 2526),
+    (7, 65, 20000, 0.5, 9915),  # a row longer than DRAW_PIECE
+])
+def test_golden_leaf_counts(seed, i, n, p, expected):
+    assert leaf_samples(n, p, i + 1, seed)[i] == expected
+
+
+def test_stream_block_divides_chunk_size():
+    assert CHUNK_SIZE % STREAM_BLOCK == 0
+
+
+def test_block_layout_matches_hand_drawn_streams():
+    n, p, seed, replicates = 201, 0.4, 11, 130  # two full blocks and a partial one
+    blocks = [RngStream(seed, b).doubles(STREAM_BLOCK * (n - 1)).reshape(STREAM_BLOCK, n - 1)
+              for b in range(3)]
+    expected = [3 + int((blocks[i // STREAM_BLOCK][i % STREAM_BLOCK] < p).sum())
+                for i in range(replicates)]
+    assert leaf_samples(n, p, replicates, seed).tolist() == expected
+
+
+def test_pieces_equal_a_one_shot_block_draw_at_large_n():
+    n, p, seed = 5000, 0.5, 3
+    assert STREAM_BLOCK * (n - 1) > DRAW_PIECE  # the engine draws this block in pieces
+    one_shot = RngStream(seed, 0).doubles(STREAM_BLOCK * (n - 1)).reshape(STREAM_BLOCK, n - 1)
+    expected = leaf_count(UniformLeaf(p), one_shot)
+    assert np.array_equal(leaf_samples(n, p, STREAM_BLOCK, seed), expected)
+    stream = RngStream(seed, 0)
+    pieces = [stream.doubles(size) for size in (DRAW_PIECE, 1, DRAW_PIECE - 1, 12345)]
+    assert np.array_equal(np.concatenate(pieces), one_shot.ravel()[:2 * DRAW_PIECE + 12345])
+
+
+def test_audit_regrows_from_the_counted_row_and_the_tail_picks(monkeypatch):
+    n, p, seed, replicates = 50, 0.5, 5, 130
+    calls = []
+    real = montecarlo.grow_legs
+
+    def recording(model, decisions, picks):
+        calls.append((decisions.copy(), picks.copy()))
+        return real(model, decisions, picks)
+
+    monkeypatch.setattr(montecarlo, "grow_legs", recording)
+    leaf_samples(n, p, replicates, seed)
+    # replicate 0 is row 0 of block 0; replicate 100 is row 36 of block 1
+    expected = []
+    for block, row in ((0, 0), (1, 36)):
+        stream = RngStream(seed, block)
+        decisions = stream.doubles(STREAM_BLOCK * (n - 1)).reshape(STREAM_BLOCK, n - 1)
+        expected.append((decisions[row], stream.doubles(n - 1)))
+    assert len(calls) == len(expected)
+    for (got_d, got_p), (want_d, want_p) in zip(calls, expected):
+        assert np.array_equal(got_d, want_d)
+        assert np.array_equal(got_p, want_p)
+
+
+def test_first_replicates_do_not_depend_on_the_replicate_count():
+    short = leaf_samples(201, 0.4, 100, 11)
+    long = leaf_samples(201, 0.4, 1100, 11)
+    assert np.array_equal(short, long[:100])
+
+
+def test_pool_starts_only_above_the_work_threshold(monkeypatch):
+    started = []
+    real = montecarlo.ProcessPoolExecutor
+
+    def spy(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", spy)
+    config = SimConfig(model=UniformLeaf(0.4), horizon=201, replicates=2000,
+                       master_seed=11, indices=(LEAVES, GINI))
+    work = config.replicates * (config.horizon - 1)
+    assert work < montecarlo.POOL_MIN_UNIFORMS
+    assert 20_000 * (5000 - 1) >= montecarlo.POOL_MIN_UNIFORMS  # the clt example stays pooled
+    serial = run_experiment(config, threads=1, keep_samples=True)
+    below = run_experiment(config, threads=2, keep_samples=True)
+    assert started == []
+    monkeypatch.setattr(montecarlo, "POOL_MIN_UNIFORMS", work)
+    above = run_experiment(config, threads=2, keep_samples=True)
+    assert started == [2]
+    for run in (below, above):
+        assert run.to_json_str() == serial.to_json_str()
+        for key in serial.samples:
+            assert np.array_equal(run.samples[key], serial.samples[key])
 
 
 def test_preferential_equals_uniform_half():
@@ -157,7 +267,10 @@ def test_config_checks_table_on_every_reachable_degree():
 def test_config_rejects_table_missing_top_degree_at_large_n(monkeypatch):
     n = 5000
     values = {d: float(d) for d in range(1, n + 2)}
-    monkeypatch.setattr(montecarlo, "leaf_count", None)  # no replicate may run
+    def no_replicate_may_run(model, decisions):
+        raise AssertionError("a replicate ran during config validation")
+
+    monkeypatch.setattr(montecarlo, "leaf_count", no_replicate_may_run)
     with pytest.raises(UnknownIndexError, match=f"degree {n + 2}"):
         SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=10,
                   master_seed=1, indices=(Generic(Table.from_mapping(values), 1),))

@@ -83,7 +83,8 @@ def test_tree_state_invariants_enforced():
 @given(st.integers(1, 300), st.integers(0, 10**6), st.floats(0.05, 0.95))
 def test_counts_follow_the_legs_on_grown_trees(n, seed, p):
     model = UniformLeaf(p)
-    grown = TreeState(time=n, legs=grow_legs(model, n, RngStream(seed)))
+    draws = RngStream(seed).doubles(2 * (n - 1)).reshape(n - 1, 2)
+    grown = TreeState(time=n, legs=grow_legs(model, draws[:, 0], draws[:, 1]))
     stepped = new_seed()
     rng = RngStream(seed)
     for _ in range(min(n, 60) - 1):
@@ -110,8 +111,6 @@ def test_boundary_probabilities_rejected():
 def test_grow_rejects_zero_horizon():
     with pytest.raises(ValueError):
         grow(UniformLeaf(0.5), 0, RngStream(1))
-    with pytest.raises(ValueError):
-        leaf_count(UniformLeaf(0.5), 0, RngStream(1))
 
 
 def test_grow_zero_steps_is_seed():
@@ -180,7 +179,7 @@ def test_leaf_count_mean_matches_binomial():
     replicates = 4000
     total = 0
     for i in range(replicates):
-        total += len(grow_legs(UniformLeaf(0.3), 101, RngStream(8, i)))
+        total += grow(UniformLeaf(0.3), 101, RngStream(8, i)).leaf_count
     mean = total / replicates
     sigma = math.sqrt(100 * 0.3 * 0.7 / replicates)
     assert abs(mean - 33.0) <= 4 * sigma
@@ -209,22 +208,30 @@ models = st.one_of(
 )
 
 
-@given(models, st.integers(1, 600), st.integers(0, 2**63 - 1), st.integers(0, 10**9))
-def test_leaf_count_equals_grown_leg_count(model, n, master_seed, stream_index):
-    counted_rng = RngStream(master_seed, stream_index)
-    grown_rng = RngStream(master_seed, stream_index)
-    assert leaf_count(model, n, counted_rng) == len(grow_legs(model, n, grown_rng))
-    # both consumed the same uniforms, so the streams continue in step
-    assert np.array_equal(counted_rng.doubles(4), grown_rng.doubles(4))
+@given(models, st.integers(0, 600), st.integers(0, 2**63 - 1), st.integers(0, 10**9))
+def test_leaf_count_equals_grown_leg_count(model, steps, master_seed, stream_index):
+    draws = RngStream(master_seed, stream_index).doubles(2 * steps)
+    decisions, picks = draws[:steps], draws[steps:]
+    legs = grow_legs(model, decisions, picks)
+    assert leaf_count(model, decisions) == len(legs)
+    assert legs.sum() == steps + 3
+    # counting a block counts each of its rows
+    block = np.stack([decisions, picks, decisions[::-1]])
+    assert leaf_count(model, block).tolist() == [leaf_count(model, row) for row in block]
 
 
 def test_leaf_count_at_seed_is_three_and_draws_nothing():
+    model = UniformLeaf(0.5)
+    assert leaf_count(model, np.empty(0)) == 3
+    assert leaf_count(model, np.empty((4, 0))).tolist() == [3, 3, 3, 3]
+    assert grow_legs(model, np.empty(0), np.empty(0)).tolist() == [1, 1, 1]
     rng = RngStream(4, 2)
-    assert leaf_count(UniformLeaf(0.5), 1, rng) == 3
+    assert grow(model, 1, rng) == new_seed()
     assert np.array_equal(rng.doubles(3), RngStream(4, 2).doubles(3))
 
 
 def test_leaf_count_scripted_decisions():
     # centroid, leaf, centroid: two recruits by the centroid on top of the seed's 3
-    stream = ScriptedStream([0.1, 0.5, 0.9, 0.5, 0.2, 0.5])
-    assert leaf_count(UniformLeaf(0.3), 4, stream) == 5
+    assert leaf_count(UniformLeaf(0.3), np.array([0.1, 0.9, 0.2])) == 5
+    block = np.array([[0.1, 0.9, 0.2], [0.3, 0.9, 0.5]])
+    assert leaf_count(UniformLeaf(0.3), block).tolist() == [5, 3]
