@@ -2,36 +2,40 @@
 
 Every index is a function of the time n and the leaf count L alone, and L
 is 3 plus the number of centroid recruits among the n - 1 growth steps, so
-the engine does not grow trees: it draws each replicate's n - 1 *decision*
-uniforms and counts those below p (``tree.leaf_count``), then evaluates
-the closed forms on the counted L.
+the engine does not grow trees: it draws each replicate's centroid
+decisions, one random byte per step plus a tail word for the 1 in 256
+steps that tie (the exact byte rule of ``tree.block_leaf_counts``), counts
+the recruits, then evaluates the closed forms on the counted L.
 
 Streams.  Replicates are laid out in fixed blocks of STREAM_BLOCK = 64:
 replicate i is row i % 64 of block b = i // 64, and block b draws from the
-one stream ``RngStream(master_seed, b)``.  That stream first yields the
-block's decision matrix, ``(rows, n - 1)`` uniforms in row-major order, one
-row per replicate in replicate order.  The matrix is drawn in row-major
-pieces of whole rows, at most DRAW_PIECE uniforms each unless one row is
-longer; PCG64 yields the same numbers whatever the piece size, so the cap
-bounds memory and is not part of the contract.  A replicate's L therefore
-depends only on (master_seed, i, n, model): not on the replicate count, the
-worker count or the order in which workers finish.
+one stream ``RngStream(master_seed, b)``.  That stream yields, in order,
+the decision words of all 64 rows (ceil((n - 1) / 8) raw words per row,
+one byte per step, in replicate order), one tail word per tie in
+row-major order, and the audited replicate's picks.  The whole block is
+drawn even where the run ends inside it.  Decision words are drawn in
+pieces of whole rows, at most DRAW_PIECE words each unless one row is
+longer; PCG64 yields the same words whatever the piece size, so the cap
+bounds memory and is not part of the contract.  A replicate's L and its
+audit therefore depend only on (master_seed, i, n, model): not on the
+replicate count, the worker count or the order in which workers finish.
 
 Audit.  Replicates whose index is a multiple of SPOT_CHECK_STRIDE are
-audited; a block holds at most one.  After the block's decision rows, its
+audited; a block holds at most one.  After the block's tail words, its
 stream yields n - 1 *pick* uniforms for that replicate, and the tree is
-regrown from the replicate's own decision row and those picks
+regrown from the replicate's own centroid schedule and those picks
 (``tree.grow_legs``).  Its leg count must equal the counted L, and every
 requested index is re-evaluated directly from the degree multiset and
-compared against the closed form the engine actually uses.
+compared against the value the chunk merges for that replicate.
 
 Reduction.  Replicates are processed in chunks of CHUNK_SIZE (a multiple of
 STREAM_BLOCK, so no block straddles two chunks), and chunk statistics are
 merged in chunk order with the pairwise mean/M2 update, which keeps
 variance accumulation single-pass and stable at any replicate count.
-Chunks go to a process pool only when the run draws at least
-POOL_MIN_UNIFORMS decision uniforms; below that, starting the pool costs
-more than it saves.  The result is the same either way.
+Chunks go to a process pool only when that takes at least POOL_MIN_WORK
+off the busiest worker, a replicate counting as n - 1 + REPLICATE_WORK
+steps; below that, starting the pool costs more than it saves.  The
+result is the same either way.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 from .analytics import moment_catalog
 from .indices import (Generic, IndexSpec, UnknownIndexError, check_positive, eval_direct,
                       index_name, reduced_values)
-from .tree import GrowthModel, RngStream, TreeState, grow_legs, leaf_count
+from .tree import GrowthModel, RngStream, TreeState, block_leaf_counts, grow_legs
 
 __all__ = [
     "SimConfig",
@@ -63,8 +67,9 @@ __all__ = [
 
 CHUNK_SIZE = 1024          # replicates per reduction chunk; fixed so results never depend on worker count
 STREAM_BLOCK = 64          # replicates per random stream; divides CHUNK_SIZE
-DRAW_PIECE = 1 << 14       # most decision uniforms held at once, unless one row is longer
-POOL_MIN_UNIFORMS = 8_000_000  # R * (n - 1) below which the pool costs more than it saves
+DRAW_PIECE = 1 << 14       # most decision words held at once, unless one row is longer
+POOL_MIN_WORK = 12_000_000  # work the pool must take off the busiest worker to pay for its start
+REPLICATE_WORK = 600       # a replicate's work besides its n - 1 steps (evaluation, merging), in steps
 SPOT_CHECK_STRIDE = 100    # deterministic 1% direct-evaluation audit
 SAMPLE_CAP = 1_000_000     # retained samples per index, thinned deterministically beyond this
 DIRECT_CHECK_RTOL = 1e-12
@@ -157,16 +162,17 @@ class SampleSummary:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
 
-def _audit_replicate(config: SimConfig, legs: np.ndarray, counted: int) -> None:
+def _audit_replicate(config: SimConfig, legs: np.ndarray, counted: int, merged) -> None:
+    """Check a regrown replicate against what the engine merged for it:
+    its counted L and, per index, the value in ``merged``."""
     if counted != len(legs):
         raise RuntimeError(
             f"leaf-count mismatch at n={config.horizon}: counted L={counted}, "
             f"grown tree has {len(legs)} legs"
         )
     state = TreeState(time=config.horizon, legs=tuple(legs.tolist()))
-    for spec in config.indices:
+    for spec, reduced in zip(config.indices, merged):
         direct = float(eval_direct(state, spec))
-        reduced = float(reduced_values(spec, config.horizon, np.array([len(legs)]))[0])
         tol = DIRECT_CHECK_RTOL * max(1.0, abs(reduced))
         if abs(direct - reduced) > tol:
             raise RuntimeError(
@@ -180,41 +186,40 @@ def _chunk_worker(args) -> tuple:
     statistics, the kept samples, and the number of audited replicates.
 
     ``start`` is a multiple of STREAM_BLOCK; each block's leaf counts are
-    counted from its decision rows, and its audited replicate, if any, is
-    regrown from its decision row and the picks at the stream's tail.
+    drawn by ``block_leaf_counts``, and its audited replicate, if any, is
+    regrown from its centroid schedule and the picks at the stream's tail,
+    then checked against the values this chunk merges.
     """
     config, start, stop, keep_stride = args
     model, steps, seed = config.model, config.horizon - 1, config.master_seed
     size = stop - start
-    rows_per_piece = max(1, DRAW_PIECE // max(steps, 1))
     leaf_counts = np.empty(size, dtype=np.int64)
-    spot_checks = 0
+    grown = []  # (offset in the chunk, legs) of each audited replicate
     for first in range(start, stop, STREAM_BLOCK):
         rows = min(STREAM_BLOCK, stop - first)
-        stream = RngStream(seed, first // STREAM_BLOCK)
         audited = -first % SPOT_CHECK_STRIDE  # row of the block's multiple of the stride
-        for row in range(0, rows, rows_per_piece):
-            height = min(rows_per_piece, rows - row)
-            piece = stream.doubles(height * steps).reshape(height, steps)
-            offset = first - start + row
-            leaf_counts[offset:offset + height] = leaf_count(model, piece)
-            if row <= audited < row + height:
-                audit_decisions = piece[audited - row]
-        if audited < rows:
-            legs = grow_legs(model, audit_decisions, stream.doubles(steps))
-            _audit_replicate(config, legs, int(leaf_counts[first - start + audited]))
-            spot_checks += 1
+        stream = RngStream(seed, first // STREAM_BLOCK)
+        # A block is drawn whole even where the run ends inside it, so no
+        # replicate's draws depend on the replicate count.
+        counts, centroid = block_leaf_counts(model, stream, STREAM_BLOCK, steps, DRAW_PIECE,
+                                             audited if audited < rows else -1)
+        leaf_counts[first - start:first - start + rows] = counts[:rows]
+        if centroid is not None:
+            grown.append((first - start + audited, grow_legs(centroid, stream.doubles(steps))))
+    values = [reduced_values(spec, config.horizon, leaf_counts) for spec in config.indices]
+    for offset, legs in grown:
+        _audit_replicate(config, legs, int(leaf_counts[offset]),
+                         [float(v[offset]) for v in values])
     stats = []
     kept = []
     if keep_stride:
         keep_mask = (np.arange(start, stop) % keep_stride) == 0
-    for spec in config.indices:
-        values = reduced_values(spec, config.horizon, leaf_counts)
-        mean = float(values.mean())
-        m2 = float(((values - mean) ** 2).sum())
+    for v in values:
+        mean = float(v.mean())
+        m2 = float(((v - mean) ** 2).sum())
         stats.append((size, mean, m2))
-        kept.append(values[keep_mask] if keep_stride else None)
-    return stats, kept, spot_checks
+        kept.append(v[keep_mask] if keep_stride else None)
+    return stats, kept, len(grown)
 
 
 def _merge_stats(a: tuple, b: tuple) -> tuple:
@@ -227,11 +232,21 @@ def _merge_stats(a: tuple, b: tuple) -> tuple:
     return count, mean, m2
 
 
+def _pool_pays(config: SimConfig, threads: int) -> bool:
+    """Whether ``threads`` workers take at least POOL_MIN_WORK off the one
+    that runs the most chunks, ceil(chunks / threads) of them.  A replicate
+    counts as its n - 1 growth steps plus REPLICATE_WORK."""
+    R = config.replicates
+    chunks = -(-R // CHUNK_SIZE)
+    busiest = min(R, -(-chunks // threads) * CHUNK_SIZE)
+    return (R - busiest) * (config.horizon - 1 + REPLICATE_WORK) >= POOL_MIN_WORK
+
+
 def run_experiment(config: SimConfig, threads: int = 1, keep_samples: bool = False) -> SampleSummary:
     """Run the experiment described by ``config``.
 
     ``threads`` > 1 distributes replicate chunks over worker processes
-    when the run draws at least POOL_MIN_UNIFORMS decision uniforms; the
+    when that takes at least POOL_MIN_WORK off the busiest worker; the
     result is identical either way.  ``keep_samples`` retains the raw
     index values (thinned to at most SAMPLE_CAP per index by a fixed
     replicate stride) for later diagnostics.
@@ -244,7 +259,7 @@ def run_experiment(config: SimConfig, threads: int = 1, keep_samples: bool = Fal
         (config, start, min(start + CHUNK_SIZE, R), keep_stride)
         for start in range(0, R, CHUNK_SIZE)
     ]
-    if threads > 1 and len(tasks) > 1 and R * (config.horizon - 1) >= POOL_MIN_UNIFORMS:
+    if threads > 1 and len(tasks) > 1 and _pool_pays(config, threads):
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_chunk_worker, tasks, chunksize=1))
     else:

@@ -16,19 +16,29 @@ equals the leaf count, the centroid is picked with probability exactly 1/2
 at every step, so the rule coincides with ``UniformLeaf(1/2)`` and shares
 its code path.
 
-Growth is written once, over given uniforms: ``grow_legs(model, decisions,
-picks)`` applies one step per (decision, pick) pair, and ``leaf_count(model,
-decisions)`` reads only the decision uniforms and counts the centroid
-recruits, along the last axis, so it counts one schedule or a whole block of
-them.  Everything the indices need is that count.  ``grow`` and ``step``
+Growth is written once, over a given centroid schedule: ``grow_legs(centroid,
+picks)`` applies one step per (decision, pick) pair.  ``grow`` and ``step``
 draw their uniforms from an ``RngStream`` interleaved, (decision, pick) per
-step, so a grown tree equals a stepped one bit for bit.  How the Monte
-Carlo engine lays its replicates' uniforms out over streams is documented
-in ``spiderlab.montecarlo``.
+step, and a step recruits at the centroid when its decision uniform is below
+p, so a grown tree equals a stepped one bit for bit.
+
+Everything the indices need is the leaf count, 3 plus the centroid recruits,
+and the Monte Carlo engine draws only that, with fewer random bits.  A
+float64 uniform is ``u = k * 2**-53`` with ``k = raw >> 11``, so ``u < p``
+iff ``k < K = ceil(p * 2**53)``.  Split k into its top byte ``a = k >> 45``
+and its 45-bit tail b, and K into ``A = K >> 45`` and ``T = K mod 2**45``:
+``k < K`` iff ``a < A``, or ``a == A`` and ``b < T``.  So
+``block_leaf_counts`` decides every step from one random byte and draws a
+tail only for the 1 in 256 steps whose byte ties with A.  Each step is then
+exactly Bernoulli(K / 2**53), the same law as ``decision < p``; the lazy
+comparison is Knuth and Yao's ("The complexity of nonuniform random number
+generation", 1976).  How the engine lays its replicates out over streams is
+documented in ``spiderlab.montecarlo``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -45,7 +55,8 @@ __all__ = [
     "step",
     "grow",
     "grow_legs",
-    "leaf_count",
+    "decision_threshold",
+    "block_leaf_counts",
     "degree_multiset",
 ]
 
@@ -141,8 +152,10 @@ class RngStream:
 
     Equal addresses replay the same sequence; distinct stream indices give
     statistically independent streams (PCG64 keyed through a SeedSequence).
-    Keying costs about as much as drawing a thousand uniforms, so the Monte
-    Carlo engine keys one stream per block of replicates, not one per
+    ``doubles`` and ``words`` advance the same generator, one 64-bit output
+    per value.  Keying costs about 12-13 us, as much as drawing some 5000
+    words or uniforms (2.5-2.7 ns each, on a 2-core x86-64 host), so the
+    Monte Carlo engine keys one stream per block of replicates, not one per
     replicate.
     """
 
@@ -164,6 +177,11 @@ class RngStream:
     def doubles(self, count: int) -> np.ndarray:
         """Next ``count`` uniforms on [0, 1) as a float64 array."""
         return self._generator.random(count)
+
+    def words(self, count: int) -> np.ndarray:
+        """Next ``count`` raw 64-bit outputs as a uint64 array; ``doubles``
+        turns each such output ``w`` into ``(w >> 11) * 2**-53``."""
+        return self._generator.bit_generator.random_raw(count)
 
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
@@ -191,16 +209,15 @@ def step(state: TreeState, model: GrowthModel, rng: RngStream) -> TreeState:
     return TreeState(time=state.time + 1, legs=legs)
 
 
-def grow_legs(model: GrowthModel, decisions: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """Leg lengths, as an int64 array, after one growth step per decision
-    uniform, starting from the seed.
+def grow_legs(centroid: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Leg lengths, as an int64 array, after one growth step per entry of the
+    boolean centroid schedule, starting from the seed.
 
-    Step ``k`` recruits at the centroid when ``decisions[k] < p``; otherwise
-    the leaf of leg ``floor(picks[k] * leaves)`` recruits, where ``leaves``
-    is the leaf count before step ``k``.  This is the rule ``step`` applies
-    to its two uniforms, vectorised over the whole schedule.
+    Step ``k`` recruits at the centroid when ``centroid[k]``; otherwise the
+    leaf of leg ``floor(picks[k] * leaves)`` recruits, where ``leaves`` is
+    the leaf count before step ``k``.  This is the rule ``step`` applies to
+    its two uniforms, vectorised over the whole schedule.
     """
-    centroid = decisions < model.centroid_probability
     # Leaf count seen by step k is 3 plus the centroid recruits before k.
     leaves_before = 3 + np.cumsum(centroid) - centroid
     extend = ~centroid
@@ -209,15 +226,71 @@ def grow_legs(model: GrowthModel, decisions: np.ndarray, picks: np.ndarray) -> n
     return 1 + np.bincount(chosen, minlength=leg_total)
 
 
-def leaf_count(model: GrowthModel, decisions: np.ndarray):
-    """Leaf count after one growth step per decision uniform, without
-    building the tree: 3 plus the centroid recruits ``decisions < p``.
+TAIL_BITS = 45            # bits of k = raw >> 11 below its top byte
+TAIL_SHIFT = 64 - TAIL_BITS  # a tie's tail word w gives b = w >> TAIL_SHIFT
+_BYTE_SUM = 0x0101010101010101  # w * _BYTE_SUM holds the sum of w's 8 bytes in its top byte
 
-    Counts along the last axis, so a 1-D schedule gives one count and a
-    ``(rows, steps)`` block gives one count per row.  It equals
-    ``len(grow_legs(model, decisions, picks))`` for any picks.
+
+def decision_threshold(model: GrowthModel) -> tuple[int, int]:
+    """``(A, T)`` with ``A * 2**45 + T = K = ceil(p * 2**53)``: a step with
+    byte a and 45-bit tail b recruits at the centroid iff ``a < A``, or
+    ``a == A`` and ``b < T``, i.e. iff ``a * 2**45 + b < K``."""
+    K = math.ceil(math.ldexp(model.centroid_probability, 53))  # p * 2**53 is exact
+    return K >> TAIL_BITS, K & ((1 << TAIL_BITS) - 1)
+
+
+def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int,
+                      piece_words: int, audit_row: int = -1):
+    """Leaf counts of ``rows`` replicates of ``steps`` growth steps each,
+    decided by the byte rule from ``stream``, and the centroid schedule of
+    row ``audit_row`` (None unless ``0 <= audit_row < rows``).
+
+    ``stream`` yields, in order:
+
+    1. ``rows * W`` raw words, W = ceil(steps / 8).  Row r owns words
+       ``r*W .. r*W + W - 1``, and step s of row r takes its byte a from
+       byte ``s % 8`` of word ``r*W + s // 8``, byte j of a word w being
+       ``(w >> 8j) & 0xFF`` on any host.  The high bytes of a row's last
+       word are unused when 8 does not divide ``steps``.
+    2. One tail word per tie (a byte equal to A), in row-major (row, step)
+       order; a tail word w gives the tail ``b = w >> 19``.
+
+    Words are drawn in pieces of whole rows, at most ``piece_words`` each
+    unless one row is longer, and ties are resolved after the last decision
+    word, so the piece size bounds memory and is not part of the contract.
     """
-    return 3 + np.count_nonzero(decisions < model.centroid_probability, axis=-1)
+    A, T = decision_threshold(model)
+    width = -(-steps // 8)
+    below = np.empty(rows, dtype=np.int64)  # bytes below A, per row
+    ties = np.empty(rows, dtype=np.int64)   # bytes equal to A, per row
+    audit_bytes = None
+    rows_per_piece = max(1, piece_words // max(width, 1))
+    for row in range(0, rows, rows_per_piece):
+        height = min(rows_per_piece, rows - row)
+        words = stream.words(height * width).astype("<u8", copy=False)
+        octets = words.view(np.uint8).reshape(height, 8 * width)
+        below[row:row + height] = _row_sums(octets < A, steps)
+        ties[row:row + height] = _row_sums(octets <= A, steps) - below[row:row + height]
+        if row <= audit_row < row + height:
+            audit_bytes = octets[audit_row - row, :steps].copy()
+    tail_rows = np.repeat(np.arange(rows), ties)  # the row each tail word decides for
+    recruit = (stream.words(len(tail_rows)) >> np.uint64(TAIL_SHIFT)) < T
+    counts = 3 + below + np.bincount(tail_rows[recruit], minlength=rows)
+    if audit_bytes is None:
+        return counts, None
+    centroid = audit_bytes < A
+    centroid[audit_bytes == A] = recruit[tail_rows == audit_row]
+    return counts, centroid
+
+
+def _row_sums(flags: np.ndarray, steps: int) -> np.ndarray:
+    """Per-row count of True among the first ``steps`` columns of a
+    ``(rows, 8 * W)`` bool array, summed 8 bytes at a time in place."""
+    flags[:, steps:] = False
+    sums = flags.view(np.int64)
+    sums *= _BYTE_SUM  # wraps; the top byte is the sum, at most 8
+    sums >>= 56
+    return sums.sum(axis=1)
 
 
 def grow(model: GrowthModel, horizon_n: int, rng: RngStream) -> TreeState:
@@ -230,7 +303,7 @@ def grow(model: GrowthModel, horizon_n: int, rng: RngStream) -> TreeState:
     if horizon_n < 1:
         raise ValueError(f"horizon_n must be >= 1, got {horizon_n}")
     draws = rng.doubles(2 * (horizon_n - 1)).reshape(horizon_n - 1, 2)
-    legs = grow_legs(model, draws[:, 0], draws[:, 1])
+    legs = grow_legs(draws[:, 0] < model.centroid_probability, draws[:, 1])
     return TreeState(time=horizon_n, legs=tuple(legs.tolist()))
 
 

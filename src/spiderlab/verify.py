@@ -41,7 +41,7 @@ from .indices import (
     eval_reduced,
     index_name,
 )
-from .tree import RngStream, TreeState, UniformLeaf, grow_legs, new_seed
+from .tree import RngStream, TreeState, grow_legs, new_seed
 
 __all__ = [
     "Failure",
@@ -140,7 +140,7 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int,
         n = 1 + int(u[0] * max_n)
         p = 0.05 + 0.9 * float(u[1])
         draws = RngStream(master_seed, trial + 1).doubles(2 * (n - 1)).reshape(n - 1, 2)
-        legs = grow_legs(UniformLeaf(p), draws[:, 0], draws[:, 1])
+        legs = grow_legs(draws[:, 0] < p, draws[:, 1])
         state = TreeState(time=n, legs=tuple(legs.tolist()))
         for spec in specs:
             direct = float(eval_direct(state, spec))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import settings
 
@@ -17,3 +19,44 @@ class ScriptedStream:
         out = np.array(self._values[:count])
         del self._values[:count]
         return out
+
+
+class ScriptedWords:
+    """Stand-in for RngStream that replays a fixed list of raw 64-bit words."""
+
+    def __init__(self, words):
+        self._words = [int(w) for w in words]
+
+    def words(self, count):
+        if len(self._words) < count:
+            raise AssertionError("scripted stream exhausted")
+        out = np.array(self._words[:count], dtype=np.uint64)
+        del self._words[:count]
+        return out
+
+    @property
+    def left(self):
+        return len(self._words)
+
+
+def reference_block(stream, rows, steps, p):
+    """The engine's stream contract spelled out for one block of ``rows``
+    replicates: per-row leaf counts and the (rows, steps) centroid matrix.
+
+    Step s of row r takes byte s % 8, ``(w >> 8j) & 0xFF``, of word
+    r * W + s // 8, W = ceil(steps / 8).  A byte equal to the top byte of
+    K = ceil(p * 2**53) is a tie and takes the next tail word, in row-major
+    order, whose top 45 bits complete it to a 53-bit k; any other byte
+    decides alone, so its tail is taken as 0.  The step recruits iff the
+    float uniform k * 2**-53 is below p.
+    """
+    K = math.ceil(p * 2**53)
+    width = -(-steps // 8)
+    words = stream.words(rows * width).reshape(rows, width)
+    shifts = np.arange(0, 64, 8, dtype=np.uint64)
+    octets = ((words[:, :, None] >> shifts) & np.uint64(0xFF)).reshape(rows, 8 * width)
+    k = octets[:, :steps].astype(np.int64) << 45
+    ties = (k >> 45) == K >> 45
+    k[ties] += (stream.words(int(ties.sum())) >> np.uint64(19)).astype(np.int64)
+    centroid = k * 2.0**-53 < p
+    return 3 + centroid.sum(axis=1), centroid

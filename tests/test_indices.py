@@ -168,6 +168,27 @@ def test_table_looks_degrees_up_by_value():
         table(np.array([3.0, 4.0]))
 
 
+@pytest.mark.parametrize("ratio", [1e-6, 1.0, 10.0, 1e3, 1e6])
+@pytest.mark.parametrize("alpha", [1, 2, -1])
+def test_power_sum_does_not_cancel(alpha, ratio):
+    # w2 / w1 = ratio; the float result must stay within 5 * 2**-53 of the
+    # exact sum of the float table's powers, at any ratio.
+    rng = np.random.default_rng(2024)
+    h1 = float(rng.uniform(0.5, 2))
+    h2 = h1 * ratio ** (1 / alpha)
+    for n in (1, 40, 3000):
+        values = {1: h1, 2: h2}
+        values.update({d: float(rng.uniform(0.5, 2)) for d in range(3, n + 3)})
+        spec = Generic(Table.from_mapping(values), alpha)
+        leaf_counts = np.arange(3, n + 3)
+        got = reduced_values(spec, n, leaf_counts)
+        for L in leaf_counts[:: max(1, n // 50)].tolist():
+            exact = (Fraction(values[L]) ** alpha + Fraction(h1) ** alpha * L
+                     + Fraction(h2) ** alpha * (n + 2 - L))
+            for value in (got[L - 3], eval_reduced(n, L, spec)):
+                assert abs(Fraction(value) - exact) <= 5 * Fraction(1, 2**53) * exact, (n, L)
+
+
 def test_reduced_values_vectorised_matches_scalar():
     n = 37
     L = np.arange(3, n + 3)

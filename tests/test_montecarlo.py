@@ -25,7 +25,9 @@ from spiderlab import (
 import spiderlab.montecarlo as montecarlo
 from spiderlab.indices import Affine, Generic, Table
 from spiderlab.montecarlo import CHUNK_SIZE, DRAW_PIECE, SAMPLE_CAP, STREAM_BLOCK
-from spiderlab.tree import RngStream, leaf_count
+from spiderlab.tree import RngStream, decision_threshold
+
+from conftest import reference_block
 
 
 def test_seed_horizon_experiment_is_deterministic():
@@ -50,7 +52,7 @@ def test_rerun_is_bit_identical():
 
 
 def test_parallel_run_matches_serial(monkeypatch):
-    monkeypatch.setattr(montecarlo, "POOL_MIN_UNIFORMS", 0)  # start the pool at any size
+    monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)  # start the pool at any size
     many_chunks = SimConfig(model=UniformLeaf(0.6), horizon=80, replicates=4000,
                             master_seed=123, indices=(LEAVES, ZAGREB, GINI))
     assert many_chunks.replicates > 3 * CHUNK_SIZE
@@ -68,13 +70,41 @@ def test_parallel_run_matches_serial(monkeypatch):
 
 
 def test_audit_rejects_a_counted_leaf_count_that_disagrees_with_the_tree(monkeypatch):
-    real = montecarlo.leaf_count
-    monkeypatch.setattr(montecarlo, "leaf_count",
-                        lambda model, decisions: real(model, decisions) + 1)
+    real = montecarlo.block_leaf_counts
+
+    def one_too_many(*args):
+        counts, centroid = real(*args)
+        return counts + 1, centroid
+
+    monkeypatch.setattr(montecarlo, "block_leaf_counts", one_too_many)
     config = SimConfig(model=UniformLeaf(0.5), horizon=40, replicates=5,
                        master_seed=3, indices=(LEAVES,))
     with pytest.raises(RuntimeError, match="leaf-count mismatch"):
         run_experiment(config)
+
+
+def test_audit_checks_the_values_that_are_merged(monkeypatch):
+    # Corrupt the merged value of audited replicate 100 only: the audit must
+    # see exactly what enters the mean and M2, not a fresh evaluation.
+    real = montecarlo.reduced_values
+
+    def corrupted(spec, n, leaf_counts):
+        values = real(spec, n, leaf_counts)
+        if spec == GINI:
+            values[100] *= 1 + 1e-9
+        return values
+
+    monkeypatch.setattr(montecarlo, "reduced_values", corrupted)
+    config = SimConfig(model=UniformLeaf(0.4), horizon=60, replicates=150,
+                       master_seed=9, indices=(LEAVES, GINI))
+    with pytest.raises(RuntimeError, match="direct/reduced mismatch for gini"):
+        run_experiment(config)
+    # an entry no audit reads passes the audit, and is what the mean merges
+    monkeypatch.setattr(montecarlo, "reduced_values", lambda spec, n, counts: (
+        real(spec, n, counts) + (np.arange(len(counts)) == 101)))
+    shifted = run_experiment(config).stats["gini"].mean
+    monkeypatch.setattr(montecarlo, "reduced_values", real)
+    assert shifted == pytest.approx(run_experiment(config).stats["gini"].mean + 1 / 150)
 
 
 # -- stream contract -------------------------------------------------------------
@@ -86,16 +116,17 @@ def leaf_samples(n, p, replicates, master_seed, threads=1):
 
 
 @pytest.mark.parametrize("seed,i,n,p,expected", [
-    (11, 0, 201, 0.4, 92),
-    (11, 63, 201, 0.4, 75),
-    (11, 64, 201, 0.4, 78),
-    (11, 1099, 201, 0.4, 84),
+    (11, 0, 201, 0.4, 82),  # holds a tie its tail word resolves to a recruit
+    (11, 63, 201, 0.4, 80),
+    (11, 64, 201, 0.4, 80),
+    (11, 1099, 201, 0.4, 94),
+    (1, 6, 13, 0.3, 8),  # 12 steps, so half a word unused, and a tie resolved to a recruit
     (7, 5, 1, 0.5, 3),
     (7, 3, 2, 0.3, 4),
-    (7, 4, 2, 0.3, 3),
+    (7, 4, 2, 0.3, 4),
     (7, 128, 2, 0.3, 4),
-    (20250808, 3, 5000, 0.5, 2526),
-    (7, 65, 20000, 0.5, 9915),  # a row longer than DRAW_PIECE
+    (20250808, 3, 5000, 0.5, 2555),
+    (7, 65, 8 * DRAW_PIECE + 2, 0.5, 65353),  # a row longer than DRAW_PIECE words
 ])
 def test_golden_leaf_counts(seed, i, n, p, expected):
     assert leaf_samples(n, p, i + 1, seed)[i] == expected
@@ -107,22 +138,30 @@ def test_stream_block_divides_chunk_size():
 
 def test_block_layout_matches_hand_drawn_streams():
     n, p, seed, replicates = 201, 0.4, 11, 130  # two full blocks and a partial one
-    blocks = [RngStream(seed, b).doubles(STREAM_BLOCK * (n - 1)).reshape(STREAM_BLOCK, n - 1)
-              for b in range(3)]
-    expected = [3 + int((blocks[i // STREAM_BLOCK][i % STREAM_BLOCK] < p).sum())
-                for i in range(replicates)]
-    assert leaf_samples(n, p, replicates, seed).tolist() == expected
+    expected = []
+    for b in range(3):
+        counts, _ = reference_block(RngStream(seed, b), STREAM_BLOCK, n - 1, p)
+        expected += counts.tolist()
+    assert leaf_samples(n, p, replicates, seed).tolist() == expected[:replicates]
+    # block 0 holds ties, so tail words are read as well
+    octets = RngStream(seed, 0).words(STREAM_BLOCK * (n - 1) // 8).astype("<u8").view(np.uint8)
+    assert (octets == decision_threshold(UniformLeaf(p))[0]).any()
 
 
 def test_pieces_equal_a_one_shot_block_draw_at_large_n():
     n, p, seed = 5000, 0.5, 3
-    assert STREAM_BLOCK * (n - 1) > DRAW_PIECE  # the engine draws this block in pieces
-    one_shot = RngStream(seed, 0).doubles(STREAM_BLOCK * (n - 1)).reshape(STREAM_BLOCK, n - 1)
-    expected = leaf_count(UniformLeaf(p), one_shot)
+    width = -(-(n - 1) // 8)
+    assert STREAM_BLOCK * width > DRAW_PIECE  # the engine draws this block in pieces
+    expected, _ = reference_block(RngStream(seed, 0), STREAM_BLOCK, n - 1, p)
     assert np.array_equal(leaf_samples(n, p, STREAM_BLOCK, seed), expected)
+    for piece in (1, width, 3 * width - 1, DRAW_PIECE, STREAM_BLOCK * width):
+        counts, _ = montecarlo.block_leaf_counts(UniformLeaf(p), RngStream(seed, 0),
+                                                 STREAM_BLOCK, n - 1, piece)
+        assert np.array_equal(counts, expected)
     stream = RngStream(seed, 0)
-    pieces = [stream.doubles(size) for size in (DRAW_PIECE, 1, DRAW_PIECE - 1, 12345)]
-    assert np.array_equal(np.concatenate(pieces), one_shot.ravel()[:2 * DRAW_PIECE + 12345])
+    pieces = [stream.words(size) for size in (DRAW_PIECE, 1, DRAW_PIECE - 1, 12345)]
+    assert np.array_equal(np.concatenate(pieces),
+                          RngStream(seed, 0).words(2 * DRAW_PIECE + 12345))
 
 
 def test_audit_regrows_from_the_counted_row_and_the_tail_picks(monkeypatch):
@@ -130,9 +169,9 @@ def test_audit_regrows_from_the_counted_row_and_the_tail_picks(monkeypatch):
     calls = []
     real = montecarlo.grow_legs
 
-    def recording(model, decisions, picks):
-        calls.append((decisions.copy(), picks.copy()))
-        return real(model, decisions, picks)
+    def recording(centroid, picks):
+        calls.append((centroid.copy(), picks.copy()))
+        return real(centroid, picks)
 
     monkeypatch.setattr(montecarlo, "grow_legs", recording)
     leaf_samples(n, p, replicates, seed)
@@ -140,11 +179,11 @@ def test_audit_regrows_from_the_counted_row_and_the_tail_picks(monkeypatch):
     expected = []
     for block, row in ((0, 0), (1, 36)):
         stream = RngStream(seed, block)
-        decisions = stream.doubles(STREAM_BLOCK * (n - 1)).reshape(STREAM_BLOCK, n - 1)
-        expected.append((decisions[row], stream.doubles(n - 1)))
+        _, centroid = reference_block(stream, STREAM_BLOCK, n - 1, p)
+        expected.append((centroid[row], stream.doubles(n - 1)))
     assert len(calls) == len(expected)
-    for (got_d, got_p), (want_d, want_p) in zip(calls, expected):
-        assert np.array_equal(got_d, want_d)
+    for (got_c, got_p), (want_c, want_p) in zip(calls, expected):
+        assert np.array_equal(got_c, want_c)
         assert np.array_equal(got_p, want_p)
 
 
@@ -162,22 +201,31 @@ def test_pool_starts_only_above_the_work_threshold(monkeypatch):
         started.append(max_workers)
         return real(max_workers=max_workers)
 
+    def shape(n, replicates):
+        return SimConfig(model=UniformLeaf(0.4), horizon=n, replicates=replicates,
+                         master_seed=11, indices=(LEAVES, GINI))
+
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", spy)
-    config = SimConfig(model=UniformLeaf(0.4), horizon=201, replicates=2000,
-                       master_seed=11, indices=(LEAVES, GINI))
-    work = config.replicates * (config.horizon - 1)
-    assert work < montecarlo.POOL_MIN_UNIFORMS
-    assert 20_000 * (5000 - 1) >= montecarlo.POOL_MIN_UNIFORMS  # the clt example stays pooled
-    serial = run_experiment(config, threads=1, keep_samples=True)
-    below = run_experiment(config, threads=2, keep_samples=True)
-    assert started == []
-    monkeypatch.setattr(montecarlo, "POOL_MIN_UNIFORMS", work)
-    above = run_experiment(config, threads=2, keep_samples=True)
-    assert started == [2]
-    for run in (below, above):
-        assert run.to_json_str() == serial.to_json_str()
-        for key in serial.samples:
-            assert np.array_equal(run.samples[key], serial.samples[key])
+    assert montecarlo._pool_pays(shape(5000, 20_000), 2)  # the clt example stays pooled
+    assert not montecarlo._pool_pays(shape(5000, 20_000), 1)
+    # chunks of 1024 and 76: a second worker could take only the 76
+    assert not montecarlo._pool_pays(shape(5001, 1100), 2)
+    assert not montecarlo._pool_pays(shape(5001, 1100), 3)
+    assert not montecarlo._pool_pays(shape(201, 2000), 2)
+    threshold = montecarlo.POOL_MIN_WORK
+    for config in (shape(201, 2000), shape(5001, 1100)):
+        started.clear()
+        serial = run_experiment(config, threads=1, keep_samples=True)
+        below = run_experiment(config, threads=2, keep_samples=True)
+        assert started == []
+        monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
+        above = run_experiment(config, threads=2, keep_samples=True)
+        monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", threshold)
+        assert started == [2]
+        for run in (below, above):
+            assert run.to_json_str() == serial.to_json_str()
+            for key in serial.samples:
+                assert np.array_equal(run.samples[key], serial.samples[key])
 
 
 def test_preferential_equals_uniform_half():
@@ -267,10 +315,10 @@ def test_config_checks_table_on_every_reachable_degree():
 def test_config_rejects_table_missing_top_degree_at_large_n(monkeypatch):
     n = 5000
     values = {d: float(d) for d in range(1, n + 2)}
-    def no_replicate_may_run(model, decisions):
+    def no_replicate_may_run(*args):
         raise AssertionError("a replicate ran during config validation")
 
-    monkeypatch.setattr(montecarlo, "leaf_count", no_replicate_may_run)
+    monkeypatch.setattr(montecarlo, "block_leaf_counts", no_replicate_may_run)
     with pytest.raises(UnknownIndexError, match=f"degree {n + 2}"):
         SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=10,
                   master_seed=1, indices=(Generic(Table.from_mapping(values), 1),))

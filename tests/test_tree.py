@@ -10,15 +10,18 @@ from spiderlab import (
     RngStream,
     TreeState,
     UniformLeaf,
+    block_leaf_counts,
     degree_multiset,
     grow,
     grow_legs,
-    leaf_count,
     new_seed,
     step,
 )
 
-from conftest import ScriptedStream
+from spiderlab.montecarlo import DRAW_PIECE as PIECE
+from spiderlab.tree import decision_threshold
+
+from conftest import ScriptedStream, ScriptedWords, reference_block
 
 FORCE_CENTROID = [0.0, 0.0]
 FORCE_LEG0 = [0.999999, 0.0]
@@ -84,7 +87,7 @@ def test_tree_state_invariants_enforced():
 def test_counts_follow_the_legs_on_grown_trees(n, seed, p):
     model = UniformLeaf(p)
     draws = RngStream(seed).doubles(2 * (n - 1)).reshape(n - 1, 2)
-    grown = TreeState(time=n, legs=grow_legs(model, draws[:, 0], draws[:, 1]))
+    grown = TreeState(time=n, legs=grow_legs(draws[:, 0] < p, draws[:, 1]))
     stepped = new_seed()
     rng = RngStream(seed)
     for _ in range(min(n, 60) - 1):
@@ -208,30 +211,101 @@ models = st.one_of(
 )
 
 
-@given(models, st.integers(0, 600), st.integers(0, 2**63 - 1), st.integers(0, 10**9))
-def test_leaf_count_equals_grown_leg_count(model, steps, master_seed, stream_index):
-    draws = RngStream(master_seed, stream_index).doubles(2 * steps)
-    decisions, picks = draws[:steps], draws[steps:]
-    legs = grow_legs(model, decisions, picks)
-    assert leaf_count(model, decisions) == len(legs)
+@given(models, st.integers(1, 5), st.integers(0, 600), st.integers(0, 2**63 - 1),
+       st.integers(0, 10**9), st.data())
+def test_leaf_count_equals_grown_leg_count(model, rows, steps, master_seed, stream_index, data):
+    audit_row = data.draw(st.integers(0, rows - 1))
+    stream = RngStream(master_seed, stream_index)
+    counts, centroid = block_leaf_counts(model, stream, rows, steps, PIECE, audit_row)
+    want_counts, want_centroid = reference_block(RngStream(master_seed, stream_index), rows,
+                                                 steps, model.centroid_probability)
+    assert counts.tolist() == want_counts.tolist()
+    assert np.array_equal(centroid, want_centroid[audit_row])
+    legs = grow_legs(centroid, stream.doubles(steps))
+    assert len(legs) == counts[audit_row]
     assert legs.sum() == steps + 3
-    # counting a block counts each of its rows
-    block = np.stack([decisions, picks, decisions[::-1]])
-    assert leaf_count(model, block).tolist() == [leaf_count(model, row) for row in block]
 
 
 def test_leaf_count_at_seed_is_three_and_draws_nothing():
     model = UniformLeaf(0.5)
-    assert leaf_count(model, np.empty(0)) == 3
-    assert leaf_count(model, np.empty((4, 0))).tolist() == [3, 3, 3, 3]
-    assert grow_legs(model, np.empty(0), np.empty(0)).tolist() == [1, 1, 1]
+    stream = RngStream(4, 2)
+    counts, centroid = block_leaf_counts(model, stream, 4, 0, PIECE, 1)
+    assert counts.tolist() == [3, 3, 3, 3] and centroid.tolist() == []
+    assert np.array_equal(stream.words(3), RngStream(4, 2).words(3))
+    assert grow_legs(np.zeros(0, dtype=bool), np.empty(0)).tolist() == [1, 1, 1]
     rng = RngStream(4, 2)
     assert grow(model, 1, rng) == new_seed()
     assert np.array_equal(rng.doubles(3), RngStream(4, 2).doubles(3))
 
 
+def octet_words(rows, pad):
+    """Raw words holding each row's bytes in order, byte j of a word being
+    ``(w >> 8j) & 0xFF``, one word per 8 steps of each row, row after row; a
+    row's last word is filled up with ``pad``."""
+    out = []
+    for row in rows:
+        for first in range(0, len(row), 8):
+            chunk = list(row[first:first + 8])
+            chunk += [pad] * (8 - len(chunk))
+            out.append(sum(b << (8 * j) for j, b in enumerate(chunk)))
+    return out
+
+
+def tail(b):
+    """A tail word whose top 45 bits are b (its low 19 bits set, and ignored)."""
+    return (b << 19) | ((1 << 19) - 1)
+
+
 def test_leaf_count_scripted_decisions():
-    # centroid, leaf, centroid: two recruits by the centroid on top of the seed's 3
-    assert leaf_count(UniformLeaf(0.3), np.array([0.1, 0.9, 0.2])) == 5
-    block = np.array([[0.1, 0.9, 0.2], [0.3, 0.9, 0.5]])
-    assert leaf_count(UniformLeaf(0.3), block).tolist() == [5, 3]
+    model = UniformLeaf(0.4)
+    A, T = decision_threshold(model)
+    assert (A, T) == (102, 14073748835533)  # ceil(0.4 * 2**53) = 102 * 2**45 + T
+    # 13 steps per row: each row owns two words, and 3 high bytes go unused;
+    # they hold ties, which would take tail words if they were read
+    rows = [
+        [0, A + 1, A, 255, A, 101, 200, A, 0, 1, 2, 3, 4],  # three ties
+        [A + 1] * 13,                                        # no recruit
+        [A, 7, A + 1, A - 1, A, A, 9, 250, 251, 252, 253, 254, A],  # four ties, audited
+    ]
+    tails = [tail(T - 1), tail(T), tail(0),        # row 0: recruit, no, recruit
+             tail(T), tail(2**45 - 1), tail(T - 1), tail(5)]  # row 2: no, no, recruit, recruit
+    words = octet_words(rows, pad=A)
+    stream = ScriptedWords(words + tails + [0xFFFF])
+    counts, centroid = block_leaf_counts(model, stream, 3, 13, PIECE, 2)
+    assert counts.tolist() == [3 + 7 + 2, 3, 3 + 3 + 2]  # below A + recruiting ties
+    assert centroid.tolist() == [False, True, False, True, False, True, True,
+                                 False, False, False, False, False, True]
+    assert stream.left == 1  # exactly the decision words and one tail word per tie
+    # the same words in pieces of one to three rows, and the rule spelled out
+    for piece in (1, 2, 6, PIECE):
+        again = ScriptedWords(words + tails)
+        got = block_leaf_counts(model, again, 3, 13, piece, 2)
+        assert got[0].tolist() == counts.tolist() and np.array_equal(got[1], centroid)
+    want_counts, want_centroid = reference_block(ScriptedWords(words + tails), 3, 13, 0.4)
+    assert want_counts.tolist() == counts.tolist()
+    assert np.array_equal(want_centroid[2], centroid)
+
+
+@pytest.mark.parametrize("model", [UniformLeaf(0.5), Preferential(), UniformLeaf(0.4),
+                                   UniformLeaf(1e-3), UniformLeaf(1 - 2**-53)])
+def test_byte_rule_is_the_float_comparison(model):
+    # Every 53-bit k, split into the step's byte and a tie's tail, must give
+    # the decision k * 2**-53 < p: the step law is Bernoulli(ceil(p 2**53) / 2**53).
+    p = model.centroid_probability
+    K = math.ceil(p * 2**53)
+    A, T = decision_threshold(model)
+    assert A * 2**45 + T == K and 0 <= A <= 255
+    rng = np.random.default_rng(2024)
+    edges = [K - 1, K, K + 1, 0, 2**45 - 1, 255 << 45, 2**53 - 1, A << 45,
+             (A << 45) + T - 1, (A << 45) + T]
+    ks = [k for k in edges if 0 <= k < 2**53] + rng.integers(0, 2**53, 3000).tolist()
+    ks += ((A << 45) + rng.integers(0, 2**45, 500)).tolist()  # ties
+    noise = rng.integers(0, 2**19, len(ks)).tolist()
+    other = rng.integers(0, 256, len(ks)).tolist()
+    for k, low, filler in zip(ks, noise, other):
+        byte, b = k >> 45, k & (2**45 - 1)
+        word = byte | (filler << 8)  # the step's byte is byte 0; the rest is unused
+        stream = ScriptedWords([word, (b << 19) | low])
+        counts, centroid = block_leaf_counts(model, stream, 1, 1, PIECE, 0)
+        assert bool(counts[0] - 3) == (k * 2.0**-53 < p) == bool(centroid[0]), k
+        assert stream.left == (0 if byte == A else 1), k
