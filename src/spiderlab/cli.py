@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import secrets
@@ -30,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analytics import moment_catalog, oracle_moment, oracle_variance
-from .indices import NAMED_INDICES, index_name, parse_index
+from .indices import NAMED_INDICES, index_name, parse_index, reduced_values
 from .montecarlo import (
     KS_MIN_SAMPLES,
     SimConfig,
@@ -375,8 +376,8 @@ def _cmd_clt(args):
         rows = []
         for config in configs:
             n = config.horizon
-            summary = run_experiment(config, threads=args.threads, keep_samples=True)
-            z = standardize(summary.samples[entry.key], index, n, p, k)
+            summary = run_experiment(config, threads=args.threads)
+            z = standardize(reduced_values(index, n, summary.leaf_counts), index, n, p, k)
             rows.append([entry.key, n, p, float(z.mean()), float(z.var(ddof=1)),
                          ks_normal(z), None, None, None])
         _diag_output(args, rows)
@@ -424,7 +425,11 @@ def _cmd_converge(args):
 
 # -- parser --------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    and its object graph is cyclic, so one built per ``main`` call would be
+    left to the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="spiderlab",
         description="Random spider tree simulator, exact index analytics, and diagnostics",

@@ -226,6 +226,7 @@ def grow_legs(centroid: np.ndarray, picks: np.ndarray) -> np.ndarray:
     return 1 + np.bincount(chosen, minlength=leg_total)
 
 
+DRAW_PIECE = 1 << 14      # most decision words held at once, unless one row is longer
 TAIL_BITS = 45            # bits of k = raw >> 11 below its top byte
 TAIL_SHIFT = 64 - TAIL_BITS  # a tie's tail word w gives b = w >> TAIL_SHIFT
 _BYTE_SUM = 0x0101010101010101  # w * _BYTE_SUM holds the sum of w's 8 bytes in its top byte
@@ -239,8 +240,7 @@ def decision_threshold(model: GrowthModel) -> tuple[int, int]:
     return K >> TAIL_BITS, K & ((1 << TAIL_BITS) - 1)
 
 
-def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int,
-                      piece_words: int, audit_row: int = -1):
+def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_row: int = -1):
     """Leaf counts of ``rows`` replicates of ``steps`` growth steps each,
     decided by the byte rule from ``stream``, and the centroid schedule of
     row ``audit_row`` (None unless ``0 <= audit_row < rows``).
@@ -255,8 +255,8 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int,
     2. One tail word per tie (a byte equal to A), in row-major (row, step)
        order; a tail word w gives the tail ``b = w >> 19``.
 
-    Words are drawn in pieces of whole rows, at most ``piece_words`` each
-    unless one row is longer, and ties are resolved after the last decision
+    Words are drawn in pieces of whole rows, at most DRAW_PIECE each unless
+    one row is longer, and ties are resolved after the last decision
     word, so the piece size bounds memory and is not part of the contract.
     """
     A, T = decision_threshold(model)
@@ -264,7 +264,7 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int,
     below = np.empty(rows, dtype=np.int64)  # bytes below A, per row
     ties = np.empty(rows, dtype=np.int64)   # bytes equal to A, per row
     audit_bytes = None
-    rows_per_piece = max(1, piece_words // max(width, 1))
+    rows_per_piece = max(1, DRAW_PIECE // max(width, 1))
     for row in range(0, rows, rows_per_piece):
         height = min(rows_per_piece, rows - row)
         words = stream.words(height * width).astype("<u8", copy=False)

@@ -131,7 +131,9 @@ def _trial_specs() -> tuple[IndexSpec, ...]:
 
 def direct_reduced_suite(trials: int, max_n: int, master_seed: int,
                          rtol: float = 1e-12) -> list[Failure]:
-    """Direct vs reduced evaluation on randomly grown trees, mixed models."""
+    """Direct vs reduced evaluation on randomly grown trees: each trial draws
+    n uniform on 1..max_n and grows a ``UniformLeaf(p)`` tree, p uniform on
+    [0.05, 0.95) (``Preferential`` growth is the case p = 1/2)."""
     specs = _trial_specs()
     failures = []
     meta = RngStream(master_seed, 0)

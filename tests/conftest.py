@@ -26,8 +26,10 @@ class ScriptedWords:
 
     def __init__(self, words):
         self._words = [int(w) for w in words]
+        self.draws = []  # the count of every ``words`` call, in order
 
     def words(self, count):
+        self.draws.append(count)
         if len(self._words) < count:
             raise AssertionError("scripted stream exhausted")
         out = np.array(self._words[:count], dtype=np.uint64)

@@ -33,6 +33,7 @@ from spiderlab import (
     moment_catalog,
     new_seed,
     oracle_moment,
+    reduced_values,
     run_experiment,
     standardize,
     support_pmf,
@@ -128,13 +129,13 @@ CLT_INDICES = (LEAVES, ZAGREB, GORDON_SCANTLEBURY)
 def clt_samples():
     config = SimConfig(model=UniformLeaf(0.5), horizon=5000, replicates=20_000,
                        master_seed=MASTER_SEED, indices=CLT_INDICES, clt_shift=0.0)
-    return run_experiment(config, keep_samples=True)
+    return run_experiment(config)
 
 
 @pytest.mark.parametrize("spec", CLT_INDICES, ids=lambda s: s.name)
 def test_c5_ks_of_standardized_indices(clt_samples, spec):
     n, p, k = 5000, 0.5, 0.0
-    z = standardize(clt_samples.samples[spec.name], spec, n, p, k)
+    z = standardize(reduced_values(spec, n, clt_samples.leaf_counts), spec, n, p, k)
     d = ks_normal(z)
     ok = report(5, f"KS of standardized {spec.name} at n=5000, R=2e4: D={d:.4f} < 0.02", d < 0.02)
     assert ok, (
@@ -151,8 +152,8 @@ def test_c5_ks_shrinks_from_n_100_to_10000():
         for n in distances:
             config = SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=10_000,
                                master_seed=MASTER_SEED + 1 + seed_offset, indices=(LEAVES,))
-            summary = run_experiment(config, keep_samples=True)
-            z = standardize(summary.samples["leaves"], LEAVES, n, 0.5, 0.0)
+            summary = run_experiment(config)
+            z = standardize(reduced_values(LEAVES, n, summary.leaf_counts), LEAVES, n, 0.5, 0.0)
             distances[n].append(ks_normal(z))
     low, high = np.mean(distances[10_000]), np.mean(distances[100])
     ok = report(5, f"mean KS over 5 seeds: D(n=1e4)={low:.4f} < D(n=100)={high:.4f}", low < high)
@@ -165,8 +166,7 @@ def test_c5_ks_shrinks_from_n_100_to_10000():
 def limit_runs():
     uniform = run_experiment(
         SimConfig(model=UniformLeaf(0.5), horizon=10_000, replicates=10_000,
-                  master_seed=MASTER_SEED, indices=(GINI, HOOVER, GeneralizedZagreb(3))),
-        keep_samples=True)
+                  master_seed=MASTER_SEED, indices=(GINI, HOOVER, GeneralizedZagreb(3))))
     preferential = run_experiment(
         SimConfig(model=Preferential(), horizon=10_000, replicates=10_000,
                   master_seed=MASTER_SEED + 11, indices=(HOOVER,)))
@@ -200,7 +200,7 @@ def test_c6_scaled_power_sum_near_cube_limit(limit_runs):
 
 def test_c6_gini_exceedance_below_one_percent(limit_runs):
     uniform, _ = limit_runs
-    samples = uniform.samples["gini"]
+    samples = reduced_values(GINI, 10_000, uniform.leaf_counts)
     exceedance = float((np.abs(samples - 0.375) > 0.05).mean())
     ok = report(6, f"P(|gini - 0.375| > 0.05) at n=1e4: {exceedance:.4f} < 0.01",
                 exceedance < 0.01)
@@ -264,8 +264,7 @@ def test_c9_preferential_leaf_counts_match_binomial_half():
     n, replicates = 50, 100_000
     config = SimConfig(model=Preferential(), horizon=n, replicates=replicates,
                        master_seed=MASTER_SEED + 19, indices=(LEAVES,))
-    summary = run_experiment(config, keep_samples=True)
-    samples = summary.samples["leaves"].astype(np.int64)
+    samples = run_experiment(config).leaf_counts
     law = LeafLaw(n, Fraction(1, 2))
     support = list(law.support)
     probs = [float(leaf_pmf(law, k)) for k in support]
@@ -307,7 +306,7 @@ def test_engine_leaf_counts_within_dkw_band_of_binomial(n, p):
     eps = math.sqrt(math.log(2 / DKW_ALPHA) / (2 * DKW_REPLICATES))
     config = SimConfig(model=UniformLeaf(p), horizon=n, replicates=DKW_REPLICATES,
                        master_seed=MASTER_SEED + 23, indices=(LEAVES,))
-    counts = run_experiment(config, keep_samples=True).samples["leaves"].astype(np.int64)
+    counts = run_experiment(config).leaf_counts
     # both CDFs are step functions jumping only on the support 3..n+2
     exact_cdf = np.cumsum(support_pmf(LeafLaw(n, p)))
     empirical_cdf = np.cumsum(np.bincount(counts - 3, minlength=n)) / DKW_REPLICATES

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -253,6 +254,22 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 2
     assert done.stderr.startswith("usage: spiderlab")
     assert "{simulate,exact,verify,clt,converge}" in done.stderr
+
+
+def test_main_builds_its_parser_at_most_once(capsys, monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "spiderlab":
+            built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        assert cli.main(["exact", "--index", "leaves", "--p", "1/2", "--n", "4", "--seed", "1"]) == 0
+    assert cli.main(["frobnicate"]) == 2
+    assert len(built) <= 1
 
 
 def test_unknown_subcommand_usage(capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -23,9 +24,11 @@ from spiderlab import (
     standardize,
 )
 import spiderlab.montecarlo as montecarlo
-from spiderlab.indices import Affine, Generic, Table
-from spiderlab.montecarlo import CHUNK_SIZE, DRAW_PIECE, SAMPLE_CAP, STREAM_BLOCK
-from spiderlab.tree import RngStream, decision_threshold
+import spiderlab.tree as tree
+from spiderlab.analytics import exact_mean_variance
+from spiderlab.indices import Affine, Generic, Table, index_name, reduced_values
+from spiderlab.montecarlo import CHUNK_SIZE, STREAM_BLOCK
+from spiderlab.tree import DRAW_PIECE, RngStream, decision_threshold
 
 from conftest import reference_block
 
@@ -44,11 +47,10 @@ def test_seed_horizon_experiment_is_deterministic():
 def test_rerun_is_bit_identical():
     config = SimConfig(model=UniformLeaf(0.4), horizon=101, replicates=3000,
                        master_seed=99, indices=NAMED_INDICES)
-    a = run_experiment(config, keep_samples=True)
-    b = run_experiment(config, keep_samples=True)
+    a = run_experiment(config)
+    b = run_experiment(config)
     assert a.to_json() == b.to_json()
-    for key in a.samples:
-        assert np.array_equal(a.samples[key], b.samples[key])
+    assert np.array_equal(a.leaf_counts, b.leaf_counts)
 
 
 def test_parallel_run_matches_serial(monkeypatch):
@@ -60,13 +62,11 @@ def test_parallel_run_matches_serial(monkeypatch):
                               master_seed=11, indices=(LEAVES, ZAGREB, GINI))
     assert partial_block.replicates % STREAM_BLOCK and partial_block.replicates > CHUNK_SIZE
     for config in (many_chunks, partial_block):
-        serial = run_experiment(config, threads=1, keep_samples=True)
+        serial = run_experiment(config, threads=1)
         for threads in (2, 3):
-            parallel = run_experiment(config, threads=threads, keep_samples=True)
+            parallel = run_experiment(config, threads=threads)
             assert serial.to_json_str() == parallel.to_json_str()
-            assert serial.samples.keys() == parallel.samples.keys()
-            for key in serial.samples:
-                assert np.array_equal(serial.samples[key], parallel.samples[key])
+            assert np.array_equal(serial.leaf_counts, parallel.leaf_counts)
 
 
 def test_audit_rejects_a_counted_leaf_count_that_disagrees_with_the_tree(monkeypatch):
@@ -84,27 +84,37 @@ def test_audit_rejects_a_counted_leaf_count_that_disagrees_with_the_tree(monkeyp
 
 
 def test_audit_checks_the_values_that_are_merged(monkeypatch):
-    # Corrupt the merged value of audited replicate 100 only: the audit must
-    # see exactly what enters the mean and M2, not a fresh evaluation.
-    real = montecarlo.reduced_values
-
-    def corrupted(spec, n, leaf_counts):
-        values = real(spec, n, leaf_counts)
-        if spec == GINI:
-            values[100] *= 1 + 1e-9
-        return values
-
-    monkeypatch.setattr(montecarlo, "reduced_values", corrupted)
+    # The statistics evaluate each index once per distinct L.  Corrupting the
+    # atom at an audited replicate's L must fail the audit: it sees exactly
+    # what enters the mean and variance, not a fresh evaluation.
     config = SimConfig(model=UniformLeaf(0.4), horizon=60, replicates=150,
                        master_seed=9, indices=(LEAVES, GINI))
+    clean = run_experiment(config)
+    L = clean.leaf_counts
+    real = montecarlo.reduced_values
+
+    def corrupt_at(target, change):
+        def corrupted(spec, n, leaf_counts):
+            values = real(spec, n, leaf_counts)
+            if spec == GINI:
+                at = np.asarray(leaf_counts) == target
+                assert at.sum() == 1  # one atom per distinct L
+                values[at] = change(values[at])
+            return values
+        return corrupted
+
+    monkeypatch.setattr(montecarlo, "reduced_values", corrupt_at(L[100], lambda v: v * (1 + 1e-9)))
     with pytest.raises(RuntimeError, match="direct/reduced mismatch for gini"):
         run_experiment(config)
-    # an entry no audit reads passes the audit, and is what the mean merges
-    monkeypatch.setattr(montecarlo, "reduced_values", lambda spec, n, counts: (
-        real(spec, n, counts) + (np.arange(len(counts)) == 101)))
-    shifted = run_experiment(config).stats["gini"].mean
-    monkeypatch.setattr(montecarlo, "reduced_values", real)
-    assert shifted == pytest.approx(run_experiment(config).stats["gini"].mean + 1 / 150)
+    # an atom no audited replicate (0 and 100) holds passes the audit, and is
+    # what the mean weighs: it moves by its count over R
+    unaudited = next(v for v in L.tolist() if v not in (L[0], L[100]))
+    monkeypatch.setattr(montecarlo, "reduced_values", corrupt_at(unaudited, lambda v: v + 1))
+    shifted = run_experiment(config)
+    assert shifted.spot_checks == 2
+    count = int((L == unaudited).sum())
+    assert shifted.stats["gini"].mean == pytest.approx(clean.stats["gini"].mean + count / 150)
+    assert shifted.stats["leaves"] == clean.stats["leaves"]
 
 
 # -- stream contract -------------------------------------------------------------
@@ -112,7 +122,7 @@ def test_audit_checks_the_values_that_are_merged(monkeypatch):
 def leaf_samples(n, p, replicates, master_seed, threads=1):
     config = SimConfig(model=UniformLeaf(p), horizon=n, replicates=replicates,
                        master_seed=master_seed, indices=(LEAVES,))
-    return run_experiment(config, threads=threads, keep_samples=True).samples["leaves"]
+    return run_experiment(config, threads=threads).leaf_counts
 
 
 @pytest.mark.parametrize("seed,i,n,p,expected", [
@@ -148,15 +158,16 @@ def test_block_layout_matches_hand_drawn_streams():
     assert (octets == decision_threshold(UniformLeaf(p))[0]).any()
 
 
-def test_pieces_equal_a_one_shot_block_draw_at_large_n():
+def test_pieces_equal_a_one_shot_block_draw_at_large_n(monkeypatch):
     n, p, seed = 5000, 0.5, 3
     width = -(-(n - 1) // 8)
     assert STREAM_BLOCK * width > DRAW_PIECE  # the engine draws this block in pieces
     expected, _ = reference_block(RngStream(seed, 0), STREAM_BLOCK, n - 1, p)
     assert np.array_equal(leaf_samples(n, p, STREAM_BLOCK, seed), expected)
     for piece in (1, width, 3 * width - 1, DRAW_PIECE, STREAM_BLOCK * width):
-        counts, _ = montecarlo.block_leaf_counts(UniformLeaf(p), RngStream(seed, 0),
-                                                 STREAM_BLOCK, n - 1, piece)
+        monkeypatch.setattr(tree, "DRAW_PIECE", piece)
+        counts, _ = tree.block_leaf_counts(UniformLeaf(p), RngStream(seed, 0),
+                                           STREAM_BLOCK, n - 1)
         assert np.array_equal(counts, expected)
     stream = RngStream(seed, 0)
     pieces = [stream.words(size) for size in (DRAW_PIECE, 1, DRAW_PIECE - 1, 12345)]
@@ -215,17 +226,16 @@ def test_pool_starts_only_above_the_work_threshold(monkeypatch):
     threshold = montecarlo.POOL_MIN_WORK
     for config in (shape(201, 2000), shape(5001, 1100)):
         started.clear()
-        serial = run_experiment(config, threads=1, keep_samples=True)
-        below = run_experiment(config, threads=2, keep_samples=True)
+        serial = run_experiment(config, threads=1)
+        below = run_experiment(config, threads=2)
         assert started == []
         monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
-        above = run_experiment(config, threads=2, keep_samples=True)
+        above = run_experiment(config, threads=2)
         monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", threshold)
         assert started == [2]
         for run in (below, above):
             assert run.to_json_str() == serial.to_json_str()
-            for key in serial.samples:
-                assert np.array_equal(run.samples[key], serial.samples[key])
+            assert np.array_equal(run.leaf_counts, serial.leaf_counts)
 
 
 def test_preferential_equals_uniform_half():
@@ -335,15 +345,39 @@ def test_run_rejects_nonpositive_threads():
             run_experiment(config, threads=threads)
 
 
-def test_sample_retention_and_thinning():
-    config = SimConfig(model=UniformLeaf(0.5), horizon=3, replicates=2500,
-                       master_seed=7, indices=(LEAVES,))
-    summary = run_experiment(config, keep_samples=True)
-    assert len(summary.samples["leaves"]) == 2500
-    assert run_experiment(config).samples is None
-    # thinning keeps every ceil(R / cap)-th replicate
-    stride = math.ceil(2500 / SAMPLE_CAP)
-    assert stride == 1
+def test_leaf_counts_keep_every_replicate_in_order():
+    # more than 10**6 replicates, every one kept, each block as its
+    # hand-drawn stream gives it, the last block included
+    n, p, seed, R = 3, 0.5, 7, 1_000_001
+    config = SimConfig(model=UniformLeaf(p), horizon=n, replicates=R,
+                       master_seed=seed, indices=(LEAVES,))
+    counts = run_experiment(config).leaf_counts
+    assert counts.dtype == np.int64 and counts.shape == (R,)
+    for b in (0, 1, (R - 1) // STREAM_BLOCK):
+        expected, _ = reference_block(RngStream(seed, b), STREAM_BLOCK, n - 1, p)
+        block = counts[b * STREAM_BLOCK:(b + 1) * STREAM_BLOCK]
+        assert np.array_equal(block, expected[:len(block)])
+
+
+MOMENT_RTOL = 3 * 2.0**-53  # the bound run_experiment states
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_float_moments_match_exact_sums_over_the_same_atoms(seed):
+    n, R = 301, 3000
+    specs = NAMED_INDICES + (GeneralizedZagreb(2.5),)
+    config = SimConfig(model=UniformLeaf(0.4), horizon=n, replicates=R,
+                       master_seed=seed, indices=specs)
+    summary = run_experiment(config)
+    weights = np.bincount(summary.leaf_counts - 3)
+    support = np.flatnonzero(weights)
+    for spec in specs:
+        values = reduced_values(spec, n, support + 3)
+        mean, variance = exact_mean_variance(weights[support].tolist(), R, values.tolist())
+        variance *= Fraction(R, R - 1)  # exact_mean_variance divides by R
+        stats = summary.stats[index_name(spec)]
+        assert abs(Fraction(stats.mean) - mean) <= MOMENT_RTOL * abs(mean), spec
+        assert abs(Fraction(stats.variance) - variance) <= MOMENT_RTOL * variance, spec
 
 
 def test_model_probability():
@@ -373,8 +407,8 @@ def test_standardize_population_moments():
     n, p, k, replicates = 400, 0.5, 0.0, 40_000
     config = SimConfig(model=UniformLeaf(p), horizon=n, replicates=replicates,
                        master_seed=404, indices=(LEAVES,))
-    summary = run_experiment(config, keep_samples=True)
-    z = standardize(summary.samples["leaves"], LEAVES, n, p, k)
+    summary = run_experiment(config)
+    z = standardize(reduced_values(LEAVES, n, summary.leaf_counts), LEAVES, n, p, k)
     assert abs(z.mean()) <= 4 / math.sqrt(replicates)
     expected_var = (n - 1) / (n + k)
     assert abs(z.var(ddof=1) - expected_var) <= 5 * math.sqrt(2 / replicates)
@@ -409,8 +443,8 @@ def test_ks_shrinks_with_horizon():
     for n in (50, 2000):
         config = SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=replicates,
                            master_seed=606, indices=(LEAVES,))
-        summary = run_experiment(config, keep_samples=True)
-        z = standardize(summary.samples["leaves"], LEAVES, n, 0.5, 0.0)
+        summary = run_experiment(config)
+        z = standardize(reduced_values(LEAVES, n, summary.leaf_counts), LEAVES, n, 0.5, 0.0)
         distances[n] = ks_normal(z)
     assert distances[2000] < distances[50]
 

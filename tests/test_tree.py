@@ -18,8 +18,8 @@ from spiderlab import (
     step,
 )
 
-from spiderlab.montecarlo import DRAW_PIECE as PIECE
-from spiderlab.tree import decision_threshold
+import spiderlab.tree as tree
+from spiderlab.tree import DRAW_PIECE, decision_threshold
 
 from conftest import ScriptedStream, ScriptedWords, reference_block
 
@@ -216,7 +216,7 @@ models = st.one_of(
 def test_leaf_count_equals_grown_leg_count(model, rows, steps, master_seed, stream_index, data):
     audit_row = data.draw(st.integers(0, rows - 1))
     stream = RngStream(master_seed, stream_index)
-    counts, centroid = block_leaf_counts(model, stream, rows, steps, PIECE, audit_row)
+    counts, centroid = block_leaf_counts(model, stream, rows, steps, audit_row)
     want_counts, want_centroid = reference_block(RngStream(master_seed, stream_index), rows,
                                                  steps, model.centroid_probability)
     assert counts.tolist() == want_counts.tolist()
@@ -229,7 +229,7 @@ def test_leaf_count_equals_grown_leg_count(model, rows, steps, master_seed, stre
 def test_leaf_count_at_seed_is_three_and_draws_nothing():
     model = UniformLeaf(0.5)
     stream = RngStream(4, 2)
-    counts, centroid = block_leaf_counts(model, stream, 4, 0, PIECE, 1)
+    counts, centroid = block_leaf_counts(model, stream, 4, 0, 1)
     assert counts.tolist() == [3, 3, 3, 3] and centroid.tolist() == []
     assert np.array_equal(stream.words(3), RngStream(4, 2).words(3))
     assert grow_legs(np.zeros(0, dtype=bool), np.empty(0)).tolist() == [1, 1, 1]
@@ -256,7 +256,7 @@ def tail(b):
     return (b << 19) | ((1 << 19) - 1)
 
 
-def test_leaf_count_scripted_decisions():
+def test_leaf_count_scripted_decisions(monkeypatch):
     model = UniformLeaf(0.4)
     A, T = decision_threshold(model)
     assert (A, T) == (102, 14073748835533)  # ceil(0.4 * 2**53) = 102 * 2**45 + T
@@ -271,15 +271,17 @@ def test_leaf_count_scripted_decisions():
              tail(T), tail(2**45 - 1), tail(T - 1), tail(5)]  # row 2: no, no, recruit, recruit
     words = octet_words(rows, pad=A)
     stream = ScriptedWords(words + tails + [0xFFFF])
-    counts, centroid = block_leaf_counts(model, stream, 3, 13, PIECE, 2)
+    counts, centroid = block_leaf_counts(model, stream, 3, 13, 2)
     assert counts.tolist() == [3 + 7 + 2, 3, 3 + 3 + 2]  # below A + recruiting ties
     assert centroid.tolist() == [False, True, False, True, False, True, True,
                                  False, False, False, False, False, True]
     assert stream.left == 1  # exactly the decision words and one tail word per tie
     # the same words in pieces of one to three rows, and the rule spelled out
-    for piece in (1, 2, 6, PIECE):
+    for piece, draws in ((1, [2, 2, 2]), (2, [2, 2, 2]), (6, [6]), (DRAW_PIECE, [6])):
+        monkeypatch.setattr(tree, "DRAW_PIECE", piece)
         again = ScriptedWords(words + tails)
-        got = block_leaf_counts(model, again, 3, 13, piece, 2)
+        got = block_leaf_counts(model, again, 3, 13, 2)
+        assert again.draws == draws + [len(tails)]
         assert got[0].tolist() == counts.tolist() and np.array_equal(got[1], centroid)
     want_counts, want_centroid = reference_block(ScriptedWords(words + tails), 3, 13, 0.4)
     assert want_counts.tolist() == counts.tolist()
@@ -306,6 +308,6 @@ def test_byte_rule_is_the_float_comparison(model):
         byte, b = k >> 45, k & (2**45 - 1)
         word = byte | (filler << 8)  # the step's byte is byte 0; the rest is unused
         stream = ScriptedWords([word, (b << 19) | low])
-        counts, centroid = block_leaf_counts(model, stream, 1, 1, PIECE, 0)
+        counts, centroid = block_leaf_counts(model, stream, 1, 1, 0)
         assert bool(counts[0] - 3) == (k * 2.0**-53 < p) == bool(centroid[0]), k
         assert stream.left == (0 if byte == A else 1), k
