@@ -363,7 +363,8 @@ def _evaluate(index: IndexSpec, n: int, L):
     if form is None:
         raise UnknownIndexError(f"cannot evaluate index spec {index!r}")
     real = isinstance(L, np.ndarray)
-    m = float(n + 2) if real else n + 2  # a float m rounds each coefficient once
+    # A float m rounds each coefficient once; n may be an array beside L.
+    m = (n + 2.0 if isinstance(n, np.ndarray) else float(n + 2)) if real else n + 2
     # Horner in L down to the L**1 term; a power sum's head joins before the
     # constant: (w1 L + h(L)**alpha) + w2 (m - L).
     value = 0
@@ -397,8 +398,10 @@ def eval_reduced(n: int, leaf_count: int, index: IndexSpec):
     return _evaluate(index, n, leaf_count)
 
 
-def reduced_values(index: IndexSpec, n: int, leaf_counts) -> np.ndarray:
-    """Vectorised float64 closed-form evaluation over an array of leaf counts.
+def reduced_values(index: IndexSpec, n: int | np.ndarray, leaf_counts) -> np.ndarray:
+    """Vectorised float64 closed-form evaluation over an array of leaf counts,
+    at one time ``n`` or at an integer ndarray of times, one per leaf count;
+    an entry equals, bit for bit, its value at that scalar time.
 
     Named indices are exact (Gini and Hoover rounded once) while numerators
     stay below 2**53, i.e. to n of about 2e5 for the forgotten index.  A

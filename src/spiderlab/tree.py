@@ -119,7 +119,9 @@ class TreeState:
     legs: tuple[int, ...]
 
     def __post_init__(self):
-        legs = tuple(map(int, self.legs))
+        # A list first: a tuple grown from an iterator of unknown length is
+        # resized repeatedly, which fragments the heap and keeps RSS creeping.
+        legs = tuple([*map(int, self.legs)])
         object.__setattr__(self, "legs", legs)
         if self.time < 1:
             raise ValueError(f"time must be >= 1, got {self.time}")
@@ -155,8 +157,8 @@ class RngStream:
     ``doubles`` and ``words`` advance the same generator, one 64-bit output
     per value.  Keying costs about 12-13 us, as much as drawing some 5000
     words or uniforms (2.5-2.7 ns each, on a 2-core x86-64 host), so the
-    Monte Carlo engine keys one stream per block of replicates, not one per
-    replicate.
+    Monte Carlo engine keys one stream per block of replicates, and the
+    verification suite one per block of trees, not one per replicate or tree.
     """
 
     __slots__ = ("master_seed", "stream_index", "_generator")

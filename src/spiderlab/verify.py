@@ -10,7 +10,9 @@ with what they test:
   is reported as a formula flag with its (index, n, p) witness, never
   silently patched);
 * direct degree-multiset evaluation against the reduced closed forms on
-  randomly grown trees;
+  randomly grown trees, grown in blocks of 64 that share one random stream
+  (the layout the Monte Carlo engine uses), the reduced side taken in one
+  float64 ``reduced_values`` pass per index and block;
 * the coefficient triangle against Stirling numbers of the second kind
   computed by inclusion-exclusion;
 * degeneracy at time 1, where the tree is deterministic, so every catalog
@@ -22,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .analytics import (
     LeafLaw,
@@ -40,7 +44,9 @@ from .indices import (
     eval_direct,
     eval_reduced,
     index_name,
+    reduced_values,
 )
+from .montecarlo import STREAM_BLOCK
 from .tree import RngStream, TreeState, grow_legs, new_seed
 
 __all__ = [
@@ -133,25 +139,46 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int,
                          rtol: float = 1e-12) -> list[Failure]:
     """Direct vs reduced evaluation on randomly grown trees: each trial draws
     n uniform on 1..max_n and grows a ``UniformLeaf(p)`` tree, p uniform on
-    [0.05, 0.95) (``Preferential`` growth is the case p = 1/2)."""
+    [0.05, 0.95) (``Preferential`` growth is the case p = 1/2).
+
+    Trial t takes u = (u[2t], u[2t + 1]) of ``RngStream(master_seed, 0)``,
+    n = 1 + floor(u[0] max_n) and p = 0.05 + 0.9 u[1].  Trials run in blocks
+    of STREAM_BLOCK = 64: block b = t // 64 draws from the one stream
+    ``RngStream(master_seed, 1 + b)``, which yields the 2 (n - 1) interleaved
+    (decision, pick) uniforms of each of its trials in trial order, as
+    ``tree.grow`` consumes them.  So a trial's tree depends only on
+    (master_seed, t, max_n), not on the trial count.
+
+    Every tree is evaluated directly (``eval_direct``) for every spec; the
+    reduced side is one float64 ``reduced_values`` pass per spec and block
+    over the block's (n, L), the engine's path.  A pair fails when it differs
+    by more than ``rtol`` relative (absolute below 1); failures are listed in
+    (trial, spec) order with their (n, L, p) witness.  Only one block's trees
+    are held at a time.
+    """
     specs = _trial_specs()
     failures = []
-    meta = RngStream(master_seed, 0)
-    for trial in range(trials):
-        u = meta.doubles(2)
-        n = 1 + int(u[0] * max_n)
-        p = 0.05 + 0.9 * float(u[1])
-        draws = RngStream(master_seed, trial + 1).doubles(2 * (n - 1)).reshape(n - 1, 2)
-        legs = grow_legs(draws[:, 0] < p, draws[:, 1])
-        state = TreeState(time=n, legs=tuple(legs.tolist()))
-        for spec in specs:
-            direct = float(eval_direct(state, spec))
-            reduced = float(eval_reduced(n, state.leaf_count, spec))
-            if abs(direct - reduced) > rtol * max(1.0, abs(reduced)):
-                failures.append(Failure(
-                    "direct-reduced", index_name(spec),
-                    {"n": n, "L": state.leaf_count, "p": round(p, 6)},
-                    f"direct={direct!r} reduced={reduced!r}"))
+    meta = RngStream(master_seed, 0).doubles(2 * trials).reshape(trials, 2)
+    ns = 1 + (meta[:, 0] * max_n).astype(np.int64)
+    ps = 0.05 + 0.9 * meta[:, 1]
+    for first in range(0, trials, STREAM_BLOCK):
+        n_block = ns[first:first + STREAM_BLOCK]
+        stream = RngStream(master_seed, 1 + first // STREAM_BLOCK)
+        L_block = np.empty(len(n_block), dtype=np.int64)
+        direct = np.empty((len(n_block), len(specs)))
+        for k, n in enumerate(n_block.tolist()):
+            u = stream.doubles(2 * (n - 1)).reshape(n - 1, 2)
+            legs = grow_legs(u[:, 0] < ps[first + k], u[:, 1])
+            state = TreeState(time=n, legs=tuple(legs.tolist()))
+            L_block[k] = state.leaf_count
+            direct[k] = [float(eval_direct(state, spec)) for spec in specs]
+        reduced = np.column_stack([reduced_values(spec, n_block, L_block) for spec in specs])
+        bad = np.abs(direct - reduced) > rtol * np.maximum(1.0, np.abs(reduced))
+        for k, j in zip(*np.nonzero(bad)):  # row-major: (trial, spec) order
+            failures.append(Failure(
+                "direct-reduced", index_name(specs[j]),
+                {"n": int(n_block[k]), "L": int(L_block[k]), "p": round(float(ps[first + k]), 6)},
+                f"direct={float(direct[k, j])!r} reduced={float(reduced[k, j])!r}"))
     return failures
 
 

@@ -29,6 +29,7 @@ from spiderlab import (
     parse_index,
     reduced_values,
 )
+from spiderlab.verify import _trial_specs
 
 SEED = new_seed()
 
@@ -197,6 +198,17 @@ def test_reduced_values_vectorised_matches_scalar():
         vec = reduced_values(spec, n, L)
         scalar = np.array([float(eval_reduced(n, int(k), spec)) for k in L])
         assert np.allclose(vec, scalar, rtol=1e-13, atol=0)
+
+
+def test_reduced_values_array_n_matches_scalar_n_bit_for_bit():
+    rng = np.random.default_rng(77)
+    ns = np.concatenate([[1, 1, 2, 500, 5000], rng.integers(1, 5000, size=300)])
+    Ls = np.array([3 + int(rng.integers(0, n)) for n in ns.tolist()])
+    Ls[:5] = [3, 3, 4, 502, 5002]
+    for spec in _trial_specs():
+        vec = reduced_values(spec, ns, Ls)
+        per = np.concatenate([reduced_values(spec, int(n), [L]) for n, L in zip(ns, Ls)])
+        assert vec.tobytes() == per.tobytes(), index_name(spec)
 
 
 def test_parse_index_round_trip():
