@@ -1,7 +1,11 @@
 """Command-line front end.
 
-Subcommands: simulate | exact | verify | clt | converge.  Global flags:
---seed, --threads, --format json|csv, --out PATH, --config PATH.
+Subcommands: simulate | exact | verify | clt | converge.  Common flags
+--seed, --threads, --format json|csv, --out PATH, --config PATH, each only
+where it is read: verify takes no --threads or --format (its report is
+text), and exact, which is deterministic, only --format and --out.  A
+config file holds only fields its subcommand reads (``CONFIG_FIELDS``);
+clt and converge take --model or --p, not both.
 
 Exit codes: 0 ok, 1 runtime failure, 2 usage or config error, 3
 verification failure.  A run resolves and validates its whole
@@ -12,10 +16,10 @@ count, --threads < 1, clt with fewer than 10 replicates) exits 2 with
 echo exits 1 with "runtime error".
 
 Every run prints its fully resolved configuration, including the effective
-seed, as one JSON line on stderr; re-running with that configuration
-reproduces the output byte for byte.  Data goes to --out when given,
-stdout otherwise.  CSV column sets are fixed per subcommand and never vary
-with flags.
+seed where it takes one, as one JSON line on stderr; re-running with that
+configuration reproduces the output byte for byte.  Data goes to --out
+when given, stdout otherwise.  CSV column sets are fixed per subcommand
+and never vary with flags.
 """
 
 from __future__ import annotations
@@ -55,6 +59,13 @@ SIMULATE_HEADER = ["index", "n", "p", "replicates", "mean", "variance"]
 EXACT_HEADER = ["index", "n", "p", "mean", "variance", "oracle_mean", "oracle_variance", "match"]
 
 DEFAULT_INDICES = ",".join(index_name(spec) for spec in NAMED_INDICES)
+
+CONFIG_FIELDS = {
+    "simulate": ("model", "horizon", "replicates", "master_seed", "indices", "clt_shift"),
+    "verify": ("master_seed",),
+    "clt": ("replicates", "master_seed"),
+    "converge": ("replicates", "master_seed"),
+}
 
 
 class ConfigError(ValueError):
@@ -128,7 +139,10 @@ def _parse_n_values(args) -> list[int]:
     return n_values
 
 
-def _load_config_file(path) -> dict:
+def _load_config_file(args) -> dict:
+    """The --config object, {} without one; any field the subcommand does
+    not read is a config error."""
+    path = args.config
     if path is None:
         return {}
     try:
@@ -139,6 +153,11 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
+    fields = CONFIG_FIELDS[args.command]
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise ConfigError(f"config file field {unknown[0]!r} is not read by {args.command} "
+                          f"(it reads {', '.join(fields)})")
     return data
 
 
@@ -225,7 +244,7 @@ def _emit(text: str, out_path) -> None:
 # the work function is a runtime failure.
 
 def _cmd_simulate(args):
-    file_config = _load_config_file(args.config)
+    file_config = _load_config_file(args)
     model_text = _resolve(args, file_config, "model", "model")
     if model_text is None:
         raise ConfigError("missing required field 'model'")
@@ -262,7 +281,6 @@ def _cmd_simulate(args):
 
 
 def _cmd_exact(args):
-    file_config = _load_config_file(args.config)
     if args.index is None:
         raise ConfigError("missing required field 'index'")
     if args.p is None:
@@ -274,10 +292,8 @@ def _cmd_exact(args):
             f"index {entry.key!r} has no exact catalog formulas (asymptotics only)")
     p = _parse_probability(args.p)
     n_values = _parse_n_values(args)
-    seed = _effective_seed(args, file_config)
     resolved = {"command": "exact", "index": entry.key, "p": str(p),
-                "n_values": n_values, "oracle": bool(args.oracle),
-                "master_seed": seed, "format": args.format}
+                "n_values": n_values, "oracle": bool(args.oracle), "format": args.format}
 
     def run() -> int:
         rows = []
@@ -310,7 +326,7 @@ def _cmd_exact(args):
 
 
 def _cmd_verify(args):
-    file_config = _load_config_file(args.config)
+    file_config = _load_config_file(args)
     seed = _effective_seed(args, file_config)
     resolved = {"command": "verify", "level": args.level, "master_seed": seed}
 
@@ -338,6 +354,8 @@ def _diag_output(args, rows) -> None:
 
 
 def _diag_model(args):
+    if args.model is not None and args.p is not None:
+        raise ConfigError("give either field 'model' or 'p', not both")
     if args.model is not None:
         return _parse_model(args.model)
     if args.p is not None:
@@ -346,7 +364,7 @@ def _diag_model(args):
 
 
 def _cmd_clt(args):
-    file_config = _load_config_file(args.config)
+    file_config = _load_config_file(args)
     if args.index is None:
         raise ConfigError("missing required field 'index'")
     index = parse_index(args.index)
@@ -387,7 +405,7 @@ def _cmd_clt(args):
 
 
 def _cmd_converge(args):
-    file_config = _load_config_file(args.config)
+    file_config = _load_config_file(args)
     if args.index is None:
         raise ConfigError("missing required field 'index'")
     index = parse_index(args.index)
@@ -434,52 +452,55 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spiderlab",
         description="Random spider tree simulator, exact index analytics, and diagnostics",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="master seed (drawn from system entropy and echoed when omitted)")
-    common.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker processes for replicates")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default=None, help="output file (stdout when omitted)")
-    common.add_argument("--config", default=None, help="JSON config file; flags override its values")
+
+    def flag(*names, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser holding one flag, for the subcommands that read it."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    seed = flag("--seed", type=int, default=None,
+                help="master seed (drawn from system entropy and echoed when omitted)")
+    threads = flag("--threads", type=_positive_int, default=1,
+                   help="worker processes for replicates")
+    fmt = flag("--format", choices=("json", "csv"), default="json")
+    out = flag("--out", default=None, help="output file (stdout when omitted)")
+    config = flag("--config", default=None,
+                  help="JSON config file, closed set of fields; flags override its values")
+    index = flag("--index", default=None)
+    model = flag("--model", default=None, help="uniform:<p> or preferential")
+    replicates = flag("--replicates", type=int, default=None)
+    sampled = [seed, threads, fmt, out, config, replicates]
+    diagnostic = sampled + [index, model, flag("--p", default=None, help="uniform model probability")]
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", parents=[common], help="run a Monte Carlo experiment")
-    sim.add_argument("--model", default=None, help="uniform:<p> or preferential")
+    sim = sub.add_parser("simulate", parents=sampled + [model], help="run a Monte Carlo experiment")
     sim.add_argument("--n", type=int, default=None, help="growth horizon")
-    sim.add_argument("--replicates", type=int, default=None)
     sim.add_argument("--indices", default=None, help=f"comma list (default {DEFAULT_INDICES})")
     sim.add_argument("--clt-shift", dest="clt_shift", type=float, default=None)
 
-    exact = sub.add_parser("exact", parents=[common], help="print catalog mean/variance tables")
-    exact.add_argument("--index", default=None)
+    exact = sub.add_parser("exact", parents=[fmt, out, index],
+                           help="print catalog mean/variance tables")
     exact.add_argument("--n", type=int, default=None)
     exact.add_argument("--n-range", dest="n_range", default=None, help="start:stop[:step]")
     exact.add_argument("--p", default=None, help="probability; use a ratio like 2/5 for exact mode")
     exact.add_argument("--oracle", action="store_true",
                        help="also compute the summation oracle and a match column")
 
-    ver = sub.add_parser("verify", parents=[common], help="run the verification suites")
+    ver = sub.add_parser("verify", parents=[seed, out, config], help="run the verification suites")
     ver.add_argument("--level", choices=("quick", "full"), default="quick")
 
-    clt = sub.add_parser("clt", parents=[common], help="KS-vs-normal table for standardized indices")
-    clt.add_argument("--index", default=None)
-    clt.add_argument("--model", default=None)
-    clt.add_argument("--p", default=None)
+    clt = sub.add_parser("clt", parents=diagnostic,
+                         help="KS-vs-normal table for standardized indices")
     clt.add_argument("--n", default=None, help="comma list of horizons")
-    clt.add_argument("--replicates", type=int, default=None)
     clt.add_argument("--k", type=float, default=0.0, help="free shift in the CLT scale")
 
-    conv = sub.add_parser("converge", parents=[common],
+    conv = sub.add_parser("converge", parents=diagnostic,
                           help="exceedance and r-mean error toward the cataloged limit")
-    conv.add_argument("--index", default=None)
-    conv.add_argument("--model", default=None)
-    conv.add_argument("--p", default=None)
     conv.add_argument("--n-grid", dest="n_grid", default="100,1000,10000")
     conv.add_argument("--eps", type=float, default=0.05)
     conv.add_argument("--r", type=float, default=2.0)
-    conv.add_argument("--replicates", type=int, default=None)
 
     return parser
 

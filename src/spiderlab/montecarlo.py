@@ -23,9 +23,9 @@ Result.  A run's only random output is one integer per replicate, so
 ``SampleSummary.leaf_counts`` holds every replicate's L, in replicate
 order, and everything else is read off it.  The statistics take the
 distinct L once (``np.bincount``), evaluate each index once per distinct L
-with ``reduced_values``, and form the mean and the two-pass sample
-variance as weighted sums over those atoms; they depend only on the
-multiset of L.  Any per-replicate value is ``reduced_values(index, n,
+with ``reduced_values``, and form the mean and the sample variance as
+exact weighted sums over those atoms, rounded once; they depend only on
+the multiset of L.  Any per-replicate value is ``reduced_values(index, n,
 summary.leaf_counts)``.
 
 Audit.  Replicates whose index is a multiple of SPOT_CHECK_STRIDE are
@@ -54,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import moment_catalog
+from .analytics import exact_mean_variance, moment_catalog
 from .indices import (Generic, IndexSpec, UnknownIndexError, check_positive, eval_direct,
                       index_name, reduced_values)
 from .tree import GrowthModel, RngStream, TreeState, block_leaf_counts, grow_legs
@@ -227,13 +227,9 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SampleSummary:
     result is identical either way.
 
     Each index is evaluated once per distinct leaf count; its mean and
-    sample variance (ddof 1, two-pass) are ``math.fsum`` sums over those
-    atoms weighted by their counts.  Both are within 3 * 2**-53 relative
-    error of ``analytics.exact_mean_variance`` on the same counts and atom
-    values: the mean by construction (each product, the sum and the
-    division round once), the variance as measured (worst 2.0 such units
-    over 40 runs of 10 indices at n = 2..2000, real-alpha power sums among
-    them).
+    sample variance (ddof 1) are the exact sums over those float64 atom
+    values weighted by their counts (``analytics.exact_mean_variance``),
+    each rounded once to the nearest float.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -249,7 +245,7 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SampleSummary:
 
     weights = np.bincount(leaf_counts - 3)
     support = np.flatnonzero(weights)  # the distinct L - 3, ascending
-    weights = weights[support]
+    weights = weights[support].tolist()
     audited = [(int(leaf_counts[i]), np.searchsorted(support, leaf_counts[i] - 3), direct)
                for i, direct in audits]
     stats = {}
@@ -262,9 +258,9 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SampleSummary:
                     f"direct/reduced mismatch for {index_name(spec)} at n={n}, "
                     f"L={L}: direct={direct[j]!r} reduced={reduced!r}"
                 )
-        mean = math.fsum(weights * values) / R
-        variance = math.fsum(weights * (values - mean) ** 2) / (R - 1) if R > 1 else 0.0
-        stats[index_name(spec)] = IndexStats(count=R, mean=mean, variance=variance)
+        mean, variance = exact_mean_variance(weights, values.tolist())
+        variance = float(variance * R / (R - 1)) if R > 1 else 0.0
+        stats[index_name(spec)] = IndexStats(count=R, mean=float(mean), variance=variance)
     return SampleSummary(config=config, leaf_counts=leaf_counts, stats=stats,
                          spot_checks=len(audits))
 

@@ -109,9 +109,9 @@ def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
             for key, spec in specs.items()
         }
         for p in p_values:
-            weights, total = support_weights(LeafLaw(n, p))
+            weights, _ = support_weights(LeafLaw(n, p))
             for key, entry in catalog.items():
-                m1, oracle_var = exact_mean_variance(weights, total, reduced[key])
+                m1, oracle_var = exact_mean_variance(weights, reduced[key])
                 mean_formula = entry.mean(n, p)
                 var_formula = entry.variance(n, p)
                 if mean_formula != m1:

@@ -267,7 +267,7 @@ def test_main_builds_its_parser_at_most_once(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     for _ in range(3):
-        assert cli.main(["exact", "--index", "leaves", "--p", "1/2", "--n", "4", "--seed", "1"]) == 0
+        assert cli.main(["exact", "--index", "leaves", "--p", "1/2", "--n", "4"]) == 0
     assert cli.main(["frobnicate"]) == 2
     assert len(built) <= 1
 
@@ -306,6 +306,64 @@ def test_config_file_bad_values_rejected(capsys, tmp_path):
         code, out, err = run_cli(capsys, "simulate", "--config", str(path))
         assert_rejected_before_work(code, err)
         assert field in err and out == ""
+
+
+CONFIG_FIELD_CASES = [
+    (["simulate"], {"model": "uniform:0.5", "horizon": 5, "replicates": 10, "master_seed": 1,
+                    "indices": "leaves", "clt_shift": 0.0}, "replicats"),
+    (["clt", "--index", "leaves", "--p", "0.5", "--n", "10"],
+     {"replicates": 10, "master_seed": 1}, "model"),
+    (["converge", "--index", "gini", "--p", "0.5", "--n-grid", "10"],
+     {"replicates": 10, "master_seed": 1}, "horizon"),
+    (["verify"], {"master_seed": 1}, "threads"),
+]
+
+
+@pytest.mark.parametrize("argv, fields, unread", CONFIG_FIELD_CASES,
+                         ids=[case[0][0] for case in CONFIG_FIELD_CASES])
+def test_config_file_takes_only_the_fields_its_subcommand_reads(capsys, tmp_path, monkeypatch,
+                                                               argv, fields, unread):
+    # a typo or a field another subcommand reads was once ignored without a word
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**fields, unread: 7}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(path))
+    assert_rejected_before_work(code, err)
+    assert f"field {unread!r}" in err and out == ""
+    # every field the subcommand reads is accepted
+    monkeypatch.setattr(cli, "run_level", lambda *a, **k: ([], {}))
+    path.write_text(json.dumps(fields))
+    code, _, err = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--index", "leaves", "--n", "4", "--p", "1/2", "--threads", "2"],
+    ["exact", "--index", "leaves", "--n", "4", "--p", "1/2", "--seed", "1"],
+    ["exact", "--index", "leaves", "--n", "4", "--p", "1/2", "--config", "run.json"],
+    ["verify", "--threads", "2"],
+    ["verify", "--format", "csv"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and "resolved config" not in err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err and out == ""
+
+
+def test_exact_draws_no_seed(capsys):
+    code, _, err = run_cli(capsys, "exact", "--index", "leaves", "--n", "4", "--p", "1/2")
+    assert code == 0
+    assert "master_seed" not in json.loads(err.split("resolved config: ", 1)[1])
+
+
+@pytest.mark.parametrize("command, extra", [("clt", ["--n", "100"]),
+                                            ("converge", ["--n-grid", "100"])])
+def test_diagnostics_reject_model_with_p(capsys, monkeypatch, command, extra):
+    # --model once silently won over --p
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    code, out, err = run_cli(capsys, command, "--index", "leaves" if command == "clt" else "gini",
+                             "--model", "uniform:0.3", "--p", "0.9", *extra, "--seed", "1")
+    assert_rejected_before_work(code, err)
+    assert "'model' or 'p', not both" in err and out == ""
 
 
 def test_unreadable_config_file_rejected(capsys, tmp_path):
