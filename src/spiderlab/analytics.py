@@ -13,9 +13,9 @@ recruits.  Everything in this module is built from that law:
 * a two-term large-n expansion of those moments;
 * closed-form mean/variance formulas for every named index, plus the limit
   constants and CLT normalizers that go with them;
-* ``oracle_moment`` and ``oracle_variance``, brute-force summations over
-  the leaf-count support that never touch the closed forms and are used to
-  verify all of them.
+* ``oracle_moment``, ``oracle_variance`` and ``oracle_mean_variance`` (both
+  from one pass), brute-force summations over the leaf-count support that
+  never touch the closed forms and are used to verify all of them.
 
 Passing ``p`` as a ``fractions.Fraction`` keeps any of these paths in
 exact rational arithmetic; floats give ordinary binary64 results.
@@ -24,6 +24,7 @@ exact rational arithmetic; floats give ordinary binary64 results.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -64,6 +65,7 @@ __all__ = [
     "export_catalog_json",
     "oracle_moment",
     "oracle_variance",
+    "oracle_mean_variance",
 ]
 
 MAX_MOMENT_ORDER = 30
@@ -169,8 +171,9 @@ def exact_mean_variance(weights: list[int], values) -> tuple[Fraction, Fraction]
     """
     xs, d = _integer_scaled(values)
     total = sum(weights)
-    s1 = sum(w * x for w, x in zip(weights, xs))
-    s2 = sum(w * x * x for w, x in zip(weights, xs))
+    wx = list(map(operator.mul, weights, xs))
+    s1 = sum(wx)
+    s2 = sum(map(operator.mul, wx, xs))
     scale = total * d
     return Fraction(s1, scale), Fraction(total * s2 - s1 * s1, scale * scale)
 
@@ -571,10 +574,12 @@ def export_catalog_json() -> list[dict]:
     return [catalog_entry_json(_CATALOG[key]) for key in CATALOG_KEYS]
 
 
-def _oracle_moments(index: IndexSpec, n: int, p, order: int) -> tuple:
-    """Mean and variance of index**order over the leaf-count support: exact
-    atom sums under ``support_weights``, or under the float ``support_pmf``
-    masses (scaled exactly to integers) rounded once."""
+def oracle_mean_variance(index: IndexSpec, n: int, p, order: int = 1) -> tuple:
+    """Mean and variance of index**order by direct summation over the
+    leaf-count support, from one pass: exact atom sums under
+    ``support_weights``, or under the float ``support_pmf`` masses (scaled
+    exactly to integers) rounded once, with the accuracy ``oracle_moment``
+    states."""
     law = LeafLaw(n, p)
     values = [eval_reduced(n, k, index) ** order for k in law.support]
     if isinstance(p, Fraction):
@@ -596,7 +601,7 @@ def oracle_moment(index: IndexSpec, n: int, p, order: int = 1):
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    return _oracle_moments(index, n, p, order)[0]
+    return oracle_mean_variance(index, n, p, order)[0]
 
 
 def oracle_variance(index: IndexSpec, n: int, p):
@@ -605,4 +610,4 @@ def oracle_variance(index: IndexSpec, n: int, p):
     Exact for Fraction p; for float p the exact variance of the float pmf,
     rounded once, with the accuracy ``oracle_moment`` states.
     """
-    return _oracle_moments(index, n, p, 1)[1]
+    return oracle_mean_variance(index, n, p)[1]

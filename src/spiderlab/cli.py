@@ -34,11 +34,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .analytics import moment_catalog, oracle_moment, oracle_variance
+from .analytics import moment_catalog, oracle_mean_variance
 from .indices import NAMED_INDICES, index_name, parse_index, reduced_values
 from .montecarlo import (
     KS_MIN_SAMPLES,
     SimConfig,
+    Workers,
     convergence_probe,
     ks_normal,
     run_experiment,
@@ -304,8 +305,7 @@ def _cmd_exact(args):
             oracle_mean = oracle_var = None
             match = None
             if args.oracle:
-                oracle_mean = oracle_moment(index, n, p, 1)
-                oracle_var = oracle_variance(index, n, p)
+                oracle_mean, oracle_var = oracle_mean_variance(index, n, p)
                 if exact_mode:
                     match = mean == oracle_mean and variance == oracle_var
                 else:
@@ -392,12 +392,13 @@ def _cmd_clt(args):
 
     def run() -> int:
         rows = []
-        for config in configs:
-            n = config.horizon
-            summary = run_experiment(config, threads=args.threads)
-            z = standardize(reduced_values(index, n, summary.leaf_counts), index, n, p, k)
-            rows.append([entry.key, n, p, float(z.mean()), float(z.var(ddof=1)),
-                         ks_normal(z), None, None, None])
+        with Workers(args.threads) as workers:
+            for config in configs:
+                n = config.horizon
+                summary = run_experiment(config, workers=workers)
+                z = standardize(reduced_values(index, n, summary.leaf_counts), index, n, p, k)
+                rows.append([entry.key, n, p, float(z.mean()), float(z.var(ddof=1)),
+                             ks_normal(z), None, None, None])
         _diag_output(args, rows)
         return EXIT_OK
 

@@ -13,8 +13,8 @@ one stream ``RngStream(master_seed, b)``.  That stream yields, in order,
 the decision words of all 64 rows (ceil((n - 1) / 8) raw words per row,
 one byte per step, in replicate order), one tail word per tie in
 row-major order, and the audited replicate's picks.  The whole block is
-drawn even where the run ends inside it, in pieces of whole rows
-(``tree.DRAW_PIECE``) that bound memory and are not part of the contract.
+drawn even where the run ends inside it, in pieces (``tree.DRAW_PIECE``)
+that bound memory and are not part of the contract.
 A replicate's L and its audit therefore depend only on (master_seed, i, n,
 model): not on the replicate count, the worker count or the order in which
 workers finish.
@@ -32,15 +32,23 @@ Audit.  Replicates whose index is a multiple of SPOT_CHECK_STRIDE are
 audited; a block holds at most one.  After the block's tail words, its
 stream yields n - 1 *pick* uniforms for that replicate, and the tree is
 regrown from the replicate's own centroid schedule and those picks
-(``tree.grow_legs``).  Its leg count must equal the counted L, and every
-requested index is evaluated directly from the degree multiset and
-compared with the atom value the statistics use at that L.
+(``tree.grow_legs``).  Its leg count must equal the counted L, its legs,
+the int64 array ``grow_legs`` returns, are checked in numpy (positive,
+summing to n + 2) as they become a ``TreeState``, and every requested
+index is evaluated directly from the degree multiset and compared with
+the atom value the statistics use at that L.
 
 Work.  Replicates are counted in chunks of CHUNK_SIZE (a multiple of
-STREAM_BLOCK, so no block straddles two chunks).  Chunks go to a process
-pool only when that takes at least POOL_MIN_WORK off the busiest worker, a
-replicate counting as n - 1 + REPLICATE_WORK steps; below that, starting
-the pool costs more than it saves.  The result is the same either way.
+STREAM_BLOCK, so no block straddles two chunks).  A chunk keys its block
+streams and hands them to ``block_leaf_counts`` together, which stacks as
+many whole blocks as fit in DRAW_PIECE words and counts them in one pass,
+so small-n blocks are not each bound by numpy call overhead.  Chunks go to
+a process pool only when that takes at least POOL_MIN_WORK off the
+busiest worker, a replicate counting as n - 1 + REPLICATE_WORK steps;
+below that, starting the pool costs more than it saves.  The result is
+the same either way.  A command that runs several horizons shares one
+``Workers``: its pool starts at the first run that pays for it and shuts
+down when the command ends, so the command pays the start at most once.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ __all__ = [
     "SimConfig",
     "IndexStats",
     "SampleSummary",
+    "Workers",
     "run_experiment",
     "standardize",
     "ks_normal",
@@ -178,7 +187,7 @@ def _direct_values(config: SimConfig, legs: np.ndarray, counted: int) -> list[fl
             f"leaf-count mismatch at n={config.horizon}: counted L={counted}, "
             f"grown tree has {len(legs)} legs"
         )
-    state = TreeState(time=config.horizon, legs=tuple(legs.tolist()))
+    state = TreeState(time=config.horizon, legs=legs)
     return [float(eval_direct(state, spec)) for spec in config.indices]
 
 
@@ -186,27 +195,28 @@ def _chunk_worker(args) -> tuple:
     """Replicates ``start..stop-1``: their leaf counts, and for each audited
     replicate its id and the direct value of every index on its regrown tree.
 
-    ``start`` is a multiple of STREAM_BLOCK; each block's leaf counts are
-    drawn by ``block_leaf_counts``, and its audited replicate, if any, is
-    regrown from its centroid schedule and the picks at the stream's tail.
+    ``start`` is a multiple of STREAM_BLOCK; the chunk's blocks are counted
+    together by ``block_leaf_counts``, each from its own stream, and each
+    audited replicate is regrown from its centroid schedule and the picks at
+    its block stream's tail.
     """
     config, start, stop = args
     model, steps, seed = config.model, config.horizon - 1, config.master_seed
-    leaf_counts = np.empty(stop - start, dtype=np.int64)
+    firsts = range(start, stop, STREAM_BLOCK)
+    streams = [RngStream(seed, first // STREAM_BLOCK) for first in firsts]
+    audit_rows = []
+    for first in firsts:
+        row = -first % SPOT_CHECK_STRIDE  # row of the block's multiple of the stride
+        audit_rows.append(row if row < min(STREAM_BLOCK, stop - first) else -1)
+    # A block is drawn whole even where the run ends inside it, so no
+    # replicate's draws depend on the replicate count.
+    counts, schedules = block_leaf_counts(model, streams, STREAM_BLOCK, steps, audit_rows)
     audits = []
-    for first in range(start, stop, STREAM_BLOCK):
-        rows = min(STREAM_BLOCK, stop - first)
-        audited = -first % SPOT_CHECK_STRIDE  # row of the block's multiple of the stride
-        stream = RngStream(seed, first // STREAM_BLOCK)
-        # A block is drawn whole even where the run ends inside it, so no
-        # replicate's draws depend on the replicate count.
-        counts, centroid = block_leaf_counts(model, stream, STREAM_BLOCK, steps,
-                                             audited if audited < rows else -1)
-        leaf_counts[first - start:first - start + rows] = counts[:rows]
+    for first, stream, row, centroid, block in zip(firsts, streams, audit_rows, schedules, counts):
         if centroid is not None:
             legs = grow_legs(centroid, stream.doubles(steps))
-            audits.append((first + audited, _direct_values(config, legs, int(counts[audited]))))
-    return leaf_counts, audits
+            audits.append((first + row, _direct_values(config, legs, int(block[row]))))
+    return counts.reshape(-1)[:stop - start], audits
 
 
 def _pool_pays(config: SimConfig, threads: int) -> bool:
@@ -219,27 +229,58 @@ def _pool_pays(config: SimConfig, threads: int) -> bool:
     return (R - busiest) * (config.horizon - 1 + REPLICATE_WORK) >= POOL_MIN_WORK
 
 
-def run_experiment(config: SimConfig, threads: int = 1) -> SampleSummary:
+class Workers:
+    """The ``threads`` worker processes of one command, shared by its runs.
+
+    The process pool starts at the first run it pays for (``_pool_pays``),
+    not before, and every later run of the command reuses it; leaving the
+    ``with`` block shuts it down.  A run the pool does not pay for is
+    counted in this process.
+    """
+
+    def __init__(self, threads: int):
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
+        self.threads = threads
+        self._pool = None
+
+    def map_chunks(self, config: SimConfig, tasks: list) -> list:
+        """``_chunk_worker`` over ``tasks``, in order."""
+        if self.threads > 1 and len(tasks) > 1 and _pool_pays(config, self.threads):
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.threads)
+            return list(self._pool.map(_chunk_worker, tasks, chunksize=1))
+        return [_chunk_worker(t) for t in tasks]
+
+    def __enter__(self) -> Workers:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+
+def run_experiment(config: SimConfig, threads: int = 1,
+                   workers: Workers | None = None) -> SampleSummary:
     """Run the experiment described by ``config``.
 
     ``threads`` > 1 distributes replicate chunks over worker processes
     when that takes at least POOL_MIN_WORK off the busiest worker; the
-    result is identical either way.
+    result is identical either way.  A command that runs several
+    experiments passes its ``Workers`` instead, so they share one pool.
 
     Each index is evaluated once per distinct leaf count; its mean and
     sample variance (ddof 1) are the exact sums over those float64 atom
     values weighted by their counts (``analytics.exact_mean_variance``),
     each rounded once to the nearest float.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if workers is None:
+        with Workers(threads) as workers:
+            return run_experiment(config, workers=workers)
     R, n = config.replicates, config.horizon
     tasks = [(config, start, min(start + CHUNK_SIZE, R)) for start in range(0, R, CHUNK_SIZE)]
-    if threads > 1 and len(tasks) > 1 and _pool_pays(config, threads):
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_chunk_worker, tasks, chunksize=1))
-    else:
-        results = [_chunk_worker(t) for t in tasks]
+    results = workers.map_chunks(config, tasks)
     leaf_counts = np.concatenate([counts for counts, _ in results])
     audits = [audit for _, chunk in results for audit in chunk]
 
@@ -345,20 +386,21 @@ def convergence_probe(
     c = float(entry.limit.constant_value(p))
     exponent = entry.limit.exponent
     rows = []
-    for n in n_grid:
-        config = SimConfig(model=model, horizon=n, replicates=replicates,
-                           master_seed=master_seed, indices=(index,))
-        summary = run_experiment(config, threads=threads)
-        scaled = reduced_values(index, n, summary.leaf_counts) / float(n) ** exponent
-        err = np.abs(scaled - c)
-        rows.append(ProbeRow(
-            index=index_name(index),
-            n=n,
-            p=p,
-            mean=float(scaled.mean()),
-            variance=float(scaled.var(ddof=1)) if len(scaled) > 1 else 0.0,
-            exceedance=float((err > epsilon).mean()),
-            r_mean_error=float((err ** r).mean()),
-            limit=c,
-        ))
+    with Workers(threads) as workers:
+        for n in n_grid:
+            config = SimConfig(model=model, horizon=n, replicates=replicates,
+                               master_seed=master_seed, indices=(index,))
+            summary = run_experiment(config, workers=workers)
+            scaled = reduced_values(index, n, summary.leaf_counts) / float(n) ** exponent
+            err = np.abs(scaled - c)
+            rows.append(ProbeRow(
+                index=index_name(index),
+                n=n,
+                p=p,
+                mean=float(scaled.mean()),
+                variance=float(scaled.var(ddof=1)) if len(scaled) > 1 else 0.0,
+                exceedance=float((err > epsilon).mean()),
+                r_mean_error=float((err ** r).mean()),
+                limit=c,
+            ))
     return rows

@@ -105,6 +105,8 @@ class Preferential:
 
 GrowthModel = Union[UniformLeaf, Preferential]
 
+_INT64_MAX = (1 << 63) - 1
+
 
 @dataclass(frozen=True)
 class TreeState:
@@ -113,23 +115,38 @@ class TreeState:
     Invariants: at least three legs, every leg length positive, and the
     non-centroid node count ``sum(legs)`` equals ``time + 2`` (the tree has
     ``time + 3`` nodes in total).
+
+    ``legs`` may be any sequence of integers, or the int64 array that
+    ``grow_legs`` returns; an array is checked in numpy, several times
+    faster than a pass over Python ints.  Either way ``legs`` is stored as
+    a tuple of Python ints, and an invalid input raises the same
+    ``ValueError``.
     """
 
     time: int
     legs: tuple[int, ...]
 
     def __post_init__(self):
-        # A list first: a tuple grown from an iterator of unknown length is
-        # resized repeatedly, which fragments the heap and keeps RSS creeping.
-        legs = tuple([*map(int, self.legs)])
+        legs = self.legs
+        if isinstance(legs, np.ndarray) and legs.dtype == np.int64 and legs.ndim == 1:
+            array, count = legs, len(legs)
+            low = int(array.min()) if count else 1
+            legs = tuple(array.tolist())
+            # The int64 sum is exact unless count * max could pass 2**63 - 1.
+            exact = count == 0 or int(array.max()) <= _INT64_MAX // count
+            total = int(array.sum()) if exact else sum(legs)
+        else:
+            # A list first: a tuple grown from an iterator of unknown length is
+            # resized repeatedly, which fragments the heap and keeps RSS creeping.
+            legs = tuple([*map(int, legs)])
+            count, low, total = len(legs), min(legs, default=1), sum(legs)
         object.__setattr__(self, "legs", legs)
         if self.time < 1:
             raise ValueError(f"time must be >= 1, got {self.time}")
-        if len(legs) < 3:
-            raise ValueError(f"a spider tree needs at least 3 legs, got {len(legs)}")
-        if min(legs) < 1:
+        if count < 3:
+            raise ValueError(f"a spider tree needs at least 3 legs, got {count}")
+        if low < 1:
             raise ValueError("leg lengths must be positive")
-        total = sum(legs)
         if total != self.time + 2:
             raise ValueError(
                 f"leg lengths sum to {total}, expected time + 2 = {self.time + 2}"
@@ -220,10 +237,11 @@ def grow_legs(centroid: np.ndarray, picks: np.ndarray) -> np.ndarray:
     the leaf count before step ``k``.  This is the rule ``step`` applies to
     its two uniforms, vectorised over the whole schedule.
     """
-    # Leaf count seen by step k is 3 plus the centroid recruits before k.
-    leaves_before = 3 + np.cumsum(centroid) - centroid
+    # A leaf step k sees 3 plus the centroid recruits up to k, which are the
+    # recruits before k; the product is non-negative, so truncation floors it.
+    leaves = 3 + np.cumsum(centroid)
     extend = ~centroid
-    chosen = np.floor(picks[extend] * leaves_before[extend]).astype(np.int64)
+    chosen = (picks[extend] * leaves[extend]).astype(np.int64)
     leg_total = 3 + int(np.count_nonzero(centroid))
     return 1 + np.bincount(chosen, minlength=leg_total)
 
@@ -242,12 +260,18 @@ def decision_threshold(model: GrowthModel) -> tuple[int, int]:
     return K >> TAIL_BITS, K & ((1 << TAIL_BITS) - 1)
 
 
-def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_row: int = -1):
-    """Leaf counts of ``rows`` replicates of ``steps`` growth steps each,
-    decided by the byte rule from ``stream``, and the centroid schedule of
-    row ``audit_row`` (None unless ``0 <= audit_row < rows``).
+def block_leaf_counts(model: GrowthModel, streams, rows: int, steps: int, audit_row=-1):
+    """Leaf counts of blocks of ``rows`` replicates of ``steps`` growth steps
+    each, decided by the byte rule, and the centroid schedule of each
+    block's row ``audit_row`` (None unless ``0 <= audit_row < rows``).
 
-    ``stream`` yields, in order:
+    ``streams`` is one block's stream: the result is then ``(counts,
+    schedule)``, counts of shape ``(rows,)``.  Or it is a list of block
+    streams counted together, with a list ``audit_row`` of one row per
+    block: the result is then ``(counts, schedules)``, counts of shape
+    ``(blocks, rows)`` and one schedule or None per block.
+
+    Each block's stream yields, in order:
 
     1. ``rows * W`` raw words, W = ceil(steps / 8).  Row r owns words
        ``r*W .. r*W + W - 1``, and step s of row r takes its byte a from
@@ -257,32 +281,53 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     2. One tail word per tie (a byte equal to A), in row-major (row, step)
        order; a tail word w gives the tail ``b = w >> 19``.
 
-    Words are drawn in pieces of whole rows, at most DRAW_PIECE each unless
-    one row is longer, and ties are resolved after the last decision
-    word, so the piece size bounds memory and is not part of the contract.
+    The decision words are drawn and counted in pieces of at most
+    DRAW_PIECE words: as many whole blocks as fit, each drawn whole from
+    its own stream, or else whole rows of one block (a single row when one
+    row is longer).  Each piece is counted in one pass, and ties are
+    resolved after the last decision word, each block's from its own
+    stream, so the piece size bounds memory and is not part of the
+    contract.
     """
+    if not isinstance(streams, (list, tuple)):
+        counts, schedules = block_leaf_counts(model, [streams], rows, steps, [audit_row])
+        return counts[0], schedules[0]
     A, T = decision_threshold(model)
     width = -(-steps // 8)
-    below = np.empty(rows, dtype=np.int64)  # bytes below A, per row
-    ties = np.empty(rows, dtype=np.int64)   # bytes equal to A, per row
-    audit_bytes = None
-    rows_per_piece = max(1, DRAW_PIECE // max(width, 1))
-    for row in range(0, rows, rows_per_piece):
-        height = min(rows_per_piece, rows - row)
-        words = stream.words(height * width).astype("<u8", copy=False)
-        octets = words.view(np.uint8).reshape(height, 8 * width)
-        below[row:row + height] = _row_sums(octets < A, steps)
-        ties[row:row + height] = _row_sums(octets <= A, steps) - below[row:row + height]
-        if row <= audit_row < row + height:
-            audit_bytes = octets[audit_row - row, :steps].copy()
-    tail_rows = np.repeat(np.arange(rows), ties)  # the row each tail word decides for
-    recruit = (stream.words(len(tail_rows)) >> np.uint64(TAIL_SHIFT)) < T
-    counts = 3 + below + np.bincount(tail_rows[recruit], minlength=rows)
-    if audit_bytes is None:
-        return counts, None
-    centroid = audit_bytes < A
-    centroid[audit_bytes == A] = recruit[tail_rows == audit_row]
-    return counts, centroid
+    blocks = len(streams)
+    below = np.empty(blocks * rows, dtype=np.int64)  # bytes below A, per row of the stack
+    ties = np.empty(blocks * rows, dtype=np.int64)   # bytes equal to A, per row of the stack
+    audit_bytes = [None] * blocks
+    per_piece = max(1, DRAW_PIECE // max(width, 1))  # rows a piece holds
+    if per_piece >= rows:  # whole blocks, stacked
+        stack = per_piece // rows
+        pieces = [[(b, 0, rows) for b in range(first, min(first + stack, blocks))]
+                  for first in range(0, blocks, stack)]
+    else:  # rows of one block
+        pieces = [[(b, row, min(per_piece, rows - row))]
+                  for b in range(blocks) for row in range(0, rows, per_piece)]
+    for piece in pieces:
+        drawn = [streams[b].words(height * width) for b, _, height in piece]
+        words = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
+        at = piece[0][0] * rows + piece[0][1]  # the piece's first row in the stack
+        end = at + sum(height for _, _, height in piece)
+        octets = words.astype("<u8", copy=False).view(np.uint8).reshape(end - at, 8 * width)
+        below[at:end] = _row_sums(octets < A, steps)
+        ties[at:end] = _row_sums(octets <= A, steps) - below[at:end]
+        for b, row, height in piece:
+            if row <= audit_row[b] < row + height:
+                audit_bytes[b] = octets[b * rows + audit_row[b] - at, :steps].copy()
+    tails = [stream.words(count) for stream, count in
+             zip(streams, ties.reshape(blocks, rows).sum(axis=1).tolist())]
+    tail_rows = np.repeat(np.arange(blocks * rows), ties)  # the row each tail word decides for
+    recruit = (np.concatenate(tails) >> np.uint64(TAIL_SHIFT)) < T
+    counts = 3 + below + np.bincount(tail_rows[recruit], minlength=blocks * rows)
+    schedules = [None] * blocks
+    for b, octets in enumerate(audit_bytes):
+        if octets is not None:
+            schedules[b] = octets < A
+            schedules[b][octets == A] = recruit[tail_rows == b * rows + audit_row[b]]
+    return counts.reshape(blocks, rows), schedules
 
 
 def _row_sums(flags: np.ndarray, steps: int) -> np.ndarray:
@@ -306,7 +351,7 @@ def grow(model: GrowthModel, horizon_n: int, rng: RngStream) -> TreeState:
         raise ValueError(f"horizon_n must be >= 1, got {horizon_n}")
     draws = rng.doubles(2 * (horizon_n - 1)).reshape(horizon_n - 1, 2)
     legs = grow_legs(draws[:, 0] < model.centroid_probability, draws[:, 1])
-    return TreeState(time=horizon_n, legs=tuple(legs.tolist()))
+    return TreeState(time=horizon_n, legs=legs)
 
 
 def degree_multiset(state: TreeState) -> dict[int, int]:

@@ -169,7 +169,7 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int,
         for k, n in enumerate(n_block.tolist()):
             u = stream.doubles(2 * (n - 1)).reshape(n - 1, 2)
             legs = grow_legs(u[:, 0] < ps[first + k], u[:, 1])
-            state = TreeState(time=n, legs=tuple(legs.tolist()))
+            state = TreeState(time=n, legs=legs)
             L_block[k] = state.leaf_count
             direct[k] = [float(eval_direct(state, spec)) for spec in specs]
         reduced = np.column_stack([reduced_values(spec, n_block, L_block) for spec in specs])

@@ -33,6 +33,7 @@ from spiderlab import (
     leaf_raw_moment_exact,
     moment_catalog,
     new_seed,
+    oracle_mean_variance,
     oracle_moment,
     oracle_variance,
     step,
@@ -397,6 +398,15 @@ def test_oracle_variance_exact_and_float():
         for n in (1000, 5000):
             expected = float(entry.variance(n, 0.3))
             assert oracle_variance(spec, n, 0.3) == pytest.approx(expected, rel=2e-15), spec
+
+
+@pytest.mark.parametrize("p", [Fraction(2, 5), 0.3])
+def test_oracle_mean_variance_is_both_oracles_in_one_pass(p):
+    for spec in NAMED_INDICES:
+        for n in (1, 7, 300):
+            both = oracle_mean_variance(spec, n, p)
+            assert both == (oracle_moment(spec, n, p), oracle_variance(spec, n, p))
+            assert all(type(x) is type(p) for x in both)
 
 
 def test_poly_np_matches_row_by_row_horner():

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import spiderlab.analytics as analytics
 import spiderlab.cli as cli
+import spiderlab.montecarlo as montecarlo
 from spiderlab import NAMED_INDICES
 from spiderlab.verify import Failure
 
@@ -238,6 +240,71 @@ def test_converge_table(capsys):
     assert all(row["limit"] == "0.25" for row in rows)
     assert all(row["ks"] == "" for row in rows)
     assert all(row["p"] == "0.5" for row in rows)
+
+
+def spy_on_pools(monkeypatch, events):
+    """Record every process pool a run starts and shuts down in ``events``."""
+    real = montecarlo.ProcessPoolExecutor
+
+    class Spy(real):
+        def __init__(self, max_workers):
+            events.append(("start", max_workers))
+            super().__init__(max_workers=max_workers)
+
+        def shutdown(self, *args, **kwargs):
+            events.append(("shutdown",))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Spy)
+
+
+@pytest.mark.parametrize("argv", [
+    ["clt", "--index", "zagreb", "--p", "0.5", "--n", "40,50,60"],
+    ["converge", "--index", "gini", "--p", "0.4", "--n-grid", "40,50,60"],
+])
+def test_a_command_starts_at_most_one_pool(capsys, monkeypatch, argv):
+    argv = argv + ["--replicates", "2100", "--seed", "4", "--format", "csv"]
+    code, serial, _ = run_cli(capsys, *argv, "--threads", "1")
+    assert code == 0
+    events = []
+    spy_on_pools(monkeypatch, events)
+    real_pays = montecarlo._pool_pays
+
+    def pays_from_50(config, threads):  # the first horizon runs serially
+        events.append(("run", config.horizon))
+        return config.horizon >= 50 and real_pays(config, threads)
+
+    monkeypatch.setattr(montecarlo, "_pool_pays", pays_from_50)
+    monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
+    for _ in range(2):  # each command starts its own pool and shuts it down
+        events.clear()
+        code, pooled, _ = run_cli(capsys, *argv, "--threads", "2")
+        assert code == 0 and pooled == serial
+        assert events == [("run", 40), ("run", 50), ("start", 2), ("run", 60), ("shutdown",)]
+
+
+def test_a_command_no_run_pays_for_starts_no_pool(capsys, monkeypatch):
+    events = []
+    spy_on_pools(monkeypatch, events)
+    code, _, _ = run_cli(capsys, "clt", "--index", "zagreb", "--p", "0.5", "--n", "40,50",
+                         "--replicates", "2100", "--threads", "2", "--seed", "4")
+    assert code == 0 and events == []
+
+
+def test_exact_oracle_takes_one_pass_per_row(capsys, monkeypatch):
+    passes = []
+    for name in ("support_pmf", "support_weights"):
+        real = getattr(analytics, name)
+        monkeypatch.setattr(analytics, name,
+                            lambda law, real=real, name=name: passes.append(name) or real(law))
+    for p, route in (("0.3", "support_pmf"), ("3/10", "support_weights")):
+        passes.clear()
+        code, out, _ = run_cli(capsys, "exact", "--index", "zagreb", "--n-range", "1:5",
+                               "--p", p, "--oracle", "--format", "csv")
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert [row["match"] for row in rows] == ["True"] * 5  # n = 1..5
+        assert passes == [route] * 5
 
 
 def test_converge_requires_limit(capsys):

@@ -29,7 +29,7 @@ from spiderlab.indices import Affine, Generic, Table, eval_reduced, index_name, 
 from spiderlab.montecarlo import CHUNK_SIZE, STREAM_BLOCK
 from spiderlab.tree import DRAW_PIECE, RngStream, decision_threshold
 
-from conftest import reference_block
+from conftest import ScriptedWords, reference_block
 
 
 def test_seed_horizon_experiment_is_deterministic():
@@ -116,6 +116,21 @@ def test_audit_checks_the_values_that_are_merged(monkeypatch):
     assert shifted.stats["leaves"] == clean.stats["leaves"]
 
 
+@pytest.mark.parametrize("corrupt,match", [
+    (lambda legs: np.concatenate([[0], legs[1:-1], [legs[-1] + legs[0]]]),
+     "leg lengths must be positive"),
+    (lambda legs: legs + np.eye(len(legs), dtype=np.int64)[0], "leg lengths sum to"),
+    (lambda legs: np.concatenate([legs[:-1], [legs[-1] - 1, 1]]), "leaf-count mismatch"),
+])
+def test_audit_rejects_a_regrown_tree_that_is_not_a_spider(monkeypatch, corrupt, match):
+    real = montecarlo.grow_legs
+    monkeypatch.setattr(montecarlo, "grow_legs", lambda *args: corrupt(real(*args)))
+    config = SimConfig(model=UniformLeaf(0.5), horizon=40, replicates=5,
+                       master_seed=3, indices=(LEAVES,))
+    with pytest.raises((ValueError, RuntimeError), match=match):
+        run_experiment(config)
+
+
 # -- stream contract -------------------------------------------------------------
 
 def leaf_samples(n, p, replicates, master_seed, threads=1):
@@ -172,6 +187,60 @@ def test_pieces_equal_a_one_shot_block_draw_at_large_n(monkeypatch):
     pieces = [stream.words(size) for size in (DRAW_PIECE, 1, DRAW_PIECE - 1, 12345)]
     assert np.array_equal(np.concatenate(pieces),
                           RngStream(seed, 0).words(2 * DRAW_PIECE + 12345))
+
+
+def block_leaf_counts_alone(model, stream, steps, audit_row):
+    """One block counted by itself: its counts, its audited schedule, and
+    how many tail words it drew."""
+    counts, schedule = tree.block_leaf_counts(model, stream, STREAM_BLOCK, steps, audit_row)
+    return counts, schedule, stream.draws[-1]
+
+
+@pytest.mark.parametrize("n", [2, 9, 201, 5000])
+def test_blocks_counted_together_equal_blocks_counted_alone(monkeypatch, n):
+    model, steps, blocks = UniformLeaf(0.4), n - 1, 5
+    width = -(-steps // 8)
+    block = STREAM_BLOCK * width  # decision words per block
+    audit_rows = [0, -1, 63, 36, 70]  # 70 is past the block: no schedule
+
+    def scripted():
+        # each block's own stream, scripted: its decision words, then ample tail words
+        return [ScriptedWords(RngStream(3, b).words(block + block // 8 + 64).tolist())
+                for b in range(blocks)]
+
+    alone = [block_leaf_counts_alone(model, stream, steps, row)
+             for stream, row in zip(scripted(), audit_rows)]
+    for b, (counts, schedule, _) in enumerate(alone):
+        want, centroid = reference_block(RngStream(3, b), STREAM_BLOCK, steps, 0.4)
+        assert np.array_equal(counts, want)
+        row = audit_rows[b]
+        assert schedule is None if not 0 <= row < STREAM_BLOCK else np.array_equal(
+            schedule, centroid[row])
+    passes = []
+    real_row_sums = tree._row_sums
+    monkeypatch.setattr(tree, "_row_sums", lambda *args: passes.append(1) or real_row_sums(*args))
+    # one block per piece, three, and a single word (so one row at a time)
+    for piece, decision_draws, pieces in ((block, [block], blocks), (3 * block, [block], 2),
+                                          (1, [width] * STREAM_BLOCK, blocks * STREAM_BLOCK)):
+        monkeypatch.setattr(tree, "DRAW_PIECE", piece)
+        streams = scripted()
+        passes.clear()
+        counts, schedules = tree.block_leaf_counts(model, streams, STREAM_BLOCK, steps,
+                                                   audit_rows)
+        assert len(passes) == 2 * pieces  # below and at A, once per piece
+        assert counts.shape == (blocks, STREAM_BLOCK)
+        for b, (want_counts, want_schedule, ties) in enumerate(alone):
+            assert np.array_equal(counts[b], want_counts)
+            assert (schedules[b] is None) == (want_schedule is None)
+            if want_schedule is not None:
+                assert np.array_equal(schedules[b], want_schedule)
+            assert streams[b].draws == decision_draws + [ties]
+    # the engine over a partial last block, at each piece size
+    replicates = (blocks - 1) * STREAM_BLOCK + 17
+    expected = np.concatenate([alone[b][0] for b in range(blocks)])[:replicates]
+    for piece in (block, 3 * block, 1, DRAW_PIECE):
+        monkeypatch.setattr(tree, "DRAW_PIECE", piece)
+        assert np.array_equal(leaf_samples(n, 0.4, replicates, 3), expected)
 
 
 def test_audit_regrows_from_the_counted_row_and_the_tail_picks(monkeypatch):

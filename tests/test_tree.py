@@ -83,6 +83,44 @@ def test_tree_state_invariants_enforced():
             TreeState(time=3, legs=wrap((-1, 3, 3)))  # negative leg
 
 
+def construction_outcome(time, legs):
+    """The legs a TreeState stores, or the text of the ValueError it raises."""
+    try:
+        return TreeState(time=time, legs=legs).legs
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(st.integers(-2, 40), st.lists(st.integers(-3, 12), max_size=8))
+def test_an_int64_leg_array_builds_the_tree_a_tuple_builds(time, legs):
+    from_tuple = construction_outcome(time, tuple(legs))
+    from_array = construction_outcome(time, np.array(legs, dtype=np.int64))
+    assert from_array == from_tuple
+    if not isinstance(from_array, str):
+        assert all(type(x) is int for x in from_array)
+
+
+def test_an_int64_leg_array_whose_sum_overflows_is_summed_exactly():
+    big = 2**62
+    legs = (big, big, big)  # sums to 3 * 2**62, past the int64 range
+    assert construction_outcome(3 * big - 2, np.array(legs, dtype=np.int64)) == legs
+    wrong = construction_outcome(3 * big - 1, np.array(legs, dtype=np.int64))
+    assert wrong == construction_outcome(3 * big - 1, legs)
+    assert wrong == f"ValueError: leg lengths sum to {3 * big}, expected time + 2 = {3 * big + 1}"
+
+
+@given(st.integers(1, 2000), st.integers(0, 10**6), st.floats(0.01, 0.99))
+def test_grow_legs_applies_the_floor_rule(n, seed, p):
+    # picks[k] * leaves-before-k, floored, names the leg of every leaf step
+    draws = RngStream(seed).doubles(2 * (n - 1)).reshape(n - 1, 2)
+    centroid, picks = draws[:, 0] < p, draws[:, 1]
+    before = 3 + np.cumsum(centroid) - centroid
+    chosen = np.floor(picks[~centroid] * before[~centroid]).astype(np.int64)
+    want = 1 + np.bincount(chosen, minlength=3 + int(centroid.sum()))
+    got = grow_legs(centroid, picks)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 @given(st.integers(1, 300), st.integers(0, 10**6), st.floats(0.05, 0.95))
 def test_counts_follow_the_legs_on_grown_trees(n, seed, p):
     model = UniformLeaf(p)
