@@ -4,17 +4,19 @@ Every index is a function of the time n and the leaf count L alone, and L
 is 3 plus the number of centroid recruits among the n - 1 growth steps, so
 the engine does not grow trees: it draws each replicate's centroid
 decisions, one random byte per step plus a tail word for the 1 in 256
-steps that tie (the exact byte rule of ``tree.block_leaf_counts``), counts
-the recruits, then evaluates the closed forms on the counted L.
+steps that tie (the exact byte rule of ``tree.block_leaf_counts``), or one
+random bit per step at p = 1/2 (its bit rule, for ``Preferential`` too),
+counts the recruits, then evaluates the closed forms on the counted L.
 
 Streams.  Replicates are laid out in fixed blocks of STREAM_BLOCK = 64:
 replicate i is row i % 64 of block b = i // 64, and block b draws from the
 one stream ``RngStream(master_seed, b)``.  That stream yields, in order,
 the decision words of all 64 rows (ceil((n - 1) / 8) raw words per row,
-one byte per step, in replicate order), one tail word per tie in
-row-major order, and the audited replicate's picks.  The whole block is
-drawn even where the run ends inside it, in pieces (``tree.DRAW_PIECE``)
-that bound memory and are not part of the contract.
+one byte per step, in replicate order; ceil((n - 1) / 64) words, one bit
+per step, under the bit rule), one tail word per tie in row-major order
+(none under the bit rule), and the audited replicate's picks.  The whole
+block is drawn even where the run ends inside it, in pieces
+(``tree.DRAW_PIECE``) that bound memory and are not part of the contract.
 A replicate's L and its audit therefore depend only on (master_seed, i, n,
 model): not on the replicate count, the worker count or the order in which
 workers finish.
@@ -29,11 +31,11 @@ the multiset of L.  Any per-replicate value is ``reduced_values(index, n,
 summary.leaf_counts)``.
 
 Audit.  Replicates whose index is a multiple of SPOT_CHECK_STRIDE are
-audited; a block holds at most one.  After the block's tail words, its
-stream yields n - 1 *pick* uniforms for that replicate, and the tree is
-regrown from the replicate's own centroid schedule and those picks
-(``tree.grow_legs``).  Its leg count must equal the counted L, its legs,
-the int64 array ``grow_legs`` returns, are checked in numpy (positive,
+audited; a block holds at most one.  After the block's decision and tail
+words, its stream yields n - 1 *pick* uniforms for that replicate, and
+the tree is regrown from the replicate's own centroid schedule and those
+picks (``tree.grow_legs``).  Its leg count must equal the counted L, its
+legs, the int64 array ``grow_legs`` returns, are checked in numpy (positive,
 summing to n + 2) as they become a ``TreeState``, and every requested
 index is evaluated directly from the degree multiset and compared with
 the atom value the statistics use at that L.
@@ -44,9 +46,11 @@ streams and hands them to ``block_leaf_counts`` together, which stacks as
 many whole blocks as fit in DRAW_PIECE words and counts them in one pass,
 so small-n blocks are not each bound by numpy call overhead.  Chunks go to
 a process pool only when that takes at least POOL_MIN_WORK off the
-busiest worker, a replicate counting as n - 1 + REPLICATE_WORK steps;
-below that, starting the pool costs more than it saves.  The result is
-the same either way.  A command that runs several horizons shares one
+busiest worker, a replicate counting as REPLICATE_WORK plus its n - 1
+steps, each weighed by what it costs a serial run under its rule (one
+unit under the byte rule, BIT_STEP_WORK under the bit rule); below that,
+starting the pool costs more than it saves.  The result is the same
+either way.  A command that runs several horizons shares one
 ``Workers``: its pool starts at the first run that pays for it and shuts
 down when the command ends, so the command pays the start at most once.
 """
@@ -65,7 +69,8 @@ import numpy as np
 from .analytics import exact_mean_variance, moment_catalog
 from .indices import (Generic, IndexSpec, UnknownIndexError, check_positive, eval_direct,
                       index_name, reduced_values)
-from .tree import GrowthModel, RngStream, TreeState, block_leaf_counts, grow_legs
+from .tree import (ONE_BIT, GrowthModel, RngStream, TreeState, block_leaf_counts,
+                   decision_threshold, grow_legs)
 
 __all__ = [
     "SimConfig",
@@ -81,8 +86,9 @@ __all__ = [
 
 CHUNK_SIZE = 1024          # replicates per worker task
 STREAM_BLOCK = 64          # replicates per random stream; divides CHUNK_SIZE
-POOL_MIN_WORK = 12_000_000  # work the pool must take off the busiest worker to pay for its start
-REPLICATE_WORK = 600       # a replicate's work besides its n - 1 steps, in steps
+POOL_MIN_WORK = 24_000_000  # work the pool must take off the busiest worker to pay for its start
+REPLICATE_WORK = 600       # a replicate's work besides its n - 1 steps, in byte-rule steps
+BIT_STEP_WORK = 0.28       # a bit-rule step's work, in byte-rule steps
 SPOT_CHECK_STRIDE = 100    # deterministic 1% direct-evaluation audit
 DIRECT_CHECK_RTOL = 1e-12
 KS_MIN_SAMPLES = 10        # smallest sample ks_normal accepts
@@ -222,11 +228,14 @@ def _chunk_worker(args) -> tuple:
 def _pool_pays(config: SimConfig, threads: int) -> bool:
     """Whether ``threads`` workers take at least POOL_MIN_WORK off the one
     that runs the most chunks, ceil(chunks / threads) of them.  A replicate
-    counts as its n - 1 growth steps plus REPLICATE_WORK."""
+    counts as REPLICATE_WORK plus its n - 1 growth steps, each one unit
+    under the byte rule and BIT_STEP_WORK under the bit rule (p = 1/2),
+    which is what the steps cost a serial run, its 1% audit included."""
     R = config.replicates
     chunks = -(-R // CHUNK_SIZE)
     busiest = min(R, -(-chunks // threads) * CHUNK_SIZE)
-    return (R - busiest) * (config.horizon - 1 + REPLICATE_WORK) >= POOL_MIN_WORK
+    step = BIT_STEP_WORK if decision_threshold(config.model) == ONE_BIT else 1
+    return (R - busiest) * ((config.horizon - 1) * step + REPLICATE_WORK) >= POOL_MIN_WORK
 
 
 class Workers:

@@ -32,8 +32,11 @@ and its 45-bit tail b, and K into ``A = K >> 45`` and ``T = K mod 2**45``:
 tail only for the 1 in 256 steps whose byte ties with A.  Each step is then
 exactly Bernoulli(K / 2**53), the same law as ``decision < p``; the lazy
 comparison is Knuth and Yao's ("The complexity of nonuniform random number
-generation", 1976).  How the engine lays its replicates out over streams is
-documented in ``spiderlab.montecarlo``.
+generation", 1976).  At p = 1/2, K = 2**52, so A = 128 and T = 0: the
+comparison stops at its first bit, and ``block_leaf_counts`` draws one
+random bit per step (the bit rule) and counts a row's recruits by popcount
+(Warren, *Hacker's Delight*, ch. 5).  How the engine lays its replicates
+out over streams is documented in ``spiderlab.montecarlo``.
 """
 
 from __future__ import annotations
@@ -239,31 +242,34 @@ def grow_legs(centroid: np.ndarray, picks: np.ndarray) -> np.ndarray:
     """
     # A leaf step k sees 3 plus the centroid recruits up to k, which are the
     # recruits before k; the product is non-negative, so truncation floors it.
-    leaves = 3 + np.cumsum(centroid)
-    extend = ~centroid
-    chosen = (picks[extend] * leaves[extend]).astype(np.int64)
-    leg_total = 3 + int(np.count_nonzero(centroid))
+    leaves = np.cumsum(centroid)
+    leaves += 3
+    chosen = (picks * leaves)[~centroid].astype(np.int64)
+    leg_total = int(leaves[-1]) if len(leaves) else 3
     return 1 + np.bincount(chosen, minlength=leg_total)
 
 
 DRAW_PIECE = 1 << 14      # most decision words held at once, unless one row is longer
 TAIL_BITS = 45            # bits of k = raw >> 11 below its top byte
 TAIL_SHIFT = 64 - TAIL_BITS  # a tie's tail word w gives b = w >> TAIL_SHIFT
+ONE_BIT = (1 << 7, 0)     # (A, T) at K = 2**52, p = 1/2: a step's top bit decides it alone
 _BYTE_SUM = 0x0101010101010101  # w * _BYTE_SUM holds the sum of w's 8 bytes in its top byte
 
 
 def decision_threshold(model: GrowthModel) -> tuple[int, int]:
     """``(A, T)`` with ``A * 2**45 + T = K = ceil(p * 2**53)``: a step with
     byte a and 45-bit tail b recruits at the centroid iff ``a < A``, or
-    ``a == A`` and ``b < T``, i.e. iff ``a * 2**45 + b < K``."""
+    ``a == A`` and ``b < T``, i.e. iff ``a * 2**45 + b < K``.  At ``(A, T)
+    == ONE_BIT`` (p = 1/2) that is iff the byte's top bit is 0."""
     K = math.ceil(math.ldexp(model.centroid_probability, 53))  # p * 2**53 is exact
     return K >> TAIL_BITS, K & ((1 << TAIL_BITS) - 1)
 
 
 def block_leaf_counts(model: GrowthModel, streams, rows: int, steps: int, audit_row=-1):
     """Leaf counts of blocks of ``rows`` replicates of ``steps`` growth steps
-    each, decided by the byte rule, and the centroid schedule of each
-    block's row ``audit_row`` (None unless ``0 <= audit_row < rows``).
+    each, decided by the bit rule at p = 1/2 and by the byte rule at every
+    other p, and the centroid schedule of each block's row ``audit_row``
+    (None unless ``0 <= audit_row < rows``).
 
     ``streams`` is one block's stream: the result is then ``(counts,
     schedule)``, counts of shape ``(rows,)``.  Or it is a list of block
@@ -271,7 +277,15 @@ def block_leaf_counts(model: GrowthModel, streams, rows: int, steps: int, audit_
     block: the result is then ``(counts, schedules)``, counts of shape
     ``(blocks, rows)`` and one schedule or None per block.
 
-    Each block's stream yields, in order:
+    The bit rule applies when ``decision_threshold(model) == ONE_BIT``, so
+    to ``Preferential`` and ``UniformLeaf(0.5)`` alike.  Each block's
+    stream yields ``rows * W`` raw words, W = ceil(steps / 64), and nothing
+    more.  Row r owns words ``r*W .. r*W + W - 1``, and step s of row r
+    recruits iff bit ``s % 64`` of word ``r*W + s // 64`` is 0.  The bits of
+    a row's last word above step ``steps - 1`` are unused.  The row's leaf
+    count is 3 + steps minus the popcount of its used bits.
+
+    Under the byte rule each block's stream yields, in order:
 
     1. ``rows * W`` raw words, W = ceil(steps / 8).  Row r owns words
        ``r*W .. r*W + W - 1``, and step s of row r takes its byte a from
@@ -281,24 +295,69 @@ def block_leaf_counts(model: GrowthModel, streams, rows: int, steps: int, audit_
     2. One tail word per tie (a byte equal to A), in row-major (row, step)
        order; a tail word w gives the tail ``b = w >> 19``.
 
-    The decision words are drawn and counted in pieces of at most
-    DRAW_PIECE words: as many whole blocks as fit, each drawn whole from
-    its own stream, or else whole rows of one block (a single row when one
-    row is longer).  Each piece is counted in one pass, and ties are
-    resolved after the last decision word, each block's from its own
-    stream, so the piece size bounds memory and is not part of the
+    Under either rule the decision words are drawn and counted in pieces
+    of at most DRAW_PIECE words: as many whole blocks as fit, each drawn
+    whole from its own stream, or else whole rows of one block (a single
+    row when one row is longer).  Each piece is counted in one pass, and
+    ties are resolved after the last decision word, each block's from its
+    own stream, so the piece size bounds memory and is not part of the
     contract.
     """
     if not isinstance(streams, (list, tuple)):
         counts, schedules = block_leaf_counts(model, [streams], rows, steps, [audit_row])
         return counts[0], schedules[0]
     A, T = decision_threshold(model)
-    width = -(-steps // 8)
+    one_bit = (A, T) == ONE_BIT
+    width = -(-steps // (64 if one_bit else 8))  # decision words per row
     blocks = len(streams)
-    below = np.empty(blocks * rows, dtype=np.int64)  # bytes below A, per row of the stack
+    below = np.empty(blocks * rows, dtype=np.int64)  # recruits with no tail, per stacked row
     ties = np.empty(blocks * rows, dtype=np.int64)   # bytes equal to A, per row of the stack
-    audit_bytes = [None] * blocks
+    audited = [None] * blocks  # the audited row's decision words, per block
+    for at, words, piece in _decision_pieces(streams, rows, width):
+        end = at + len(words)
+        for b, row, height in piece:
+            if row <= audit_row[b] < row + height:
+                audited[b] = words[b * rows + audit_row[b] - at].copy()
+        if one_bit:
+            if steps % 64:
+                words[:, -1] &= np.uint64((1 << steps % 64) - 1)  # clear the unused bits
+            below[at:end] = steps - np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        else:
+            octets = words.astype("<u8", copy=False).view(np.uint8)
+            below[at:end] = _row_sums(octets < A, steps)
+            ties[at:end] = _row_sums(octets <= A, steps) - below[at:end]
+    counts = 3 + below
+    if not one_bit:
+        tails = [stream.words(count) for stream, count in
+                 zip(streams, ties.reshape(blocks, rows).sum(axis=1).tolist())]
+        tail_rows = np.repeat(np.arange(blocks * rows), ties)  # the row each tail word decides for
+        recruit = (np.concatenate(tails) >> np.uint64(TAIL_SHIFT)) < T
+        counts += np.bincount(tail_rows[recruit], minlength=blocks * rows)
+    schedules = [None] * blocks
+    for b, row_words in enumerate(audited):
+        if row_words is None:
+            continue
+        octets = row_words.astype("<u8", copy=False).view(np.uint8)
+        if one_bit:
+            schedules[b] = np.unpackbits(octets, bitorder="little")[:steps] == 0
+        else:
+            octets = octets[:steps]
+            schedules[b] = octets < A
+            schedules[b][octets == A] = recruit[tail_rows == b * rows + audit_row[b]]
+    return counts.reshape(blocks, rows), schedules
+
+
+def _decision_pieces(streams, rows: int, width: int):
+    """The decision words of every block, ``rows * width`` from each stream,
+    as ``(at, words, piece)``: ``words`` of shape ``(height, width)`` are the
+    rows ``at .. at + height - 1`` of the blocks stacked in order, and
+    ``piece`` lists them as ``(block, first row, height)``.
+
+    A piece holds at most DRAW_PIECE words: as many whole blocks as fit, or
+    else whole rows of one block (a single row when one row is longer).
+    """
     per_piece = max(1, DRAW_PIECE // max(width, 1))  # rows a piece holds
+    blocks = len(streams)
     if per_piece >= rows:  # whole blocks, stacked
         stack = per_piece // rows
         pieces = [[(b, 0, rows) for b in range(first, min(first + stack, blocks))]
@@ -309,25 +368,8 @@ def block_leaf_counts(model: GrowthModel, streams, rows: int, steps: int, audit_
     for piece in pieces:
         drawn = [streams[b].words(height * width) for b, _, height in piece]
         words = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
-        at = piece[0][0] * rows + piece[0][1]  # the piece's first row in the stack
-        end = at + sum(height for _, _, height in piece)
-        octets = words.astype("<u8", copy=False).view(np.uint8).reshape(end - at, 8 * width)
-        below[at:end] = _row_sums(octets < A, steps)
-        ties[at:end] = _row_sums(octets <= A, steps) - below[at:end]
-        for b, row, height in piece:
-            if row <= audit_row[b] < row + height:
-                audit_bytes[b] = octets[b * rows + audit_row[b] - at, :steps].copy()
-    tails = [stream.words(count) for stream, count in
-             zip(streams, ties.reshape(blocks, rows).sum(axis=1).tolist())]
-    tail_rows = np.repeat(np.arange(blocks * rows), ties)  # the row each tail word decides for
-    recruit = (np.concatenate(tails) >> np.uint64(TAIL_SHIFT)) < T
-    counts = 3 + below + np.bincount(tail_rows[recruit], minlength=blocks * rows)
-    schedules = [None] * blocks
-    for b, octets in enumerate(audit_bytes):
-        if octets is not None:
-            schedules[b] = octets < A
-            schedules[b][octets == A] = recruit[tail_rows == b * rows + audit_row[b]]
-    return counts.reshape(blocks, rows), schedules
+        height = sum(height for _, _, height in piece)
+        yield piece[0][0] * rows + piece[0][1], words.reshape(height, width), piece
 
 
 def _row_sums(flags: np.ndarray, steps: int) -> np.ndarray:

@@ -45,14 +45,26 @@ def reference_block(stream, rows, steps, p):
     """The engine's stream contract spelled out for one block of ``rows``
     replicates: per-row leaf counts and the (rows, steps) centroid matrix.
 
-    Step s of row r takes byte s % 8, ``(w >> 8j) & 0xFF``, of word
-    r * W + s // 8, W = ceil(steps / 8).  A byte equal to the top byte of
-    K = ceil(p * 2**53) is a tie and takes the next tail word, in row-major
-    order, whose top 45 bits complete it to a 53-bit k; any other byte
-    decides alone, so its tail is taken as 0.  The step recruits iff the
-    float uniform k * 2**-53 is below p.
+    At p = 1/2, K = ceil(p * 2**53) = 2**52, the bit rule: step s of row r
+    takes bit s % 64, ``(w >> (s % 64)) & 1``, of word r * W + s // 64,
+    W = ceil(steps / 64), and recruits iff that bit is 0; no tail word is
+    drawn.
+
+    At any other p, the byte rule: step s of row r takes byte s % 8,
+    ``(w >> 8j) & 0xFF``, of word r * W + s // 8, W = ceil(steps / 8).  A
+    byte equal to the top byte of K is a tie and takes the next tail word,
+    in row-major order, whose top 45 bits complete it to a 53-bit k; any
+    other byte decides alone, so its tail is taken as 0.  The step recruits
+    iff the float uniform k * 2**-53 is below p.
     """
     K = math.ceil(p * 2**53)
+    if K == 2**52:
+        width = -(-steps // 64)
+        words = stream.words(rows * width).reshape(rows, width)
+        s = np.arange(steps)
+        bits = (words[:, s // 64] >> (s % 64).astype(np.uint64)) & np.uint64(1)
+        centroid = bits == 0
+        return 3 + centroid.sum(axis=1), centroid
     width = -(-steps // 8)
     words = stream.words(rows * width).reshape(rows, width)
     shifts = np.arange(0, 64, 8, dtype=np.uint64)

@@ -60,7 +60,9 @@ def test_parallel_run_matches_serial(monkeypatch):
     partial_block = SimConfig(model=UniformLeaf(0.4), horizon=201, replicates=1100,
                               master_seed=11, indices=(LEAVES, ZAGREB, GINI))
     assert partial_block.replicates % STREAM_BLOCK and partial_block.replicates > CHUNK_SIZE
-    for config in (many_chunks, partial_block):
+    half = SimConfig(model=UniformLeaf(0.5), horizon=150, replicates=3 * CHUNK_SIZE + 37,
+                     master_seed=5, indices=(LEAVES, ZAGREB, GINI))  # the bit rule
+    for config in (many_chunks, partial_block, half):
         serial = run_experiment(config, threads=1)
         for threads in (2, 3):
             parallel = run_experiment(config, threads=threads)
@@ -149,8 +151,10 @@ def leaf_samples(n, p, replicates, master_seed, threads=1):
     (7, 3, 2, 0.3, 4),
     (7, 4, 2, 0.3, 4),
     (7, 128, 2, 0.3, 4),
-    (20250808, 3, 5000, 0.5, 2555),
-    (7, 65, 8 * DRAW_PIECE + 2, 0.5, 65353),  # a row longer than DRAW_PIECE words
+    (20250808, 3, 5000, 0.5, 2465),  # the bit rule: three blocks per piece
+    (7, 65, 8 * DRAW_PIECE + 2, 0.5, 65491),  # the bit rule: rows of one block per piece
+    (7, 65, 8 * DRAW_PIECE + 2, 0.4, 52250),  # the byte rule: a row longer than DRAW_PIECE words
+    (7, 65, 64 * DRAW_PIECE + 2, 0.5, 524641),  # the bit rule: a row longer than DRAW_PIECE words
 ])
 def test_golden_leaf_counts(seed, i, n, p, expected):
     assert leaf_samples(n, p, i + 1, seed)[i] == expected
@@ -173,16 +177,27 @@ def test_block_layout_matches_hand_drawn_streams():
 
 
 def test_pieces_equal_a_one_shot_block_draw_at_large_n(monkeypatch):
-    n, p, seed = 5000, 0.5, 3
-    width = -(-(n - 1) // 8)
-    assert STREAM_BLOCK * width > DRAW_PIECE  # the engine draws this block in pieces
-    expected, _ = reference_block(RngStream(seed, 0), STREAM_BLOCK, n - 1, p)
-    assert np.array_equal(leaf_samples(n, p, STREAM_BLOCK, seed), expected)
-    for piece in (1, width, 3 * width - 1, DRAW_PIECE, STREAM_BLOCK * width):
+    n, p, seed, blocks = 5000, 0.5, 3, 4
+    width = -(-(n - 1) // 64)  # the bit rule's words per row
+    block = STREAM_BLOCK * width
+    assert 3 * block <= DRAW_PIECE < 4 * block  # the engine counts three blocks per pass
+    audit_rows = [0, 36, -1, 63]
+    expected, schedules = [], []
+    for b, row in enumerate(audit_rows):
+        counts, centroid = reference_block(RngStream(seed, b), STREAM_BLOCK, n - 1, p)
+        expected.append(counts)
+        schedules.append(centroid[row] if row >= 0 else None)
+    assert np.array_equal(leaf_samples(n, p, blocks * STREAM_BLOCK, seed),
+                          np.concatenate(expected))
+    for piece in (1, width, 3 * width - 1, block, 3 * block, DRAW_PIECE, blocks * block):
         monkeypatch.setattr(tree, "DRAW_PIECE", piece)
-        counts, _ = tree.block_leaf_counts(UniformLeaf(p), RngStream(seed, 0),
-                                           STREAM_BLOCK, n - 1)
-        assert np.array_equal(counts, expected)
+        streams = [RngStream(seed, b) for b in range(blocks)]
+        counts, got = tree.block_leaf_counts(UniformLeaf(p), streams, STREAM_BLOCK, n - 1,
+                                             audit_rows)
+        assert np.array_equal(counts, np.stack(expected))
+        for schedule, want in zip(got, schedules):
+            assert (schedule is None) == (want is None)
+            assert want is None or np.array_equal(schedule, want)
     stream = RngStream(seed, 0)
     pieces = [stream.words(size) for size in (DRAW_PIECE, 1, DRAW_PIECE - 1, 12345)]
     assert np.array_equal(np.concatenate(pieces),
@@ -280,19 +295,22 @@ def test_pool_starts_only_above_the_work_threshold(monkeypatch):
         started.append(max_workers)
         return real(max_workers=max_workers)
 
-    def shape(n, replicates):
-        return SimConfig(model=UniformLeaf(0.4), horizon=n, replicates=replicates,
+    def shape(n, replicates, p=0.4):
+        return SimConfig(model=UniformLeaf(p), horizon=n, replicates=replicates,
                          master_seed=11, indices=(LEAVES, GINI))
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", spy)
-    assert montecarlo._pool_pays(shape(5000, 20_000), 2)  # the clt example stays pooled
+    # the clt example's shape: counted serially under the bit rule, pooled at p = 0.4
+    assert not montecarlo._pool_pays(shape(5000, 20_000, 0.5), 2)
+    assert montecarlo._pool_pays(shape(5000, 20_000), 2)
+    assert montecarlo._pool_pays(shape(5000, 50_000, 0.5), 2)
     assert not montecarlo._pool_pays(shape(5000, 20_000), 1)
     # chunks of 1024 and 76: a second worker could take only the 76
     assert not montecarlo._pool_pays(shape(5001, 1100), 2)
     assert not montecarlo._pool_pays(shape(5001, 1100), 3)
     assert not montecarlo._pool_pays(shape(201, 2000), 2)
     threshold = montecarlo.POOL_MIN_WORK
-    for config in (shape(201, 2000), shape(5001, 1100)):
+    for config in (shape(201, 2000), shape(5001, 1100), shape(5000, 20_000, 0.5)):
         started.clear()
         serial = run_experiment(config, threads=1)
         below = run_experiment(config, threads=2)

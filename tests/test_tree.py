@@ -19,7 +19,7 @@ from spiderlab import (
 )
 
 import spiderlab.tree as tree
-from spiderlab.tree import DRAW_PIECE, decision_threshold
+from spiderlab.tree import DRAW_PIECE, ONE_BIT, decision_threshold
 
 from conftest import ScriptedStream, ScriptedWords, reference_block
 
@@ -326,8 +326,13 @@ def test_leaf_count_scripted_decisions(monkeypatch):
     assert np.array_equal(want_centroid[2], centroid)
 
 
-@pytest.mark.parametrize("model", [UniformLeaf(0.5), Preferential(), UniformLeaf(0.4),
-                                   UniformLeaf(1e-3), UniformLeaf(1 - 2**-53)])
+# The ids keep each p's case name from when p = 1/2 and Preferential (model0,
+# model1) ran here too; they moved to test_bit_rule_has_the_float_comparison_law.
+@pytest.mark.parametrize("model", [
+    pytest.param(UniformLeaf(0.4), id="model2"),
+    pytest.param(UniformLeaf(1e-3), id="model3"),
+    pytest.param(UniformLeaf(1 - 2**-53), id="model4"),
+])
 def test_byte_rule_is_the_float_comparison(model):
     # Every 53-bit k, split into the step's byte and a tie's tail, must give
     # the decision k * 2**-53 < p: the step law is Bernoulli(ceil(p 2**53) / 2**53).
@@ -349,3 +354,72 @@ def test_byte_rule_is_the_float_comparison(model):
         counts, centroid = block_leaf_counts(model, stream, 1, 1, 0)
         assert bool(counts[0] - 3) == (k * 2.0**-53 < p) == bool(centroid[0]), k
         assert stream.left == (0 if byte == A else 1), k
+
+
+@pytest.mark.parametrize("model", [UniformLeaf(0.5), Preferential()])
+def test_bit_rule_has_the_float_comparison_law(model):
+    # At p = 1/2, K = 2**52: the float comparison k * 2**-53 < p recruits iff
+    # the top bit of the 53-bit k is 0, i.e. with probability exactly 1/2,
+    # which is the byte rule's A = 128, T = 0.  The bit rule decides step s
+    # on one other fair bit, bit s % 64 of its word, and draws nothing else.
+    p = model.centroid_probability
+    assert math.ceil(p * 2**53) == 2**52 == p * 2**53
+    assert decision_threshold(model) == ONE_BIT == (128, 0)
+    rng = np.random.default_rng(2024)
+    ks = [0, 2**52 - 1, 2**52, 2**53 - 1] + rng.integers(0, 2**53, 1000).tolist()
+    assert all((k * 2.0**-53 < p) == (k >> 52 == 0) for k in ks)
+    for word in rng.integers(0, 2**64, 200, dtype=np.uint64).tolist():
+        for steps in (1, 13, 64):
+            stream = ScriptedWords([word, 0])
+            counts, centroid = block_leaf_counts(model, stream, 1, steps, 0)
+            want = [(word >> s) & 1 == 0 for s in range(steps)]
+            assert centroid.tolist() == want and counts[0] == 3 + sum(want)
+            assert stream.draws == [1] and stream.left == 1
+
+
+@given(st.sampled_from([UniformLeaf(0.5), Preferential()]), st.integers(1, 5),
+       st.integers(0, 300), st.integers(0, 2**63 - 1), st.integers(0, 10**9))
+def test_bit_rule_counts_and_schedules_equal_the_reference(model, rows, steps, master_seed,
+                                                           stream_index):
+    want_counts, want_centroid = reference_block(RngStream(master_seed, stream_index), rows,
+                                                 steps, 0.5)
+    for audit_row in range(rows):
+        counts, centroid = block_leaf_counts(model, RngStream(master_seed, stream_index), rows,
+                                             steps, audit_row)
+        assert counts.tolist() == want_counts.tolist()
+        assert np.array_equal(centroid, want_centroid[audit_row])
+
+
+def bit_words(rows, width):
+    """Raw words holding each row's steps as bits, bit s % 64 of the row's
+    word s // 64 being 1 where the row holds 1, row after row; the bits of a
+    row's last word past its steps are all 1."""
+    out = []
+    for row in rows:
+        for first in range(0, 64 * width, 64):
+            chunk = list(row[first:first + 64])
+            chunk += [1] * (64 - len(chunk))
+            out.append(sum(bit << s for s, bit in enumerate(chunk)))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 65, 66, 130])
+def test_bit_rule_reads_only_the_used_bits_and_draws_no_tail(monkeypatch, n):
+    steps = n - 1
+    width = -(-steps // 64)
+    rng = np.random.default_rng(n)
+    rows = [[0] * steps, [1] * steps] + [rng.integers(0, 2, steps).tolist() for _ in range(3)]
+    words = bit_words(rows, width)
+    want = [3 + row.count(0) for row in rows]
+    # one row per piece, two, and the whole block
+    for piece, draws in ((1, [width] * 5), (2 * width, [2 * width, 2 * width, width]),
+                         (DRAW_PIECE, [5 * width])):
+        monkeypatch.setattr(tree, "DRAW_PIECE", piece)
+        stream = ScriptedWords(words + [2**64 - 1])
+        counts, centroid = block_leaf_counts(Preferential(), stream, 5, steps, 4)
+        assert counts.tolist() == want
+        assert centroid.tolist() == [bit == 0 for bit in rows[4]]
+        assert stream.draws == draws and stream.left == 1  # no tail word
+    want_counts, want_centroid = reference_block(ScriptedWords(words), 5, steps, 0.5)
+    assert want_counts.tolist() == want
+    assert want_centroid[4].tolist() == [bit == 0 for bit in rows[4]]
