@@ -36,7 +36,6 @@ from .indices import (
     UnknownIndexError,
     eval_reduced,
     horner,
-    index_name,
 )
 from .tree import InvalidProbabilityError
 
@@ -545,7 +544,7 @@ def moment_catalog(index: IndexSpec) -> MomentCatalogEntry:
                                       limit=limit, asymptotic=AsymptoticMoments(3))
         return MomentCatalogEntry(key=key, mean=None, variance=None, limit=limit,
                                   asymptotic=AsymptoticMoments(a))
-    key = index_name(index)
+    key = index.name
     try:
         return _CATALOG[key]
     except KeyError:
@@ -597,7 +596,8 @@ def oracle_moment(index: IndexSpec, n: int, p, order: int = 1):
     For float p it is the exact moment of the float pmf, rounded once, so
     the only error is the pmf's (``support_pmf``): against the catalog at
     Fraction(p), every named index's mean and variance are within 4.4e-16
-    relative for n in {200, 1000, 5000} and p in {0.01, 0.3, 0.5, 0.77, 0.99}.
+    relative for n in {1, 2, 3, 10, 57, 200, 1000, 5000, 10**4, 2 10**4, 5 10**4}
+    and p in {0.01, 0.1, 0.3, 0.5, 0.77, 0.99} (worst 4.31e-16).
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")

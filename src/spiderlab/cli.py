@@ -35,13 +35,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analytics import moment_catalog, oracle_mean_variance
-from .indices import NAMED_INDICES, index_name, parse_index, reduced_values
+from .indices import NAMED_INDICES, parse_index, reduced_values
 from .montecarlo import (
     KS_MIN_SAMPLES,
     SimConfig,
     Workers,
+    atom_stats,
     convergence_probe,
     ks_normal,
+    leaf_atoms,
     run_experiment,
     standardize,
 )
@@ -59,10 +61,12 @@ DIAG_HEADER = ["index", "n", "p", "mean", "var", "ks", "exceedance", "r_mean_err
 SIMULATE_HEADER = ["index", "n", "p", "replicates", "mean", "variance"]
 EXACT_HEADER = ["index", "n", "p", "mean", "variance", "oracle_mean", "oracle_variance", "match"]
 
-DEFAULT_INDICES = ",".join(index_name(spec) for spec in NAMED_INDICES)
+ORACLE_MATCH_RTOL = 4.4e-16 + 2.0 ** -53  # float oracle's stated accuracy + catalog's rounding
+
+DEFAULT_INDICES = ",".join(spec.name for spec in NAMED_INDICES)
 
 CONFIG_FIELDS = {
-    "simulate": ("model", "horizon", "replicates", "master_seed", "indices", "clt_shift"),
+    "simulate": ("model", "horizon", "replicates", "master_seed", "indices"),
     "verify": ("master_seed",),
     "clt": ("replicates", "master_seed"),
     "converge": ("replicates", "master_seed"),
@@ -255,13 +259,10 @@ def _cmd_simulate(args):
         raise ConfigError("missing required field 'n' (horizon)")
     replicates = _resolve_int(args, file_config, "replicates", "replicates", 10_000)
     indices = _parse_indices(_resolve(args, file_config, "indices", "indices", DEFAULT_INDICES))
-    clt_shift = _resolve(args, file_config, "clt_shift", "clt_shift", 0.0)
-    if isinstance(clt_shift, bool) or not isinstance(clt_shift, (int, float)):
-        raise ConfigError(f"field 'clt_shift' must be a number, got {clt_shift!r}")
     seed = _effective_seed(args, file_config)
 
     config = SimConfig(model=model, horizon=horizon, replicates=replicates,
-                       master_seed=seed, indices=indices, clt_shift=float(clt_shift))
+                       master_seed=seed, indices=indices)
     resolved = {"command": "simulate", "threads": args.threads, "format": args.format,
                 **config.to_json()}
 
@@ -298,7 +299,7 @@ def _cmd_exact(args):
 
     def run() -> int:
         rows = []
-        exact_mode = isinstance(p, Fraction)
+        rtol = 0 if isinstance(p, Fraction) else ORACLE_MATCH_RTOL  # Fraction p: exact
         for n in n_values:
             mean = entry.mean(n, p)
             variance = entry.variance(n, p)
@@ -306,13 +307,8 @@ def _cmd_exact(args):
             match = None
             if args.oracle:
                 oracle_mean, oracle_var = oracle_mean_variance(index, n, p)
-                if exact_mode:
-                    match = mean == oracle_mean and variance == oracle_var
-                else:
-                    match = (
-                        abs(mean - oracle_mean) <= 1e-12 * max(1.0, abs(oracle_mean))
-                        and abs(variance - oracle_var) <= 1e-12 * max(1.0, abs(oracle_var))
-                    )
+                match = all(abs(x - o) <= rtol * max(1, abs(o))
+                            for x, o in ((mean, oracle_mean), (variance, oracle_var)))
             rows.append([entry.key, n, p, mean, variance, oracle_mean, oracle_var, match])
 
         if args.format == "csv":
@@ -384,8 +380,10 @@ def _cmd_clt(args):
     k = float(args.k)
     seed = _effective_seed(args, file_config)
     configs = [SimConfig(model=model, horizon=n, replicates=replicates,
-                         master_seed=seed, indices=(index,), clt_shift=k)
+                         master_seed=seed, indices=(index,))
                for n in n_values]
+    if min(n_values) + k <= 0:
+        raise ConfigError(f"field 'k' must keep every n + k positive, got k={k}")
     resolved = {"command": "clt", "index": entry.key, "model": model.name,
                 "n_values": n_values, "replicates": replicates, "clt_shift": k,
                 "master_seed": seed, "threads": args.threads, "format": args.format}
@@ -395,10 +393,11 @@ def _cmd_clt(args):
         with Workers(args.threads) as workers:
             for config in configs:
                 n = config.horizon
-                summary = run_experiment(config, workers=workers)
-                z = standardize(reduced_values(index, n, summary.leaf_counts), index, n, p, k)
-                rows.append([entry.key, n, p, float(z.mean()), float(z.var(ddof=1)),
-                             ks_normal(z), None, None, None])
+                atoms, counts = leaf_atoms(run_experiment(config, workers=workers).leaf_counts)
+                z = standardize(reduced_values(index, n, atoms), index, n, p, k)
+                stats = atom_stats(counts, z)
+                rows.append([entry.key, n, p, stats.mean, stats.variance,
+                             ks_normal(z, counts), None, None, None])
         _diag_output(args, rows)
         return EXIT_OK
 
@@ -479,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=sampled + [model], help="run a Monte Carlo experiment")
     sim.add_argument("--n", type=int, default=None, help="growth horizon")
     sim.add_argument("--indices", default=None, help=f"comma list (default {DEFAULT_INDICES})")
-    sim.add_argument("--clt-shift", dest="clt_shift", type=float, default=None)
 
     exact = sub.add_parser("exact", parents=[fmt, out, index],
                            help="print catalog mean/variance tables")

@@ -23,12 +23,10 @@ workers finish.
 
 Result.  A run's only random output is one integer per replicate, so
 ``SampleSummary.leaf_counts`` holds every replicate's L, in replicate
-order, and everything else is read off it.  The statistics take the
-distinct L once (``np.bincount``), evaluate each index once per distinct L
-with ``reduced_values``, and form the mean and the sample variance as
-exact weighted sums over those atoms, rounded once; they depend only on
-the multiset of L.  Any per-replicate value is ``reduced_values(index, n,
-summary.leaf_counts)``.
+order.  Every number is read off its atoms, the distinct L and their
+counts (``leaf_atoms``): an index is evaluated once per atom, its mean and
+sample variance are exact atom sums rounded once (``atom_stats``), and
+``ks_normal`` walks the same atoms, so all depend only on the multiset of L.
 
 Audit.  Replicates whose index is a multiple of SPOT_CHECK_STRIDE are
 audited; a block holds at most one.  After the block's decision and tail
@@ -62,13 +60,14 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
 from .analytics import exact_mean_variance, moment_catalog
 from .indices import (Generic, IndexSpec, UnknownIndexError, check_positive, eval_direct,
-                      index_name, reduced_values)
+                      reduced_values)
 from .tree import (ONE_BIT, GrowthModel, RngStream, TreeState, block_leaf_counts,
                    decision_threshold, grow_legs)
 
@@ -78,6 +77,8 @@ __all__ = [
     "SampleSummary",
     "Workers",
     "run_experiment",
+    "leaf_atoms",
+    "atom_stats",
     "standardize",
     "ks_normal",
     "ProbeRow",
@@ -91,25 +92,19 @@ REPLICATE_WORK = 600       # a replicate's work besides its n - 1 steps, in byte
 BIT_STEP_WORK = 0.28       # a bit-rule step's work, in byte-rule steps
 SPOT_CHECK_STRIDE = 100    # deterministic 1% direct-evaluation audit
 DIRECT_CHECK_RTOL = 1e-12
-KS_MIN_SAMPLES = 10        # smallest sample ks_normal accepts
-SQRT2 = math.sqrt(2.0)
+KS_MIN_SAMPLES = 10        # smallest replicate count ks_normal accepts
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """One experiment: grow ``replicates`` trees to time ``horizon`` and
-    evaluate ``indices`` on each.
-
-    ``clt_shift`` is the free shift k allowed in every CLT scale
-    sqrt(...(n + k)...); it only affects ``standardize``.
-    """
+    evaluate ``indices`` on each."""
 
     model: GrowthModel
     horizon: int
     replicates: int
     master_seed: int
     indices: tuple[IndexSpec, ...]
-    clt_shift: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(self.indices))
@@ -125,10 +120,6 @@ class SimConfig:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if not self.indices:
             raise ValueError("at least one index is required")
-        if self.horizon + self.clt_shift <= 0:
-            raise ValueError(
-                f"clt_shift {self.clt_shift} must keep horizon + k positive"
-            )
         for spec in self.indices:
             if isinstance(spec, Generic):
                 # Surface bad degree functions before any replicate runs: leaves
@@ -141,8 +132,7 @@ class SimConfig:
             "horizon": self.horizon,
             "replicates": self.replicates,
             "master_seed": self.master_seed,
-            "indices": [index_name(spec) for spec in self.indices],
-            "clt_shift": self.clt_shift,
+            "indices": [spec.name for spec in self.indices],
         }
 
 
@@ -160,10 +150,8 @@ class SampleSummary:
     """Result of ``run_experiment``.
 
     ``leaf_counts`` holds every replicate's leaf count L (int64, in
-    replicate order, never thinned), the run's only random output; the
-    values of an index are ``reduced_values(index, n, leaf_counts)``.
-    ``stats`` are read off the distinct L, and ``spot_checks`` counts the
-    replicates that passed the direct-evaluation audit.
+    replicate order, never thinned), the run's only random output; ``stats``
+    are read off its atoms, and ``spot_checks`` counts the audited replicates.
     """
 
     config: SimConfig
@@ -279,10 +267,8 @@ def run_experiment(config: SimConfig, threads: int = 1,
     result is identical either way.  A command that runs several
     experiments passes its ``Workers`` instead, so they share one pool.
 
-    Each index is evaluated once per distinct leaf count; its mean and
-    sample variance (ddof 1) are the exact sums over those float64 atom
-    values weighted by their counts (``analytics.exact_mean_variance``),
-    each rounded once to the nearest float.
+    Each index is evaluated once per distinct leaf count, and its
+    statistics are ``atom_stats`` over those float64 atom values.
     """
     if workers is None:
         with Workers(threads) as workers:
@@ -293,26 +279,40 @@ def run_experiment(config: SimConfig, threads: int = 1,
     leaf_counts = np.concatenate([counts for counts, _ in results])
     audits = [audit for _, chunk in results for audit in chunk]
 
-    weights = np.bincount(leaf_counts - 3)
-    support = np.flatnonzero(weights)  # the distinct L - 3, ascending
-    weights = weights[support].tolist()
-    audited = [(int(leaf_counts[i]), np.searchsorted(support, leaf_counts[i] - 3), direct)
+    atoms, counts = leaf_atoms(leaf_counts)
+    audited = [(int(leaf_counts[i]), np.searchsorted(atoms, leaf_counts[i]), direct)
                for i, direct in audits]
     stats = {}
     for j, spec in enumerate(config.indices):
-        values = reduced_values(spec, n, support + 3)
+        values = reduced_values(spec, n, atoms)
         for L, atom, direct in audited:
             reduced = float(values[atom])
             if abs(direct[j] - reduced) > DIRECT_CHECK_RTOL * max(1.0, abs(reduced)):
                 raise RuntimeError(
-                    f"direct/reduced mismatch for {index_name(spec)} at n={n}, "
+                    f"direct/reduced mismatch for {spec.name} at n={n}, "
                     f"L={L}: direct={direct[j]!r} reduced={reduced!r}"
                 )
-        mean, variance = exact_mean_variance(weights, values.tolist())
-        variance = float(variance * R / (R - 1)) if R > 1 else 0.0
-        stats[index_name(spec)] = IndexStats(count=R, mean=float(mean), variance=variance)
+        stats[spec.name] = atom_stats(counts, values)
     return SampleSummary(config=config, leaf_counts=leaf_counts, stats=stats,
                          spot_checks=len(audits))
+
+
+def leaf_atoms(leaf_counts: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The atoms of a run's leaf counts: the distinct L, ascending (int64),
+    and how many replicates hold each, as ints for exact sums."""
+    counts = np.bincount(leaf_counts - 3)
+    support = np.flatnonzero(counts)  # the distinct L - 3, ascending
+    return support + 3, counts[support].tolist()
+
+
+def atom_stats(counts: list[int], values: np.ndarray) -> IndexStats:
+    """Mean and sample variance (ddof 1; 0.0 at R = 1) of the sample that
+    holds ``values[i]`` ``counts[i]`` times, R = sum(counts): exact sums over
+    the atoms (``analytics.exact_mean_variance``), each rounded once."""
+    R = sum(counts)
+    mean, variance = exact_mean_variance(counts, values.tolist())
+    return IndexStats(count=R, mean=float(mean),
+                      variance=float(variance * R / (R - 1)) if R > 1 else 0.0)
 
 
 def standardize(samples, index: IndexSpec, n: int, p, k: float = 0.0) -> np.ndarray:
@@ -327,31 +327,30 @@ def standardize(samples, index: IndexSpec, n: int, p, k: float = 0.0) -> np.ndar
     return (x - center) / scale
 
 
-def ks_normal(samples) -> float:
-    """Two-sided Kolmogorov-Smirnov distance between the empirical
-    distribution of ``samples`` and the standard normal.
+def ks_normal(values, counts) -> float:
+    """Two-sided Kolmogorov-Smirnov distance between the standard normal and
+    the sample that holds ``values[i]`` ``counts[i]`` times, R = sum(counts)
+    in all: a run's atoms, or a sample as ``np.unique(z, return_counts=True)``.
 
-    Phi(x) = erfc(-x / sqrt(2)) / 2 is within 2.2e-16 absolute of
-    ``scipy.special.ndtr`` on 1.1e6 points (a grid over [-40, 10] and 5e5
-    draws of 3 N(0, 1)).  It is taken once per distinct value: engine
-    samples are functions of the leaf count, a few hundred values in 2e4.
-    """
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    size = len(x)
+    Over the atoms in value order, D+ = max(cum / R - Phi(v)) and D- =
+    max(Phi(v) - (cum - count) / R), cum the running count; equal values in
+    distinct atoms need no merging, as among them D+ peaks at the last atom
+    and D- at the first.  Phi(x) = erfc(-x / sqrt(2)) / 2, once per atom, is
+    within 2.2e-16 absolute of ``scipy.special.ndtr`` on 1.1e6 points (a grid
+    over [-40, 10] and 5e5 draws of 3 N(0, 1))."""
+    values = np.asarray(values, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if values.shape != counts.shape:
+        raise ValueError(f"{values.shape} values but {counts.shape} counts")
+    size = int(counts.sum())
     if size < KS_MIN_SAMPLES:
-        raise ValueError(
-            f"need at least {KS_MIN_SAMPLES} samples for a KS diagnostic, got {size}")
-    # x is sorted, so each distinct value starts where it differs from its
-    # predecessor; no second sort as in np.unique.
-    first = np.empty(size, dtype=bool)
-    first[0] = True
-    np.not_equal(x[1:], x[:-1], out=first[1:])
-    values = x[first]
-    phi = np.fromiter(map(math.erfc, (-values / SQRT2).tolist()), np.float64, len(values))
-    cdf = (0.5 * phi)[np.cumsum(first) - 1]
-    i = np.arange(1, size + 1)
-    d_plus = (i / size - cdf).max()
-    d_minus = (cdf - (i - 1) / size).max()
+        raise ValueError(f"need at least {KS_MIN_SAMPLES} samples for a KS diagnostic, got {size}")
+    order = np.argsort(values, kind="stable")
+    x, held = values[order], counts[order]
+    cum = np.cumsum(held)
+    cdf = 0.5 * np.fromiter(map(math.erfc, (-x / math.sqrt(2.0)).tolist()), np.float64, len(x))
+    d_plus = (cum / size - cdf).max()
+    d_minus = (cdf - (cum - held) / size).max()
     return float(max(d_plus, d_minus))
 
 
@@ -384,7 +383,8 @@ def convergence_probe(
     For each horizon n the index is scaled by n**exponent and compared to
     the limit constant c(p): the exceedance P(|scaled - c| > epsilon) and
     the r-mean error E|scaled - c|**r are estimated from ``replicates``
-    grown trees.  Both sequences should shrink along the grid.
+    grown trees, as ``atom_stats`` means and a count over R of the run's
+    atoms.  Both sequences should shrink along the grid.
     """
     entry = moment_catalog(index)
     if entry.limit is None:
@@ -399,17 +399,18 @@ def convergence_probe(
         for n in n_grid:
             config = SimConfig(model=model, horizon=n, replicates=replicates,
                                master_seed=master_seed, indices=(index,))
-            summary = run_experiment(config, workers=workers)
-            scaled = reduced_values(index, n, summary.leaf_counts) / float(n) ** exponent
+            atoms, counts = leaf_atoms(run_experiment(config, workers=workers).leaf_counts)
+            scaled = reduced_values(index, n, atoms) / float(n) ** exponent
             err = np.abs(scaled - c)
+            stats = atom_stats(counts, scaled)
             rows.append(ProbeRow(
-                index=index_name(index),
+                index=index.name,
                 n=n,
                 p=p,
-                mean=float(scaled.mean()),
-                variance=float(scaled.var(ddof=1)) if len(scaled) > 1 else 0.0,
-                exceedance=float((err > epsilon).mean()),
-                r_mean_error=float((err ** r).mean()),
+                mean=stats.mean,
+                variance=stats.variance,
+                exceedance=sum(compress(counts, err > epsilon)) / replicates,
+                r_mean_error=atom_stats(counts, err ** r).mean,
                 limit=c,
             ))
     return rows

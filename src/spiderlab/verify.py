@@ -43,10 +43,9 @@ from .indices import (
     IndexSpec,
     eval_direct,
     eval_reduced,
-    index_name,
     reduced_values,
 )
-from .montecarlo import STREAM_BLOCK
+from .montecarlo import DIRECT_CHECK_RTOL, STREAM_BLOCK
 from .tree import RngStream, TreeState, grow_legs, new_seed
 
 __all__ = [
@@ -92,7 +91,7 @@ def stirling2(n: int, k: int) -> int:
 
 
 def _default_catalog() -> dict:
-    return {index_name(spec): moment_catalog(spec) for spec in NAMED_INDICES}
+    return {spec.name: moment_catalog(spec) for spec in NAMED_INDICES}
 
 
 def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
@@ -101,7 +100,7 @@ def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
     oracle over the given (p, n) grid."""
     if catalog is None:
         catalog = _default_catalog()
-    specs = {index_name(spec): spec for spec in NAMED_INDICES}
+    specs = {spec.name: spec for spec in NAMED_INDICES}
     failures = []
     for n in n_values:
         reduced = {
@@ -135,8 +134,7 @@ def _trial_specs() -> tuple[IndexSpec, ...]:
     )
 
 
-def direct_reduced_suite(trials: int, max_n: int, master_seed: int,
-                         rtol: float = 1e-12) -> list[Failure]:
+def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Failure]:
     """Direct vs reduced evaluation on randomly grown trees: each trial draws
     n uniform on 1..max_n and grows a ``UniformLeaf(p)`` tree, p uniform on
     [0.05, 0.95) (``Preferential`` growth is the case p = 1/2).
@@ -152,9 +150,9 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int,
     Every tree is evaluated directly (``eval_direct``) for every spec; the
     reduced side is one float64 ``reduced_values`` pass per spec and block
     over the block's (n, L), the engine's path.  A pair fails when it differs
-    by more than ``rtol`` relative (absolute below 1); failures are listed in
-    (trial, spec) order with their (n, L, p) witness.  Only one block's trees
-    are held at a time.
+    by more than DIRECT_CHECK_RTOL relative (absolute below 1), the engine
+    audit's tolerance; failures are listed in (trial, spec) order with their
+    (n, L, p) witness.  Only one block's trees are held at a time.
     """
     specs = _trial_specs()
     failures = []
@@ -173,10 +171,10 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int,
             L_block[k] = state.leaf_count
             direct[k] = [float(eval_direct(state, spec)) for spec in specs]
         reduced = np.column_stack([reduced_values(spec, n_block, L_block) for spec in specs])
-        bad = np.abs(direct - reduced) > rtol * np.maximum(1.0, np.abs(reduced))
+        bad = np.abs(direct - reduced) > DIRECT_CHECK_RTOL * np.maximum(1.0, np.abs(reduced))
         for k, j in zip(*np.nonzero(bad)):  # row-major: (trial, spec) order
             failures.append(Failure(
-                "direct-reduced", index_name(specs[j]),
+                "direct-reduced", specs[j].name,
                 {"n": int(n_block[k]), "L": int(L_block[k]), "p": round(float(ps[first + k]), 6)},
                 f"direct={float(direct[k, j])!r} reduced={float(reduced[k, j])!r}"))
     return failures
@@ -204,7 +202,7 @@ def seed_degeneracy_suite(p_values=FULL_P_VALUES, catalog=None) -> list[Failure]
     if catalog is None:
         catalog = _default_catalog()
     seed = new_seed()
-    specs = {index_name(spec): spec for spec in NAMED_INDICES}
+    specs = {spec.name: spec for spec in NAMED_INDICES}
     failures = []
     for key, entry in catalog.items():
         seed_value = eval_direct(seed, specs[key])

@@ -27,6 +27,7 @@ from spiderlab import (
     coefficient_triangle,
     eval_direct,
     ks_normal,
+    leaf_atoms,
     leaf_pmf,
     leaf_raw_moment_asymptotic,
     leaf_raw_moment_exact,
@@ -128,15 +129,16 @@ CLT_INDICES = (LEAVES, ZAGREB, GORDON_SCANTLEBURY)
 @pytest.fixture(scope="module")
 def clt_samples():
     config = SimConfig(model=UniformLeaf(0.5), horizon=5000, replicates=20_000,
-                       master_seed=MASTER_SEED, indices=CLT_INDICES, clt_shift=0.0)
+                       master_seed=MASTER_SEED, indices=CLT_INDICES)
     return run_experiment(config)
 
 
 @pytest.mark.parametrize("spec", CLT_INDICES, ids=lambda s: s.name)
 def test_c5_ks_of_standardized_indices(clt_samples, spec):
     n, p, k = 5000, 0.5, 0.0
-    z = standardize(reduced_values(spec, n, clt_samples.leaf_counts), spec, n, p, k)
-    d = ks_normal(z)
+    atoms, counts = leaf_atoms(clt_samples.leaf_counts)
+    z = standardize(reduced_values(spec, n, atoms), spec, n, p, k)
+    d = ks_normal(z, counts)
     ok = report(5, f"KS of standardized {spec.name} at n=5000, R=2e4: D={d:.4f} < 0.02", d < 0.02)
     assert ok, (
         f"KS statistic {d:.4f} exceeds the 0.02 threshold for {spec.name}: the cataloged "
@@ -152,9 +154,9 @@ def test_c5_ks_shrinks_from_n_100_to_10000():
         for n in distances:
             config = SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=10_000,
                                master_seed=MASTER_SEED + 1 + seed_offset, indices=(LEAVES,))
-            summary = run_experiment(config)
-            z = standardize(reduced_values(LEAVES, n, summary.leaf_counts), LEAVES, n, 0.5, 0.0)
-            distances[n].append(ks_normal(z))
+            atoms, counts = leaf_atoms(run_experiment(config).leaf_counts)
+            z = standardize(reduced_values(LEAVES, n, atoms), LEAVES, n, 0.5, 0.0)
+            distances[n].append(ks_normal(z, counts))
     low, high = np.mean(distances[10_000]), np.mean(distances[100])
     ok = report(5, f"mean KS over 5 seeds: D(n=1e4)={low:.4f} < D(n=100)={high:.4f}", low < high)
     assert ok

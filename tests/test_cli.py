@@ -1,8 +1,10 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,8 @@ import pytest
 import spiderlab.analytics as analytics
 import spiderlab.cli as cli
 import spiderlab.montecarlo as montecarlo
-from spiderlab import NAMED_INDICES
+from spiderlab import (NAMED_INDICES, ZAGREB, SimConfig, UniformLeaf, reduced_values,
+                       run_experiment, standardize)
 from spiderlab.verify import Failure
 
 
@@ -107,7 +110,7 @@ def test_simulate_config_file_and_flag_override(capsys, tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "model": "uniform:0.5", "horizon": 4, "replicates": 25,
-        "master_seed": 9, "indices": ["zagreb", "gini"], "clt_shift": 0.0,
+        "master_seed": 9, "indices": ["zagreb", "gini"],
     }))
     code, out, _ = run_cli(capsys, "simulate", "--config", str(config))
     assert code == 0
@@ -165,14 +168,26 @@ def test_exact_oracle_matches_over_range(capsys):
 
 @pytest.mark.parametrize("index", [spec.name for spec in NAMED_INDICES])
 def test_exact_float_oracle_matches_at_large_n(capsys, index):
-    # float p: the oracle must meet the 1e-12 tolerance even where the support
-    # spans thousands of masses and E[X^2] dwarfs the variance
+    # float p: catalog and oracle must agree within ORACLE_MATCH_RTOL, the sum
+    # of their stated accuracies, even where the support spans thousands of
+    # masses and E[X^2] dwarfs the variance
     code, out, _ = run_cli(capsys, "exact", "--index", index, "--n-range", "1000:5000:4000",
                            "--p", "0.3", "--oracle", "--format", "csv")
     assert code == 0
     _, rows = csv_rows(out)
     assert [row["n"] for row in rows] == ["1000", "5000"]
     assert [row["match"] for row in rows] == ["True", "True"]
+
+
+def test_exact_float_match_sees_a_catalog_error_of_1e14(capsys, monkeypatch):
+    # the float-p match tolerance was once 1e-12, blind to errors this size
+    entry = cli.moment_catalog(ZAGREB)
+    skewed = dataclasses.replace(entry, mean=lambda n, p: entry.mean(n, p) * (1 + 1e-14))
+    monkeypatch.setattr(cli, "moment_catalog", lambda index: skewed)
+    code, out, _ = run_cli(capsys, "exact", "--index", "zagreb", "--n", "1000",
+                           "--p", "0.3", "--oracle", "--format", "csv")
+    assert code == 0
+    assert [row["match"] for row in csv_rows(out)[1]] == ["False"]
 
 
 def test_exact_json_rows(capsys):
@@ -221,6 +236,32 @@ def test_clt_table(capsys):
     assert [row["n"] for row in rows] == ["200", "800"]
     assert all(row["exceedance"] == "" for row in rows)
     assert all(0.0 < float(row["ks"]) < 0.2 for row in rows)
+
+
+def test_clt_moments_are_exact_sums_over_every_replicate(capsys):
+    # Reference, with no atoms: every replicate's standardized float64 value
+    # summed as Fractions over all R replicates, each statistic rounded once.
+    n, p, k, R, seed = 300, 0.4, 2.0, 2000, 8
+    code, out, _ = run_cli(capsys, "clt", "--index", "zagreb", "--n", str(n), "--p", str(p),
+                           "--k", str(k), "--replicates", str(R), "--seed", str(seed),
+                           "--format", "csv")
+    assert code == 0
+    (row,) = csv_rows(out)[1]
+    config = SimConfig(model=UniformLeaf(p), horizon=n, replicates=R, master_seed=seed,
+                       indices=(ZAGREB,))
+    values = reduced_values(ZAGREB, n, run_experiment(config).leaf_counts)
+    zs = [Fraction(z) for z in standardize(values, ZAGREB, n, p, k).tolist()]
+    mean = sum(zs) / R
+    assert float(row["mean"]) == float(mean)
+    assert float(row["var"]) == float(sum((z - mean) ** 2 for z in zs) / (R - 1))
+
+
+def test_clt_shift_that_leaves_n_plus_k_nonpositive_rejected(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    code, out, err = run_cli(capsys, "clt", "--index", "leaves", "--n", "100", "--p", "0.5",
+                             "--k", "-200", "--seed", "1")
+    assert_rejected_before_work(code, err)
+    assert "n + k" in err and out == ""
 
 
 def test_clt_requires_normalizer(capsys):
@@ -364,8 +405,7 @@ def assert_rejected_before_work(code, err):
 def test_config_file_bad_values_rejected(capsys, tmp_path):
     # fractional counts were once truncated, wrongly typed values once exited 1
     for field, value in (("horizon", 20.9), ("replicates", 3.7), ("master_seed", 2.5),
-                         ("model", 5), ("indices", 5), ("indices", ["zagreb", 2]),
-                         ("clt_shift", [1])):
+                         ("model", 5), ("indices", 5), ("indices", ["zagreb", 2])):
         config = {"model": "uniform:0.5", "horizon": 20, "replicates": 30, "master_seed": 9}
         config[field] = value
         path = tmp_path / f"{field}.json"
@@ -377,7 +417,7 @@ def test_config_file_bad_values_rejected(capsys, tmp_path):
 
 CONFIG_FIELD_CASES = [
     (["simulate"], {"model": "uniform:0.5", "horizon": 5, "replicates": 10, "master_seed": 1,
-                    "indices": "leaves", "clt_shift": 0.0}, "replicats"),
+                    "indices": "leaves"}, "clt_shift"),
     (["clt", "--index", "leaves", "--p", "0.5", "--n", "10"],
      {"replicates": 10, "master_seed": 1}, "model"),
     (["converge", "--index", "gini", "--p", "0.5", "--n-grid", "10"],
@@ -409,6 +449,7 @@ def test_config_file_takes_only_the_fields_its_subcommand_reads(capsys, tmp_path
     ["exact", "--index", "leaves", "--n", "4", "--p", "1/2", "--config", "run.json"],
     ["verify", "--threads", "2"],
     ["verify", "--format", "csv"],
+    ["simulate", "--model", "uniform:0.5", "--n", "4", "--clt-shift", "3"],
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -4,6 +4,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spiderlab import (
     FORGOTTEN,
@@ -19,6 +20,7 @@ from spiderlab import (
     UnknownIndexError,
     convergence_probe,
     ks_normal,
+    leaf_atoms,
     moment_catalog,
     run_experiment,
     standardize,
@@ -26,7 +28,7 @@ from spiderlab import (
 import spiderlab.montecarlo as montecarlo
 import spiderlab.tree as tree
 from spiderlab.indices import Affine, Generic, Table, eval_reduced, index_name, reduced_values
-from spiderlab.montecarlo import CHUNK_SIZE, STREAM_BLOCK
+from spiderlab.montecarlo import CHUNK_SIZE, KS_MIN_SAMPLES, STREAM_BLOCK
 from spiderlab.tree import DRAW_PIECE, RngStream, decision_threshold
 
 from conftest import ScriptedWords, reference_block
@@ -373,9 +375,6 @@ def test_config_validation_happens_before_work():
     with pytest.raises(ValueError):
         SimConfig(model=UniformLeaf(0.5), horizon=5, replicates=10,
                   master_seed=1, indices=())
-    with pytest.raises(ValueError):
-        SimConfig(model=UniformLeaf(0.5), horizon=5, replicates=10,
-                  master_seed=1, indices=(LEAVES,), clt_shift=-5.0)
     with pytest.raises(UnknownIndexError):
         SimConfig(model=UniformLeaf(0.5), horizon=5, replicates=10,
                   master_seed=1, indices=(Generic(Affine(1, -3), 2),))
@@ -515,16 +514,62 @@ def test_ks_on_exact_normal_quantiles():
     size = 1000
     inv_cdf = NormalDist().inv_cdf
     quantiles = np.array([inv_cdf((i - 0.5) / size) for i in range(1, size + 1)])
-    assert ks_normal(quantiles) < 0.002
+    assert ks_normal(*np.unique(quantiles, return_counts=True)) < 0.002
 
 
 def test_ks_point_mass_is_half():
-    assert ks_normal(np.zeros(100)) == pytest.approx(0.5)
+    assert ks_normal(*np.unique(np.zeros(100), return_counts=True)) == pytest.approx(0.5)
 
 
 def test_ks_rejects_small_samples():
     with pytest.raises(ValueError):
-        ks_normal(np.zeros(9))
+        ks_normal(*np.unique(np.zeros(9), return_counts=True))
+
+
+def test_ks_rejects_counts_that_do_not_match_the_values():
+    with pytest.raises(ValueError, match="counts"):
+        ks_normal(np.array([0.0, 1.0]), np.array([10, 10, 10]))
+
+
+def per_sample_ks(samples) -> float:
+    """Reference: the KS distance to N(0, 1) taken sample by sample over the
+    sorted sample, with Phi taken once per distinct value."""
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    size = len(x)
+    if size < KS_MIN_SAMPLES:
+        raise ValueError(f"need at least {KS_MIN_SAMPLES} samples, got {size}")
+    first = np.empty(size, dtype=bool)
+    first[0] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    values = x[first]
+    phi = np.fromiter(map(math.erfc, (-values / math.sqrt(2.0)).tolist()), np.float64,
+                      len(values))
+    cdf = (0.5 * phi)[np.cumsum(first) - 1]
+    i = np.arange(1, size + 1)
+    return float(max((i / size - cdf).max(), (cdf - (i - 1) / size).max()))
+
+
+KS_VALUES = st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0]),
+                      st.floats(-6.0, 6.0, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(KS_VALUES, st.integers(0, 30)), min_size=1, max_size=25))
+@example([(0.3, KS_MIN_SAMPLES)])                       # one atom, R at the minimum
+@example([(0.3, KS_MIN_SAMPLES - 1)])                   # one atom, R below it
+@example([(2.0, 4), (-1.0, 3), (2.0, 5), (0.5, 1)])     # unsorted, a value in two atoms
+@example([(0.0, 6), (-0.0, 6)])                         # equal values, distinct atoms
+def test_ks_over_atoms_equals_the_per_sample_distance(atoms):
+    values = np.array([v for v, _ in atoms])
+    counts = np.array([c for _, c in atoms])
+    sample = np.repeat(values, counts)
+    if len(sample) < KS_MIN_SAMPLES:
+        with pytest.raises(ValueError):
+            ks_normal(values, counts)
+        with pytest.raises(ValueError):
+            per_sample_ks(sample)
+    else:
+        assert ks_normal(values, counts).hex() == per_sample_ks(sample).hex()
 
 
 def test_ks_shrinks_with_horizon():
@@ -533,9 +578,9 @@ def test_ks_shrinks_with_horizon():
     for n in (50, 2000):
         config = SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=replicates,
                            master_seed=606, indices=(LEAVES,))
-        summary = run_experiment(config)
-        z = standardize(reduced_values(LEAVES, n, summary.leaf_counts), LEAVES, n, 0.5, 0.0)
-        distances[n] = ks_normal(z)
+        atoms, counts = leaf_atoms(run_experiment(config).leaf_counts)
+        z = standardize(reduced_values(LEAVES, n, atoms), LEAVES, n, 0.5, 0.0)
+        distances[n] = ks_normal(z, counts)
     assert distances[2000] < distances[50]
 
 
@@ -595,3 +640,29 @@ def test_forgotten_probe_equals_gz3_probe():
                           common["master_seed"])
     assert a[0].mean == b[0].mean
     assert a[0].exceedance == b[0].exceedance
+
+
+@pytest.mark.parametrize("index, model, n, r", [
+    (GINI, UniformLeaf(0.4), 301, 2.0),
+    (HOOVER, Preferential(), 150, 1.5),
+    (GeneralizedZagreb(3), UniformLeaf(0.7), 90, 1.0),
+])
+def test_probe_statistics_are_exact_sums_over_every_replicate(index, model, n, r):
+    # Reference, with no atoms: every replicate's float64 scaled value and
+    # error summed as Fractions over all R replicates, each statistic rounded
+    # once; the exceedance is the per-replicate count over R.
+    epsilon, R, seed = 0.02, 1500, 13
+    (row,) = convergence_probe(index, model, [n], epsilon, r, R, seed)
+    config = SimConfig(model=model, horizon=n, replicates=R, master_seed=seed,
+                       indices=(index,))
+    entry = moment_catalog(index)
+    c = float(entry.limit.constant_value(model.centroid_probability))
+    scaled = (reduced_values(index, n, run_experiment(config).leaf_counts)
+              / float(n) ** entry.limit.exponent)
+    err = np.abs(scaled - c)
+    xs = [Fraction(x) for x in scaled.tolist()]
+    mean = sum(xs) / R
+    assert row.mean == float(mean)
+    assert row.variance == float(sum((x - mean) ** 2 for x in xs) / (R - 1))
+    assert row.r_mean_error == float(sum(Fraction(e) for e in (err ** r).tolist()) / R)
+    assert row.exceedance == int((err > epsilon).sum()) / R
