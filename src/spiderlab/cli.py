@@ -10,10 +10,10 @@ clt and converge take --model or --p, not both.
 Exit codes: 0 ok, 1 runtime failure, 2 usage or config error, 3
 verification failure.  A run resolves and validates its whole
 configuration before it echoes it and starts work, so every usage or
-config error (a bad or wrongly typed flag or file value, a non-integer
-count, --threads < 1, clt with fewer than 10 replicates) exits 2 with
-"config error" before any replicate runs; any error raised after the
-echo exits 1 with "runtime error".
+config error (a bad or wrongly typed flag or file value, a nan or inf,
+a non-integer count, --threads < 1, clt with fewer than 10 replicates)
+exits 2 with "config error" before any replicate runs; any error raised
+after the echo exits 1 with "runtime error".
 
 Every run prints its fully resolved configuration, including the effective
 seed where it takes one, as one JSON line on stderr; re-running with that
@@ -29,6 +29,7 @@ import csv
 import functools
 import io
 import json
+import math
 import secrets
 import sys
 from fractions import Fraction
@@ -241,6 +242,14 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _table_output(args, header, rows) -> None:
+    if args.format == "csv":
+        _emit(_csv_text(header, rows), args.out)
+    else:
+        payload = {"rows": [dict(zip(header, (_fmt(c) for c in row))) for row in rows]}
+        _emit(_json_text(payload), args.out)
+
+
 # -- subcommand handlers -------------------------------------------------------
 #
 # Each handler resolves and validates its whole configuration, then returns
@@ -311,11 +320,7 @@ def _cmd_exact(args):
                             for x, o in ((mean, oracle_mean), (variance, oracle_var)))
             rows.append([entry.key, n, p, mean, variance, oracle_mean, oracle_var, match])
 
-        if args.format == "csv":
-            _emit(_csv_text(EXACT_HEADER, rows), args.out)
-        else:
-            payload = {"rows": [dict(zip(EXACT_HEADER, (_fmt(c) for c in row))) for row in rows]}
-            _emit(_json_text(payload), args.out)
+        _table_output(args, EXACT_HEADER, rows)
         return EXIT_OK
 
     return resolved, run
@@ -339,14 +344,6 @@ def _cmd_verify(args):
         return EXIT_VERIFY if failures else EXIT_OK
 
     return resolved, run
-
-
-def _diag_output(args, rows) -> None:
-    if args.format == "csv":
-        _emit(_csv_text(DIAG_HEADER, rows), args.out)
-    else:
-        payload = {"rows": [dict(zip(DIAG_HEADER, (_fmt(c) for c in row))) for row in rows]}
-        _emit(_json_text(payload), args.out)
 
 
 def _diag_model(args):
@@ -382,8 +379,8 @@ def _cmd_clt(args):
     configs = [SimConfig(model=model, horizon=n, replicates=replicates,
                          master_seed=seed, indices=(index,))
                for n in n_values]
-    if min(n_values) + k <= 0:
-        raise ConfigError(f"field 'k' must keep every n + k positive, got k={k}")
+    if not math.isfinite(k) or min(n_values) + k <= 0:
+        raise ConfigError(f"field 'k' must be finite and keep every n + k positive, got k={k}")
     resolved = {"command": "clt", "index": entry.key, "model": model.name,
                 "n_values": n_values, "replicates": replicates, "clt_shift": k,
                 "master_seed": seed, "threads": args.threads, "format": args.format}
@@ -398,7 +395,7 @@ def _cmd_clt(args):
                 stats = atom_stats(counts, z)
                 rows.append([entry.key, n, p, stats.mean, stats.variance,
                              ks_normal(z, counts), None, None, None])
-        _diag_output(args, rows)
+        _table_output(args, DIAG_HEADER, rows)
         return EXIT_OK
 
     return resolved, run
@@ -415,8 +412,8 @@ def _cmd_converge(args):
     model = _diag_model(args)
     n_grid = _parse_int_list(args.n_grid, "n-grid")
     replicates = _resolve_int(args, file_config, "replicates", "replicates", 10_000)
-    if args.eps <= 0 or args.r <= 0:
-        raise ConfigError(f"fields 'eps' and 'r' must be positive, got {args.eps}, {args.r}")
+    if not (0 < args.eps < math.inf and 0 < args.r < math.inf):
+        raise ConfigError(f"fields 'eps' and 'r' must be finite and > 0, got {args.eps}, {args.r}")
     seed = _effective_seed(args, file_config)
     for n in n_grid:
         # the probe builds these itself; building them here validates them first
@@ -435,7 +432,7 @@ def _cmd_converge(args):
              row.exceedance, row.r_mean_error, row.limit]
             for row in probe
         ]
-        _diag_output(args, rows)
+        _table_output(args, DIAG_HEADER, rows)
         return EXIT_OK
 
     return resolved, run

@@ -21,6 +21,7 @@ multiset instead; it is the independent oracle the table is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -208,8 +209,9 @@ class GeneralizedZagreb:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha == 0:
-            raise UnknownIndexError("generalized Zagreb exponent must be nonzero")
+        if self.alpha == 0 or not abs(self.alpha) < math.inf:
+            raise UnknownIndexError(
+                f"generalized Zagreb exponent must be finite and nonzero, got {self.alpha!r}")
 
     @property
     def name(self) -> str:
@@ -226,6 +228,10 @@ class Generic:
 
     h: DegreeFunction
     alpha: float
+
+    def __post_init__(self):
+        if not abs(self.alpha) < math.inf:
+            raise UnknownIndexError(f"exponent must be finite, got {self.alpha!r}")
 
     @property
     def name(self) -> str:

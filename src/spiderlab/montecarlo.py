@@ -15,9 +15,7 @@ the decision words of all 64 rows (ceil((n - 1) / 8) raw words per row,
 one byte per step, in replicate order; ceil((n - 1) / 64) words, one bit
 per step, under the bit rule), one tail word per tie in row-major order
 (none under the bit rule), and the audited replicate's picks.  The whole
-block is drawn even where the run ends inside it, in pieces
-(``tree.DRAW_PIECE``) that bound memory and are not part of the contract.
-A replicate's L and its audit therefore depend only on (master_seed, i, n,
+block is drawn even where the run ends inside it.  A replicate's L and its audit therefore depend only on (master_seed, i, n,
 model): not on the replicate count, the worker count or the order in which
 workers finish.
 
@@ -40,9 +38,10 @@ the atom value the statistics use at that L.
 
 Work.  Replicates are counted in chunks of CHUNK_SIZE (a multiple of
 STREAM_BLOCK, so no block straddles two chunks).  A chunk keys its block
-streams and hands them to ``block_leaf_counts`` together, which stacks as
-many whole blocks as fit in DRAW_PIECE words and counts them in one pass,
-so small-n blocks are not each bound by numpy call overhead.  Chunks go to
+streams and hands them to ``block_leaf_counts`` together, which stacks
+their rows and counts them in pieces of about ``tree.DRAW_PIECE`` words,
+so small-n blocks are not each bound by numpy call overhead; the piece
+size bounds memory and is not part of the contract.  Chunks go to
 a process pool only when that takes at least POOL_MIN_WORK off the
 busiest worker, a replicate counting as REPLICATE_WORK plus its n - 1
 steps, each weighed by what it costs a serial run under its rule (one
@@ -173,18 +172,6 @@ class SampleSummary:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
 
-def _direct_values(config: SimConfig, legs: np.ndarray, counted: int) -> list[float]:
-    """Every index evaluated directly on a regrown replicate, after checking
-    its leg count against the counted L."""
-    if counted != len(legs):
-        raise RuntimeError(
-            f"leaf-count mismatch at n={config.horizon}: counted L={counted}, "
-            f"grown tree has {len(legs)} legs"
-        )
-    state = TreeState(time=config.horizon, legs=legs)
-    return [float(eval_direct(state, spec)) for spec in config.indices]
-
-
 def _chunk_worker(args) -> tuple:
     """Replicates ``start..stop-1``: their leaf counts, and for each audited
     replicate its id and the direct value of every index on its regrown tree.
@@ -207,9 +194,14 @@ def _chunk_worker(args) -> tuple:
     counts, schedules = block_leaf_counts(model, streams, STREAM_BLOCK, steps, audit_rows)
     audits = []
     for first, stream, row, centroid, block in zip(firsts, streams, audit_rows, schedules, counts):
-        if centroid is not None:
-            legs = grow_legs(centroid, stream.doubles(steps))
-            audits.append((first + row, _direct_values(config, legs, int(block[row]))))
+        if centroid is None:
+            continue
+        legs = grow_legs(centroid, stream.doubles(steps))
+        if len(legs) != block[row]:
+            raise RuntimeError(f"leaf-count mismatch at n={config.horizon}: counted "
+                               f"L={int(block[row])}, grown tree has {len(legs)} legs")
+        state = TreeState(time=config.horizon, legs=legs)
+        audits.append((first + row, [float(eval_direct(state, spec)) for spec in config.indices]))
     return counts.reshape(-1)[:stop - start], audits
 
 
@@ -280,21 +272,26 @@ def run_experiment(config: SimConfig, threads: int = 1,
     audits = [audit for _, chunk in results for audit in chunk]
 
     atoms, counts = leaf_atoms(leaf_counts)
-    audited = [(int(leaf_counts[i]), np.searchsorted(atoms, leaf_counts[i]), direct)
-               for i, direct in audits]
-    stats = {}
-    for j, spec in enumerate(config.indices):
-        values = reduced_values(spec, n, atoms)
-        for L, atom, direct in audited:
-            reduced = float(values[atom])
-            if abs(direct[j] - reduced) > DIRECT_CHECK_RTOL * max(1.0, abs(reduced)):
-                raise RuntimeError(
-                    f"direct/reduced mismatch for {spec.name} at n={n}, "
-                    f"L={L}: direct={direct[j]!r} reduced={reduced!r}"
-                )
-        stats[spec.name] = atom_stats(counts, values)
+    values = [reduced_values(spec, n, atoms) for spec in config.indices]
+    audited, direct = map(np.array, zip(*audits))  # replicate 0 is always audited
+    reduced = np.column_stack(values)[np.searchsorted(atoms, leaf_counts[audited])]
+    mismatches = direct_mismatches(direct, reduced)
+    if mismatches:
+        k, j = mismatches[0]
+        raise RuntimeError(f"direct/reduced mismatch for {config.indices[j].name} at n={n}, "
+                           f"L={int(leaf_counts[audited[k]])}: direct={float(direct[k, j])!r} "
+                           f"reduced={float(reduced[k, j])!r}")
+    stats = {spec.name: atom_stats(counts, v) for spec, v in zip(config.indices, values)}
     return SampleSummary(config=config, leaf_counts=leaf_counts, stats=stats,
                          spot_checks=len(audits))
+
+
+def direct_mismatches(direct: np.ndarray, reduced: np.ndarray) -> list[list[int]]:
+    """Every ``[row, column]``, in row-major order, where ``direct`` and
+    ``reduced`` differ by more than DIRECT_CHECK_RTOL * max(1, |reduced|):
+    the engine audit's check, which ``verify.direct_reduced_suite`` shares."""
+    bad = np.abs(direct - reduced) > DIRECT_CHECK_RTOL * np.maximum(1.0, np.abs(reduced))
+    return np.argwhere(bad).tolist()
 
 
 def leaf_atoms(leaf_counts: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -389,8 +386,8 @@ def convergence_probe(
     entry = moment_catalog(index)
     if entry.limit is None:
         raise UnknownIndexError(f"no limit constant cataloged for index {entry.key!r}")
-    if epsilon <= 0 or r <= 0:
-        raise ValueError("epsilon and r must be positive")
+    if not (0 < epsilon < math.inf and 0 < r < math.inf):
+        raise ValueError("epsilon and r must be positive and finite")
     p = model.centroid_probability
     c = float(entry.limit.constant_value(p))
     exponent = entry.limit.exponent

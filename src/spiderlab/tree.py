@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -265,17 +265,12 @@ def decision_threshold(model: GrowthModel) -> tuple[int, int]:
     return K >> TAIL_BITS, K & ((1 << TAIL_BITS) - 1)
 
 
-def block_leaf_counts(model: GrowthModel, streams, rows: int, steps: int, audit_row=-1):
-    """Leaf counts of blocks of ``rows`` replicates of ``steps`` growth steps
-    each, decided by the bit rule at p = 1/2 and by the byte rule at every
-    other p, and the centroid schedule of each block's row ``audit_row``
-    (None unless ``0 <= audit_row < rows``).
-
-    ``streams`` is one block's stream: the result is then ``(counts,
-    schedule)``, counts of shape ``(rows,)``.  Or it is a list of block
-    streams counted together, with a list ``audit_row`` of one row per
-    block: the result is then ``(counts, schedules)``, counts of shape
-    ``(blocks, rows)`` and one schedule or None per block.
+def block_leaf_counts(model: GrowthModel, streams, rows: int, steps: int, audit_rows):
+    """Leaf counts, of shape ``(blocks, rows)``, of blocks of ``rows``
+    replicates of ``steps`` growth steps each, one block per stream in
+    ``streams``, decided by the bit rule at p = 1/2 and by the byte rule at
+    every other p; and per block the centroid schedule of its row
+    ``audit_rows[b]``, or None unless ``0 <= audit_rows[b] < rows``.
 
     The bit rule applies when ``decision_threshold(model) == ONE_BIT``, so
     to ``Preferential`` and ``UniformLeaf(0.5)`` alike.  Each block's
@@ -295,29 +290,22 @@ def block_leaf_counts(model: GrowthModel, streams, rows: int, steps: int, audit_
     2. One tail word per tie (a byte equal to A), in row-major (row, step)
        order; a tail word w gives the tail ``b = w >> 19``.
 
-    Under either rule the decision words are drawn and counted in pieces
-    of at most DRAW_PIECE words: as many whole blocks as fit, each drawn
-    whole from its own stream, or else whole rows of one block (a single
-    row when one row is longer).  Each piece is counted in one pass, and
-    ties are resolved after the last decision word, each block's from its
-    own stream, so the piece size bounds memory and is not part of the
-    contract.
+    Under either rule the rows of all blocks are stacked in order and drawn
+    and counted in pieces (``_decision_pieces``), one pass each.  Ties are
+    resolved after the last decision word, each block's from its own
+    stream, so the piece size bounds memory and is not part of the contract.
     """
-    if not isinstance(streams, (list, tuple)):
-        counts, schedules = block_leaf_counts(model, [streams], rows, steps, [audit_row])
-        return counts[0], schedules[0]
     A, T = decision_threshold(model)
     one_bit = (A, T) == ONE_BIT
     width = -(-steps // (64 if one_bit else 8))  # decision words per row
     blocks = len(streams)
     below = np.empty(blocks * rows, dtype=np.int64)  # recruits with no tail, per stacked row
-    ties = np.empty(blocks * rows, dtype=np.int64)   # bytes equal to A, per row of the stack
-    audited = [None] * blocks  # the audited row's decision words, per block
-    for at, words, piece in _decision_pieces(streams, rows, width):
+    ties = np.empty(blocks * rows, dtype=np.int64)   # bytes equal to A, per stacked row
+    # the audited rows' decision words, by stacked row b * rows + audit_rows[b]
+    audited = {b * rows + row: None for b, row in enumerate(audit_rows) if 0 <= row < rows}
+    for at, words in _decision_pieces(streams, rows, width):
         end = at + len(words)
-        for b, row, height in piece:
-            if row <= audit_row[b] < row + height:
-                audited[b] = words[b * rows + audit_row[b] - at].copy()
+        audited.update({i: words[i - at].copy() for i in audited if at <= i < end})
         if one_bit:
             if steps % 64:
                 words[:, -1] &= np.uint64((1 << steps % 64) - 1)  # clear the unused bits
@@ -334,42 +322,35 @@ def block_leaf_counts(model: GrowthModel, streams, rows: int, steps: int, audit_
         recruit = (np.concatenate(tails) >> np.uint64(TAIL_SHIFT)) < T
         counts += np.bincount(tail_rows[recruit], minlength=blocks * rows)
     schedules = [None] * blocks
-    for b, row_words in enumerate(audited):
-        if row_words is None:
-            continue
+    for i, row_words in audited.items():
         octets = row_words.astype("<u8", copy=False).view(np.uint8)
         if one_bit:
-            schedules[b] = np.unpackbits(octets, bitorder="little")[:steps] == 0
+            schedules[i // rows] = np.unpackbits(octets, bitorder="little")[:steps] == 0
         else:
             octets = octets[:steps]
-            schedules[b] = octets < A
-            schedules[b][octets == A] = recruit[tail_rows == b * rows + audit_row[b]]
+            schedules[i // rows] = octets < A
+            schedules[i // rows][octets == A] = recruit[tail_rows == i]
     return counts.reshape(blocks, rows), schedules
 
 
 def _decision_pieces(streams, rows: int, width: int):
     """The decision words of every block, ``rows * width`` from each stream,
-    as ``(at, words, piece)``: ``words`` of shape ``(height, width)`` are the
-    rows ``at .. at + height - 1`` of the blocks stacked in order, and
-    ``piece`` lists them as ``(block, first row, height)``.
-
-    A piece holds at most DRAW_PIECE words: as many whole blocks as fit, or
-    else whole rows of one block (a single row when one row is longer).
+    as ``(at, words)``: ``words`` of shape ``(height, width)`` are the rows
+    ``at .. at + height - 1`` of the blocks stacked in order, each block's
+    drawn from its own stream.  The stack is cut every h = DRAW_PIECE //
+    width rows (at least one), rounded down to whole blocks when h > rows,
+    so a piece may end one block and begin the next.
     """
-    per_piece = max(1, DRAW_PIECE // max(width, 1))  # rows a piece holds
-    blocks = len(streams)
-    if per_piece >= rows:  # whole blocks, stacked
-        stack = per_piece // rows
-        pieces = [[(b, 0, rows) for b in range(first, min(first + stack, blocks))]
-                  for first in range(0, blocks, stack)]
-    else:  # rows of one block
-        pieces = [[(b, row, min(per_piece, rows - row))]
-                  for b in range(blocks) for row in range(0, rows, per_piece)]
-    for piece in pieces:
-        drawn = [streams[b].words(height * width) for b, _, height in piece]
+    height = max(1, DRAW_PIECE // max(width, 1))
+    if height > rows:
+        height -= height % rows
+    total = len(streams) * rows
+    for at in range(0, total, height):
+        end = min(at + height, total)
+        drawn = [streams[b].words((min(end, b * rows + rows) - max(at, b * rows)) * width)
+                 for b in range(at // rows, (end - 1) // rows + 1)]
         words = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
-        height = sum(height for _, _, height in piece)
-        yield piece[0][0] * rows + piece[0][1], words.reshape(height, width), piece
+        yield at, words.reshape(end - at, width)
 
 
 def _row_sums(flags: np.ndarray, steps: int) -> np.ndarray:

@@ -45,7 +45,7 @@ from .indices import (
     eval_reduced,
     reduced_values,
 )
-from .montecarlo import DIRECT_CHECK_RTOL, STREAM_BLOCK
+from .montecarlo import STREAM_BLOCK, direct_mismatches
 from .tree import RngStream, TreeState, grow_legs, new_seed
 
 __all__ = [
@@ -149,10 +149,10 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
 
     Every tree is evaluated directly (``eval_direct``) for every spec; the
     reduced side is one float64 ``reduced_values`` pass per spec and block
-    over the block's (n, L), the engine's path.  A pair fails when it differs
-    by more than DIRECT_CHECK_RTOL relative (absolute below 1), the engine
-    audit's tolerance; failures are listed in (trial, spec) order with their
-    (n, L, p) witness.  Only one block's trees are held at a time.
+    over the block's (n, L), the engine's path.  A pair fails by the engine
+    audit's check, ``montecarlo.direct_mismatches``; failures are listed in
+    (trial, spec) order with their (n, L, p) witness.  Only one block's
+    trees are held at a time.
     """
     specs = _trial_specs()
     failures = []
@@ -171,8 +171,7 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
             L_block[k] = state.leaf_count
             direct[k] = [float(eval_direct(state, spec)) for spec in specs]
         reduced = np.column_stack([reduced_values(spec, n_block, L_block) for spec in specs])
-        bad = np.abs(direct - reduced) > DIRECT_CHECK_RTOL * np.maximum(1.0, np.abs(reduced))
-        for k, j in zip(*np.nonzero(bad)):  # row-major: (trial, spec) order
+        for k, j in direct_mismatches(direct, reduced):  # (trial, spec) order
             failures.append(Failure(
                 "direct-reduced", specs[j].name,
                 {"n": int(n_block[k]), "L": int(L_block[k]), "p": round(float(ps[first + k]), 6)},

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -524,3 +525,50 @@ def test_error_during_run_is_runtime_failure(capsys, monkeypatch):
     assert "resolved config" in err
     assert "runtime error: worker fault" in err
     assert "config error" not in err and out == ""
+
+
+# The sha256 of the stdout of each command.  A pin changes only with a change
+# to the outputs that CHANGES.md declares; re-pin it then, and never else.
+PINNED_OUTPUTS = [
+    (["simulate", "--model", "uniform:0.4", "--n", "201", "--replicates", "2000", "--seed", "5"],
+     "36c0a982cba7c804e1054a6e708011cc3e002c96bfb4ba8e4092dd047e3e9dcc"),
+    (["simulate", "--model", "uniform:0.4", "--n", "201", "--replicates", "2000", "--seed", "5",
+      "--format", "csv"],
+     "c8003e3b00f7276343fad08c614d1d7c0f166b5a80e05c080f515c4109c76110"),
+    (["clt", "--index", "zagreb", "--p", "0.5", "--n", "5000", "--seed", "5"],
+     "5a641c9906e524966e073cb4cda3ca2eb0d9a26b2731ba3421fcb156fb2973e5"),
+    # the byte rule's pieces of 43 rows at n = 3000 hold rows of two blocks
+    (["clt", "--index", "gordon_scantlebury", "--p", "0.3", "--n", "100,1000,3000",
+      "--replicates", "5000", "--seed", "7"],
+     "41cb28e8b62bf01a1acd626371c5b1aec257d856297cad909de164e6aa85c441"),
+    (["converge", "--index", "hoover", "--model", "preferential", "--seed", "3", "--format", "csv"],
+     "5e3af719fb7101c72d7ce5477219817dd3923ed460c15f319baaee1394f420bb"),
+    (["exact", "--index", "zagreb", "--n-range", "1:20", "--p", "3/10", "--oracle",
+      "--format", "csv"],
+     "341affb1338659f7eacf372e76e230366b069d5a37a0a3a49f1801d7262f66c9"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS,
+                         ids=[f"{k}-{argv[0]}" for k, (argv, _) in enumerate(PINNED_OUTPUTS)])
+def test_outputs_are_pinned_byte_for_byte(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["clt", "--index", "zagreb", "--p", "0.5", "--n", "100", "--k", "nan"],
+    ["clt", "--index", "zagreb", "--p", "0.5", "--n", "100", "--k", "inf"],
+    ["converge", "--index", "hoover", "--p", "0.5", "--n-grid", "100", "--eps", "nan"],
+    ["converge", "--index", "hoover", "--p", "0.5", "--n-grid", "100", "--r", "nan"],
+    ["converge", "--index", "hoover", "--p", "0.5", "--n-grid", "100", "--r", "inf"],
+    ["simulate", "--model", "uniform:0.5", "--n", "10", "--indices", "generalized_zagreb:nan"],
+    ["simulate", "--model", "uniform:0.5", "--n", "10", "--indices", "generalized_zagreb:inf"],
+    ["simulate", "--model", "uniform:0.5", "--n", "10", "--indices", "generalized_zagreb:1e400"],
+])
+def test_non_finite_numbers_are_config_errors(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    code, out, err = run_cli(capsys, *argv, "--replicates", "100", "--seed", "1")
+    assert_rejected_before_work(code, err)
+    assert "config error" in err and out == ""

@@ -135,6 +135,14 @@ def test_generalized_zagreb_rejects_zero_alpha():
         GeneralizedZagreb(0)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+def test_power_sums_reject_a_non_finite_alpha(alpha):
+    with pytest.raises(UnknownIndexError, match="finite"):
+        GeneralizedZagreb(alpha)
+    with pytest.raises(UnknownIndexError, match="finite"):
+        Generic(Identity(), alpha)
+
+
 def test_generic_rejects_nonpositive_h():
     bad = Generic(Affine(1, -2), 2)  # h(1) = -1
     with pytest.raises(UnknownIndexError):

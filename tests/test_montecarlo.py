@@ -107,7 +107,9 @@ def test_audit_checks_the_values_that_are_merged(monkeypatch):
         return corrupted
 
     monkeypatch.setattr(montecarlo, "reduced_values", corrupt_at(L[100], lambda v: v * (1 + 1e-9)))
-    with pytest.raises(RuntimeError, match="direct/reduced mismatch for gini"):
+    # the values print as Python floats, not as np.float64(...)
+    with pytest.raises(RuntimeError, match=rf"direct/reduced mismatch for gini at n=60, "
+                                           rf"L={L[100]}: direct=[-+.e\d]+ reduced=[-+.e\d]+$"):
         run_experiment(config)
     # an atom no audited replicate (0 and 100) holds passes the audit, and is
     # what the mean weighs: it moves by its count over R
@@ -191,7 +193,10 @@ def test_pieces_equal_a_one_shot_block_draw_at_large_n(monkeypatch):
         schedules.append(centroid[row] if row >= 0 else None)
     assert np.array_equal(leaf_samples(n, p, blocks * STREAM_BLOCK, seed),
                           np.concatenate(expected))
-    for piece in (1, width, 3 * width - 1, block, 3 * block, DRAW_PIECE, blocks * block):
+    # pieces of 5 and 43 rows span two blocks; at 43 rows, row 36 of block 1 is
+    # audited inside the piece of stacked rows 86..128, which spans blocks 1 and 2
+    for piece in (1, width, 3 * width - 1, 5 * width, 43 * width, block, 3 * block, DRAW_PIECE,
+                  blocks * block):
         monkeypatch.setattr(tree, "DRAW_PIECE", piece)
         streams = [RngStream(seed, b) for b in range(blocks)]
         counts, got = tree.block_leaf_counts(UniformLeaf(p), streams, STREAM_BLOCK, n - 1,
@@ -209,8 +214,8 @@ def test_pieces_equal_a_one_shot_block_draw_at_large_n(monkeypatch):
 def block_leaf_counts_alone(model, stream, steps, audit_row):
     """One block counted by itself: its counts, its audited schedule, and
     how many tail words it drew."""
-    counts, schedule = tree.block_leaf_counts(model, stream, STREAM_BLOCK, steps, audit_row)
-    return counts, schedule, stream.draws[-1]
+    counts, schedules = tree.block_leaf_counts(model, [stream], STREAM_BLOCK, steps, [audit_row])
+    return counts[0], schedules[0], stream.draws[-1]
 
 
 @pytest.mark.parametrize("n", [2, 9, 201, 5000])
@@ -236,9 +241,18 @@ def test_blocks_counted_together_equal_blocks_counted_alone(monkeypatch, n):
     passes = []
     real_row_sums = tree._row_sums
     monkeypatch.setattr(tree, "_row_sums", lambda *args: passes.append(1) or real_row_sums(*args))
-    # one block per piece, three, and a single word (so one row at a time)
-    for piece, decision_draws, pieces in ((block, [block], blocks), (3 * block, [block], 2),
-                                          (1, [width] * STREAM_BLOCK, blocks * STREAM_BLOCK)):
+    # Each block's decision draws, in rows, at one block per piece, three, a
+    # single word (so one row at a time), and 5 and 43 rows, whose pieces span
+    # two blocks: row 63 of block 2, stacked row 191, is audited inside the
+    # piece of stacked rows 190..194, and of 172..214.
+    five = [5] * 12
+    for piece, decision_rows, pieces in (
+            (block, [[STREAM_BLOCK]] * blocks, blocks),
+            (3 * block, [[STREAM_BLOCK]] * blocks, 2),
+            (1, [[1] * STREAM_BLOCK] * blocks, blocks * STREAM_BLOCK),
+            (5 * width, [five + [4], [1] + five + [3], [2] + five + [2], [3] + five + [1],
+                         [4] + five], 64),
+            (43 * width, [[43, 21], [22, 42], [1, 43, 20], [23, 41], [2, 43, 19]], 8)):
         monkeypatch.setattr(tree, "DRAW_PIECE", piece)
         streams = scripted()
         passes.clear()
@@ -251,11 +265,11 @@ def test_blocks_counted_together_equal_blocks_counted_alone(monkeypatch, n):
             assert (schedules[b] is None) == (want_schedule is None)
             if want_schedule is not None:
                 assert np.array_equal(schedules[b], want_schedule)
-            assert streams[b].draws == decision_draws + [ties]
+            assert streams[b].draws == [rows * width for rows in decision_rows[b]] + [ties]
     # the engine over a partial last block, at each piece size
     replicates = (blocks - 1) * STREAM_BLOCK + 17
     expected = np.concatenate([alone[b][0] for b in range(blocks)])[:replicates]
-    for piece in (block, 3 * block, 1, DRAW_PIECE):
+    for piece in (block, 3 * block, 1, 5 * width, 43 * width, DRAW_PIECE):
         monkeypatch.setattr(tree, "DRAW_PIECE", piece)
         assert np.array_equal(leaf_samples(n, 0.4, replicates, 3), expected)
 
