@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Optional, Union
@@ -457,53 +457,53 @@ _GS_CLT = CltNormalizer(center=PolyNP(((H, 0, 0), (0,), (0,))), coeff=1, p_power
 _PLATT_CLT = CltNormalizer(center=PolyNP(((1, 0, 0), (0,), (0,))), coeff=2, p_power=3, nk_power=3)
 
 
-_CATALOG: dict[str, MomentCatalogEntry] = {
-    "leaves": MomentCatalogEntry(
+_CATALOG: dict[str, MomentCatalogEntry] = {entry.key: entry for entry in (
+    MomentCatalogEntry(
         key="leaves",
         mean=RationalFormula(_LEAVES_MEAN),
         variance=RationalFormula(_LEAVES_VAR),
         clt=_LEAVES_CLT,
     ),
-    "zagreb": MomentCatalogEntry(
+    MomentCatalogEntry(
         key="zagreb",
         mean=RationalFormula(_ZAGREB_MEAN),
         variance=RationalFormula(_ZAGREB_VAR),
         limit=LimitLaw(2, (1, 0, 0)),
         clt=_ZAGREB_CLT,
     ),
-    "gordon_scantlebury": MomentCatalogEntry(
+    MomentCatalogEntry(
         key="gordon_scantlebury",
         mean=RationalFormula(_GS_MEAN),
         variance=RationalFormula(_GS_VAR),
         limit=LimitLaw(2, (H, 0, 0)),
         clt=_GS_CLT,
     ),
-    "platt": MomentCatalogEntry(
+    MomentCatalogEntry(
         key="platt",
         mean=RationalFormula(_PLATT_MEAN),
         variance=RationalFormula(_ZAGREB_VAR),
         limit=LimitLaw(2, (1, 0, 0)),
         clt=_PLATT_CLT,
     ),
-    "forgotten": MomentCatalogEntry(
+    MomentCatalogEntry(
         key="forgotten",
         mean=RationalFormula(_FORGOTTEN_MEAN),
         variance=RationalFormula(_FORGOTTEN_VAR),
         limit=LimitLaw(3, (1, 0, 0, 0)),
     ),
-    "gini": MomentCatalogEntry(
+    MomentCatalogEntry(
         key="gini",
         mean=RationalFormula(_GINI_MEAN_NUM, _DEN_MEAN),
         variance=RationalFormula(_GINI_VAR_NUM, _DEN_VAR),
         limit=LimitLaw(0, (-H, 1, 0)),
     ),
-    "hoover": MomentCatalogEntry(
+    MomentCatalogEntry(
         key="hoover",
         mean=RationalFormula(_HOOVER_MEAN_NUM, _DEN_MEAN),
         variance=RationalFormula(_HOOVER_VAR_NUM, _DEN_VAR),
         limit=LimitLaw(0, (H, 0)),
     ),
-}
+)}
 
 CATALOG_KEYS = tuple(_CATALOG)
 
@@ -513,9 +513,9 @@ def moment_catalog(index: IndexSpec) -> MomentCatalogEntry:
     index.
 
     Generalized Zagreb is cataloged for integer exponents: 1 is the
-    deterministic edge/degree sum, 2 and 3 coincide with the Zagreb and
-    forgotten entries, and exponents >= 4 carry the asymptotic expansion
-    and the limit constant only.
+    deterministic edge/degree sum, 2 and 3 are the Zagreb and forgotten
+    entries under their own key (3 adds the asymptotic expansion), and
+    exponents >= 4 carry the asymptotic expansion and the limit constant only.
     """
     if isinstance(index, GeneralizedZagreb):
         a = index.alpha
@@ -533,16 +533,12 @@ def moment_catalog(index: IndexSpec) -> MomentCatalogEntry:
                 mean=RationalFormula(PolyNP(((2,), (4,)))),
                 variance=RationalFormula(PolyNP(((0,),))),
             )
-        limit = LimitLaw(a, (1,) + (0,) * a)
         if a == 2:
-            base = _CATALOG["zagreb"]
-            return MomentCatalogEntry(key=key, mean=base.mean, variance=base.variance,
-                                      limit=limit, clt=base.clt)
+            return replace(_CATALOG["zagreb"], key=key)
         if a == 3:
-            base = _CATALOG["forgotten"]
-            return MomentCatalogEntry(key=key, mean=base.mean, variance=base.variance,
-                                      limit=limit, asymptotic=AsymptoticMoments(3))
-        return MomentCatalogEntry(key=key, mean=None, variance=None, limit=limit,
+            return replace(_CATALOG["forgotten"], key=key, asymptotic=AsymptoticMoments(3))
+        return MomentCatalogEntry(key=key, mean=None, variance=None,
+                                  limit=LimitLaw(a, (1,) + (0,) * a),
                                   asymptotic=AsymptoticMoments(a))
     key = index.name
     try:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analytics import moment_catalog, oracle_mean_variance
-from .indices import NAMED_INDICES, parse_index, reduced_values
+from .indices import NAMED_INDICES, parse_index
 from .montecarlo import (
     KS_MIN_SAMPLES,
     SimConfig,
@@ -44,7 +44,6 @@ from .montecarlo import (
     atom_stats,
     convergence_probe,
     ks_normal,
-    leaf_atoms,
     run_experiment,
     standardize,
 )
@@ -390,11 +389,11 @@ def _cmd_clt(args):
         with Workers(args.threads) as workers:
             for config in configs:
                 n = config.horizon
-                atoms, counts = leaf_atoms(run_experiment(config, workers=workers).leaf_counts)
-                z = standardize(reduced_values(index, n, atoms), index, n, p, k)
-                stats = atom_stats(counts, z)
+                summary = run_experiment(config, workers=workers)
+                z = standardize(summary.atom_values[0], index, n, p, k)
+                stats = atom_stats(summary.atom_counts, z)
                 rows.append([entry.key, n, p, stats.mean, stats.variance,
-                             ks_normal(z, counts), None, None, None])
+                             ks_normal(z, summary.atom_counts), None, None, None])
         _table_output(args, DIAG_HEADER, rows)
         return EXIT_OK
 

@@ -15,17 +15,19 @@ carries its index once as a ``ReducedForm`` in (n, L).  One Horner routine
 evaluates it, exactly for an integer L (``eval_reduced``: named indices and
 integer exponents give ints/Fractions, real exponents floats) and in
 float64 over an array of leaf counts (``reduced_values``, the engine's
-path).  ``eval_direct`` evaluates the definition on a tree's degree
-multiset instead; it is the independent oracle the table is checked against.
+path).  Each spec also carries its definition, ``direct(degrees, n)`` on a
+tree's degree multiset, which never reads the reduced form; ``eval_direct``
+calls it, and it is the independent oracle the table is checked against.
+A named index is one ``NamedIndex`` row: its name, its reduced form and its
+definition; the power sums compute both from their exponent.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -37,13 +39,7 @@ __all__ = [
     "Affine",
     "Table",
     "ReducedForm",
-    "Leaves",
-    "Zagreb",
-    "GordonScantlebury",
-    "Platt",
-    "Forgotten",
-    "Gini",
-    "Hoover",
+    "NamedIndex",
     "GeneralizedZagreb",
     "Generic",
     "IndexSpec",
@@ -68,10 +64,13 @@ class UnknownIndexError(ValueError):
 
 
 # -- degree functions for the generic power-sum family ----------------------
+# Each one's ``tag`` names it in its ``Generic`` spec's name.
 
 @dataclass(frozen=True)
 class Identity:
     """h(d) = d."""
+
+    tag = "identity"
 
     def __call__(self, d):
         return d
@@ -84,6 +83,10 @@ class Affine:
     a: float
     b: float
 
+    @property
+    def tag(self) -> str:
+        return f"affine:{self.a}:{self.b}"
+
     def __call__(self, d):
         return self.a * d + self.b
 
@@ -94,6 +97,7 @@ class Table:
     called on an array of degrees it returns a float64 array."""
 
     entries: tuple[tuple[int, float], ...]
+    tag = "table"
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, float]) -> "Table":
@@ -143,83 +147,83 @@ class ReducedForm:
 # -- index specs: each ``reduced_form`` is a row of the one reduced-form table -
 
 @dataclass(frozen=True)
-class Leaves:
+class NamedIndex:
+    """A named index, one row: its reduced form in (n, L) and ``direct``,
+    its definition on the degree multiset {degree: count} at time n.
+
+    ``direct`` is a module-level function, so a spec pickles by reference
+    when a config crosses the process pool; it is left out of the repr."""
+
+    name: str
+    reduced_form: ReducedForm
+    direct: Callable[[Mapping[int, int], int], object] = field(repr=False)
+
+
+def _leaves(degrees, n):
     """The leaf count itself (number of degree-1 nodes)."""
-
-    name = "leaves"
-    reduced_form = ReducedForm(((1,), (0,)))                       # L
+    return degrees.get(1, 0)
 
 
-@dataclass(frozen=True)
-class Zagreb:
+def _zagreb(degrees, n):
     """Sum of squared degrees."""
-
-    name = "zagreb"
-    reduced_form = ReducedForm(((1,), (-3,), (4, 0)))              # L^2 - 3L + 4m
+    return sum(c * d * d for d, c in degrees.items())
 
 
-@dataclass(frozen=True)
-class GordonScantlebury:
+def _gordon_scantlebury(degrees, n):
     """Number of paths of length two: sum of C(deg, 2) over nodes."""
-
-    name = "gordon_scantlebury"
-    reduced_form = ReducedForm(((1,), (-3,), (2, 0)), den=(2,))    # (L^2 - 3L + 2m) / 2
+    return sum(c * d * (d - 1) for d, c in degrees.items()) // 2
 
 
-@dataclass(frozen=True)
-class Platt:
+def _platt(degrees, n):
     """Sum of deg*(deg - 1) over nodes (twice Gordon-Scantlebury)."""
-
-    name = "platt"
-    reduced_form = ReducedForm(((1,), (-3,), (2, 0)))              # L^2 - 3L + 2m
+    return sum(c * d * (d - 1) for d, c in degrees.items())
 
 
-@dataclass(frozen=True)
-class Forgotten:
+def _forgotten(degrees, n):
     """Sum of cubed degrees."""
-
-    name = "forgotten"
-    reduced_form = ReducedForm(((1,), (0,), (-7,), (8, 0)))        # L^3 - 7L + 8m
+    return sum(c * d ** 3 for d, c in degrees.items())
 
 
-@dataclass(frozen=True)
-class Gini:
+def _gini(degrees, n):
     """Pairwise absolute degree differences over unordered node pairs,
     normalized by (node count)^2 times the average degree."""
+    ds = sorted(degrees)
+    total = 0
+    for i, a in enumerate(ds):
+        for b in ds[i + 1 :]:
+            total += degrees[a] * degrees[b] * (b - a)
+    return Fraction(total, 2 * (n + 2) * (n + 3))
 
-    name = "gini"
-    # (L - 1)(2m - L) / (2m(m + 1)): leaf-centroid pairs differ by L - 1,
-    # internal-centroid pairs by L - 2 and leaf-internal pairs by 1.
-    reduced_form = ReducedForm(((-1,), (2, 1), (-2, 0)), den=(2, 2, 0))
 
-
-@dataclass(frozen=True)
-class Hoover:
+def _hoover(degrees, n):
     """Sum of |node_count*deg - degree_sum| over nodes, normalized by
     2 * node_count * degree_sum."""
+    total = sum(c * abs((n + 3) * d - 2 * (n + 2)) for d, c in degrees.items())
+    return Fraction(total, 4 * (n + 2) * (n + 3))
 
-    name = "hoover"
-    reduced_form = ReducedForm(((1, -1), (0,)), den=(2, 2, 0))     # (m - 1)L / (2m(m + 1))
+
+LEAVES = NamedIndex("leaves", ReducedForm(((1,), (0,))), _leaves)               # L
+ZAGREB = NamedIndex("zagreb", ReducedForm(((1,), (-3,), (4, 0))), _zagreb)      # L^2 - 3L + 4m
+GORDON_SCANTLEBURY = NamedIndex(                                  # (L^2 - 3L + 2m) / 2
+    "gordon_scantlebury", ReducedForm(((1,), (-3,), (2, 0)), den=(2,)), _gordon_scantlebury)
+PLATT = NamedIndex("platt", ReducedForm(((1,), (-3,), (2, 0))), _platt)         # L^2 - 3L + 2m
+FORGOTTEN = NamedIndex(                                           # L^3 - 7L + 8m
+    "forgotten", ReducedForm(((1,), (0,), (-7,), (8, 0))), _forgotten)
+# (L - 1)(2m - L) / (2m(m + 1)): leaf-centroid pairs differ by L - 1,
+# internal-centroid pairs by L - 2 and leaf-internal pairs by 1.
+GINI = NamedIndex("gini", ReducedForm(((-1,), (2, 1), (-2, 0)), den=(2, 2, 0)), _gini)
+HOOVER = NamedIndex(                                              # (m - 1)L / (2m(m + 1))
+    "hoover", ReducedForm(((1, -1), (0,)), den=(2, 2, 0)), _hoover)
+
+NAMED_INDICES: tuple[NamedIndex, ...] = (
+    LEAVES, ZAGREB, GORDON_SCANTLEBURY, PLATT, FORGOTTEN, GINI, HOOVER,
+)
 
 
-@dataclass(frozen=True)
-class GeneralizedZagreb:
-    """Sum of deg**alpha over nodes, alpha real and nonzero."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha == 0 or not abs(self.alpha) < math.inf:
-            raise UnknownIndexError(
-                f"generalized Zagreb exponent must be finite and nonzero, got {self.alpha!r}")
-
-    @property
-    def name(self) -> str:
-        return f"generalized_zagreb:{_format_alpha(self.alpha)}"
-
-    @cached_property
-    def reduced_form(self) -> ReducedForm:
-        return Generic(Identity(), self.alpha).reduced_form
+# A power sum's |alpha| is bounded so that 2**alpha, the weight of a degree-2
+# node, is a normal float64 (binary exponents -1022..1023); beyond the bound
+# it overflows or loses precision, and the exact 2**alpha grows without limit.
+MAX_ABS_ALPHA = 1022
 
 
 @dataclass(frozen=True)
@@ -230,18 +234,13 @@ class Generic:
     alpha: float
 
     def __post_init__(self):
-        if not abs(self.alpha) < math.inf:
-            raise UnknownIndexError(f"exponent must be finite, got {self.alpha!r}")
+        if not abs(self.alpha) <= MAX_ABS_ALPHA:
+            raise UnknownIndexError(
+                f"exponent must be finite and |alpha| <= {MAX_ABS_ALPHA}, got {self.alpha!r}")
 
     @property
     def name(self) -> str:
-        if isinstance(self.h, Identity):
-            tag = "identity"
-        elif isinstance(self.h, Affine):
-            tag = f"affine:{self.h.a}:{self.h.b}"
-        else:
-            tag = "table"
-        return f"generic:{tag}:{_format_alpha(self.alpha)}"
+        return f"generic:{self.h.tag}:{_format_alpha(self.alpha)}"
 
     @cached_property
     def reduced_form(self) -> ReducedForm:
@@ -252,23 +251,29 @@ class Generic:
         w1, w2 = _power(self.h(1), self.alpha), _power(self.h(2), self.alpha)
         return ReducedForm(coeffs=((w1,), (0,)), head=(self.h, self.alpha, (w2,)))
 
+    def direct(self, degrees, n):
+        check_positive(self.h, degrees)
+        return sum(c * _power(self.h(d), self.alpha) for d, c in degrees.items())
 
-IndexSpec = Union[
-    Leaves, Zagreb, GordonScantlebury, Platt, Forgotten, Gini, Hoover,
-    GeneralizedZagreb, Generic,
-]
 
-LEAVES = Leaves()
-ZAGREB = Zagreb()
-GORDON_SCANTLEBURY = GordonScantlebury()
-PLATT = Platt()
-FORGOTTEN = Forgotten()
-GINI = Gini()
-HOOVER = Hoover()
+@dataclass(frozen=True)
+class GeneralizedZagreb(Generic):
+    """Sum of deg**alpha over nodes, alpha real and nonzero: the power sum
+    with h the identity, whose reduced form and definition it inherits."""
 
-NAMED_INDICES: tuple[IndexSpec, ...] = (
-    LEAVES, ZAGREB, GORDON_SCANTLEBURY, PLATT, FORGOTTEN, GINI, HOOVER,
-)
+    h: DegreeFunction = field(default=Identity(), init=False, repr=False)
+
+    def __post_init__(self):
+        if self.alpha == 0:
+            raise UnknownIndexError("generalized Zagreb exponent must be nonzero")
+        super().__post_init__()
+
+    @property
+    def name(self) -> str:
+        return f"generalized_zagreb:{_format_alpha(self.alpha)}"
+
+
+IndexSpec = Union[NamedIndex, GeneralizedZagreb, Generic]
 
 _BY_NAME = {spec.name: spec for spec in NAMED_INDICES}
 
@@ -333,34 +338,10 @@ def check_positive(h: DegreeFunction, degrees) -> None:
 
 def eval_direct(state: TreeState, index: IndexSpec):
     """Evaluate ``index`` on a concrete tree from its degree multiset."""
-    counts = degree_multiset(state)
-    n = state.time
-    if isinstance(index, Leaves):
-        return counts.get(1, 0)
-    if isinstance(index, Zagreb):
-        return sum(c * d * d for d, c in counts.items())
-    if isinstance(index, Forgotten):
-        return sum(c * d ** 3 for d, c in counts.items())
-    if isinstance(index, GordonScantlebury):
-        return sum(c * d * (d - 1) for d, c in counts.items()) // 2
-    if isinstance(index, Platt):
-        return sum(c * d * (d - 1) for d, c in counts.items())
-    if isinstance(index, Gini):
-        degrees = sorted(counts)
-        total = 0
-        for i, a in enumerate(degrees):
-            for b in degrees[i + 1 :]:
-                total += counts[a] * counts[b] * (b - a)
-        return Fraction(total, 2 * (n + 2) * (n + 3))
-    if isinstance(index, Hoover):
-        total = sum(c * abs((n + 3) * d - 2 * (n + 2)) for d, c in counts.items())
-        return Fraction(total, 4 * (n + 2) * (n + 3))
-    if isinstance(index, GeneralizedZagreb):
-        return sum(c * _power(d, index.alpha) for d, c in counts.items())
-    if isinstance(index, Generic):
-        check_positive(index.h, counts)
-        return sum(c * _power(index.h(d), index.alpha) for d, c in counts.items())
-    raise UnknownIndexError(f"cannot evaluate index spec {index!r}")
+    direct = getattr(index, "direct", None)
+    if direct is None:
+        raise UnknownIndexError(f"cannot evaluate index spec {index!r}")
+    return direct(degree_multiset(state), state.time)
 
 
 def _evaluate(index: IndexSpec, n: int, L):

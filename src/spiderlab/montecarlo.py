@@ -22,9 +22,10 @@ workers finish.
 Result.  A run's only random output is one integer per replicate, so
 ``SampleSummary.leaf_counts`` holds every replicate's L, in replicate
 order.  Every number is read off its atoms, the distinct L and their
-counts (``leaf_atoms``): an index is evaluated once per atom, its mean and
-sample variance are exact atom sums rounded once (``atom_stats``), and
-``ks_normal`` walks the same atoms, so all depend only on the multiset of L.
+counts (``leaf_atoms``): an index is evaluated once per atom, and the
+summary keeps those values; its mean and sample variance are exact atom
+sums rounded once (``atom_stats``), and ``ks_normal`` walks the same atoms,
+so all depend only on the multiset of L.
 
 Audit.  Replicates whose index is a multiple of SPOT_CHECK_STRIDE are
 audited; a block holds at most one.  After the block's decision and tail
@@ -65,8 +66,8 @@ from typing import Sequence
 import numpy as np
 
 from .analytics import exact_mean_variance, moment_catalog
-from .indices import (Generic, IndexSpec, UnknownIndexError, check_positive, eval_direct,
-                      reduced_values)
+from .indices import (Generic, Identity, IndexSpec, UnknownIndexError, check_positive,
+                      eval_direct, reduced_values)
 from .tree import (ONE_BIT, GrowthModel, RngStream, TreeState, block_leaf_counts,
                    decision_threshold, grow_legs)
 
@@ -120,10 +121,13 @@ class SimConfig:
         if not self.indices:
             raise ValueError("at least one index is required")
         for spec in self.indices:
-            if isinstance(spec, Generic):
+            if isinstance(spec, Generic):  # a power sum, generalized Zagreb included
                 # Surface bad degree functions before any replicate runs: leaves
                 # have degree 1, internal nodes 2, the centroid 3..horizon+2.
-                check_positive(spec.h, range(1, self.horizon + 3))
+                if not isinstance(spec.h, Identity):  # positive on every degree
+                    check_positive(spec.h, range(1, self.horizon + 3))
+                if _overflows(spec, self.horizon):
+                    raise ValueError(f"index {spec.name} overflows float64 at n={self.horizon}")
 
     def to_json(self) -> dict:
         return {
@@ -133,6 +137,15 @@ class SimConfig:
             "master_seed": self.master_seed,
             "indices": [spec.name for spec in self.indices],
         }
+
+
+def _overflows(spec: IndexSpec, n: int) -> bool:
+    """Whether a power sum's float64 value at L = 3 or L = n + 2 is not finite."""
+    try:
+        with np.errstate(over="ignore"):
+            return not np.isfinite(reduced_values(spec, n, [3, n + 2])).all()
+    except OverflowError:  # a weight too large for a float
+        return True
 
 
 @dataclass
@@ -149,12 +162,18 @@ class SampleSummary:
     """Result of ``run_experiment``.
 
     ``leaf_counts`` holds every replicate's leaf count L (int64, in
-    replicate order, never thinned), the run's only random output; ``stats``
-    are read off its atoms, and ``spot_checks`` counts the audited replicates.
+    replicate order, never thinned), the run's only random output.  Its
+    atoms are ``atoms`` and ``atom_counts`` (``leaf_atoms``), and
+    ``atom_values`` holds each index's float64 value per atom, in
+    ``config.indices`` order; ``stats`` are read off them, and
+    ``spot_checks`` counts the audited replicates.
     """
 
     config: SimConfig
     leaf_counts: np.ndarray
+    atoms: np.ndarray
+    atom_counts: list[int]
+    atom_values: list[np.ndarray]
     stats: dict[str, IndexStats]
     spot_checks: int
 
@@ -282,7 +301,8 @@ def run_experiment(config: SimConfig, threads: int = 1,
                            f"L={int(leaf_counts[audited[k]])}: direct={float(direct[k, j])!r} "
                            f"reduced={float(reduced[k, j])!r}")
     stats = {spec.name: atom_stats(counts, v) for spec, v in zip(config.indices, values)}
-    return SampleSummary(config=config, leaf_counts=leaf_counts, stats=stats,
+    return SampleSummary(config=config, leaf_counts=leaf_counts, atoms=atoms,
+                         atom_counts=counts, atom_values=values, stats=stats,
                          spot_checks=len(audits))
 
 
@@ -396,8 +416,9 @@ def convergence_probe(
         for n in n_grid:
             config = SimConfig(model=model, horizon=n, replicates=replicates,
                                master_seed=master_seed, indices=(index,))
-            atoms, counts = leaf_atoms(run_experiment(config, workers=workers).leaf_counts)
-            scaled = reduced_values(index, n, atoms) / float(n) ** exponent
+            summary = run_experiment(config, workers=workers)
+            counts = summary.atom_counts
+            scaled = summary.atom_values[0] / float(n) ** exponent
             err = np.abs(scaled - c)
             stats = atom_stats(counts, scaled)
             rows.append(ProbeRow(

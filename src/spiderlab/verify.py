@@ -100,13 +100,10 @@ def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
     oracle over the given (p, n) grid."""
     if catalog is None:
         catalog = _default_catalog()
-    specs = {spec.name: spec for spec in NAMED_INDICES}
     failures = []
     for n in n_values:
-        reduced = {
-            key: [eval_reduced(n, k, spec) for k in range(3, n + 3)]
-            for key, spec in specs.items()
-        }
+        reduced = {spec.name: [eval_reduced(n, k, spec) for k in range(3, n + 3)]
+                   for spec in NAMED_INDICES}
         for p in p_values:
             weights, _ = support_weights(LeafLaw(n, p))
             for key, entry in catalog.items():

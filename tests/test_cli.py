@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -572,3 +573,22 @@ def test_non_finite_numbers_are_config_errors(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv, "--replicates", "100", "--seed", "1")
     assert_rejected_before_work(code, err)
     assert "config error" in err and out == ""
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+@pytest.mark.parametrize("alpha", ["5000", "700", "1" + "0" * 400])
+def test_huge_power_sum_exponents_are_config_errors(alpha):
+    # 5000 and the 400-digit exponent exceed the bound on |alpha|; 700 passes
+    # it, but 12.0**700 overflows float64 at L = n + 2.  Run in a child under
+    # a time and memory limit: without the bound, the exact 2**alpha of the
+    # 400-digit exponent grows without limit.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "spiderlab", "simulate", "--model", "uniform:0.4",
+                           "--n", "10", "--replicates", "10", "--indices",
+                           f"generalized_zagreb:{alpha}"], env=env, capture_output=True,
+                          text=True, timeout=60, preexec_fn=_limit_memory)
+    assert_rejected_before_work(done.returncode, done.stderr)
+    assert "config error" in done.stderr and done.stdout == ""

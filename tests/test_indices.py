@@ -1,9 +1,15 @@
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import spiderlab
 from spiderlab import (
     FORGOTTEN,
     GINI,
@@ -29,6 +35,7 @@ from spiderlab import (
     parse_index,
     reduced_values,
 )
+from spiderlab.indices import MAX_ABS_ALPHA
 from spiderlab.verify import _trial_specs
 
 SEED = new_seed()
@@ -141,6 +148,54 @@ def test_power_sums_reject_a_non_finite_alpha(alpha):
         GeneralizedZagreb(alpha)
     with pytest.raises(UnknownIndexError, match="finite"):
         Generic(Identity(), alpha)
+
+
+def test_power_sums_bound_the_exponent():
+    # 2**alpha, a degree-2 node's weight, is a normal float64 for |alpha| <= 1022
+    for alpha in (MAX_ABS_ALPHA, -MAX_ABS_ALPHA, -700):
+        assert GeneralizedZagreb(alpha).alpha == Generic(Identity(), alpha).alpha == alpha
+    for alpha in (MAX_ABS_ALPHA + 1, -1022.5, 5000, 10**400):
+        with pytest.raises(UnknownIndexError, match=f"<= {MAX_ABS_ALPHA}, got"):
+            GeneralizedZagreb(alpha)
+        with pytest.raises(UnknownIndexError, match=f"<= {MAX_ABS_ALPHA}, got"):
+            Generic(Identity(), alpha)
+
+
+def test_a_non_spec_has_no_evaluation():
+    class NotASpec:
+        name = "not_a_spec"
+
+    for index in (NotASpec(), "zagreb", None):
+        with pytest.raises(UnknownIndexError, match="cannot evaluate"):
+            eval_direct(SEED, index)
+        with pytest.raises(UnknownIndexError, match="cannot evaluate"):
+            eval_reduced(1, 3, index)
+
+
+DISPATCH_SPECS = NAMED_INDICES + (GeneralizedZagreb(2.5), Generic(Affine(2, 1), 2))
+
+
+def test_specs_survive_a_pickle_round_trip():
+    # a SimConfig's specs cross the process pool pickled
+    n = 80
+    state = grow(UniformLeaf(0.4), n, RngStream(5))
+    L = np.arange(3, n + 3)
+    for spec in DISPATCH_SPECS:
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec)
+        assert eval_direct(state, copy) == eval_direct(state, spec)
+        assert eval_reduced(n, state.leaf_count, copy) == eval_reduced(n, state.leaf_count, spec)
+        assert reduced_values(copy, n, L).tobytes() == reduced_values(spec, n, L).tobytes()
+
+
+def test_spec_reprs_are_the_same_in_another_interpreter():
+    # no repr carries a function's address
+    code = ("from spiderlab import *; print('\\n'.join(map(repr, NAMED_INDICES + "
+            "(GeneralizedZagreb(2.5), Generic(Affine(2, 1), 2)))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(spiderlab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == [repr(spec) for spec in DISPATCH_SPECS]
 
 
 def test_generic_rejects_nonpositive_h():

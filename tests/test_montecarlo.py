@@ -436,6 +436,24 @@ def test_config_rejects_table_missing_top_degree_at_large_n(monkeypatch):
               master_seed=1, indices=(Generic(Table.from_mapping(values), 1),))
 
 
+def test_config_rejects_a_power_sum_that_overflows_float64(monkeypatch):
+    monkeypatch.setattr(montecarlo, "block_leaf_counts", lambda *a: pytest.fail("ran"))
+    overflowing = [
+        (GeneralizedZagreb(700), 10),        # 12.0**700 is inf at L = n + 2
+        (GeneralizedZagreb(400), 1000),      # finite at L = 3, inf at L = n + 2
+        (Generic(Affine(3, 0), 1000), 10),   # the int weight 3**1000 is too large for a float
+        (Generic(Affine(3.0, 0), 1000), 10),  # and the float 3.0**1000 overflows
+    ]
+    for spec, n in overflowing:
+        with pytest.raises(ValueError, match=f"{spec.name} overflows float64 at n={n}"):
+            SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=10, master_seed=1,
+                      indices=(spec,))
+    for spec, n in [(GeneralizedZagreb(-700), 10), (GeneralizedZagreb(200), 10),
+                    (GeneralizedZagreb(2.5), 10**5)]:
+        SimConfig(model=UniformLeaf(0.5), horizon=n, replicates=10, master_seed=1,
+                  indices=(spec,))
+
+
 def test_run_rejects_nonpositive_threads():
     config = SimConfig(model=UniformLeaf(0.5), horizon=5, replicates=10,
                        master_seed=1, indices=(LEAVES,))

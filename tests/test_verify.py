@@ -1,30 +1,23 @@
 """The direct-vs-reduced suite: it reports planted faults with the right
 witness, and a trial's tree depends only on the seed and the trial."""
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import pytest
 
 from spiderlab import verify
-from spiderlab.indices import LEAVES, ZAGREB, Platt, ReducedForm, Zagreb, eval_direct
+from spiderlab.indices import LEAVES, PLATT, ZAGREB, ReducedForm, eval_direct
 from spiderlab.tree import RngStream, UniformLeaf, grow
 from spiderlab.verify import direct_reduced_suite
 
 SEED = 4242
 
 
-@dataclass(frozen=True)
-class ZagrebPlusOne(Zagreb):
-    """Evaluated directly as Zagreb; its reduced form's constant is off by one."""
-
-    name = "zagreb_plus_one"
-    reduced_form = ReducedForm(((1,), (-3,), (4, 1)))              # L^2 - 3L + 4m + 1
-
-
-@dataclass(frozen=True)
-class PlattMinusOne(Platt):
-    name = "platt_minus_one"
-    reduced_form = ReducedForm(((1,), (-3,), (2, -1)))             # L^2 - 3L + 2m - 1
+# Evaluated directly as Zagreb and Platt; their reduced forms' constants are off by one.
+ZAGREB_PLUS_ONE = replace(ZAGREB, name="zagreb_plus_one",
+                          reduced_form=ReducedForm(((1,), (-3,), (4, 1))))    # L^2 - 3L + 4m + 1
+PLATT_MINUS_ONE = replace(PLATT, name="platt_minus_one",
+                          reduced_form=ReducedForm(((1,), (-3,), (2, -1))))   # L^2 - 3L + 2m - 1
 
 
 def _trees(trials, max_n, seed):
@@ -45,7 +38,7 @@ def _trees(trials, max_n, seed):
 @pytest.fixture
 def planted(monkeypatch):
     monkeypatch.setattr(verify, "_trial_specs",
-                        lambda: (LEAVES, ZagrebPlusOne(), ZAGREB, PlattMinusOne()))
+                        lambda: (LEAVES, ZAGREB_PLUS_ONE, ZAGREB, PLATT_MINUS_ONE))
 
 
 def test_planted_faults_reported_with_witnesses_in_trial_spec_order(planted):
@@ -54,7 +47,7 @@ def test_planted_faults_reported_with_witnesses_in_trial_spec_order(planted):
     expected = []
     for n, tree, p in _trees(trials, max_n, SEED):
         witness = {"n": n, "L": tree.leaf_count, "p": round(p, 6)}
-        zagreb, platt = eval_direct(tree, ZAGREB), eval_direct(tree, Platt())
+        zagreb, platt = eval_direct(tree, ZAGREB), eval_direct(tree, PLATT)
         expected.append(("zagreb_plus_one", witness,
                          f"direct={float(zagreb)!r} reduced={float(zagreb + 1)!r}"))
         expected.append(("platt_minus_one", witness,
