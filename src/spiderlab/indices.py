@@ -31,8 +31,6 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .tree import TreeState, degree_multiset
-
 __all__ = [
     "UnknownIndexError",
     "Identity",
@@ -235,8 +233,12 @@ class Generic:
 
     def __post_init__(self):
         if not abs(self.alpha) <= MAX_ABS_ALPHA:
-            raise UnknownIndexError(
-                f"exponent must be finite and |alpha| <= {MAX_ABS_ALPHA}, got {self.alpha!r}")
+            # A long int is shown by its size: past 4300 digits it has no decimal repr.
+            alpha = self.alpha
+            got = (f"an integer of {alpha.bit_length()} bits"
+                   if isinstance(alpha, int) and abs(alpha) >= 10**20 else repr(alpha))
+            raise UnknownIndexError(f"exponent must be finite and |alpha| <= {MAX_ABS_ALPHA}, "
+                                    f"got {got}")
 
     @property
     def name(self) -> str:
@@ -252,7 +254,8 @@ class Generic:
         return ReducedForm(coeffs=((w1,), (0,)), head=(self.h, self.alpha, (w2,)))
 
     def direct(self, degrees, n):
-        check_positive(self.h, degrees)
+        if not isinstance(self.h, Identity):  # the identity is positive on every degree
+            check_positive(self.h, degrees)
         return sum(c * _power(self.h(d), self.alpha) for d, c in degrees.items())
 
 
@@ -336,12 +339,13 @@ def check_positive(h: DegreeFunction, degrees) -> None:
             )
 
 
-def eval_direct(state: TreeState, index: IndexSpec):
-    """Evaluate ``index`` on a concrete tree from its degree multiset."""
+def eval_direct(degrees: Mapping[int, int], n: int, index: IndexSpec):
+    """Evaluate ``index`` by its definition on a tree's degree multiset
+    {degree: count} at time ``n`` (``tree.degree_multiset``)."""
     direct = getattr(index, "direct", None)
     if direct is None:
         raise UnknownIndexError(f"cannot evaluate index spec {index!r}")
-    return direct(degree_multiset(state), state.time)
+    return direct(degrees, n)
 
 
 def _evaluate(index: IndexSpec, n: int, L):

@@ -13,11 +13,11 @@ replicate i is row i % 64 of block b = i // 64, and block b draws from the
 one stream ``RngStream(master_seed, b)``.  That stream yields, in order,
 the decision words of all 64 rows (ceil((n - 1) / 8) raw words per row,
 one byte per step, in replicate order; ceil((n - 1) / 64) words, one bit
-per step, under the bit rule), one tail word per tie in row-major order
-(none under the bit rule), and the audited replicate's picks.  The whole
-block is drawn even where the run ends inside it.  A replicate's L and its audit therefore depend only on (master_seed, i, n,
-model): not on the replicate count, the worker count or the order in which
-workers finish.
+per step, under the bit rule), then one tail word per tie in row-major
+order (none under the bit rule), and nothing more, audited or not.  The
+whole block is drawn even where the run ends inside it.  A replicate's L
+and its audit therefore depend only on (master_seed, i, n, model): not on
+the replicate count, the worker count or the order workers finish in.
 
 Result.  A run's only random output is one integer per replicate, so
 ``SampleSummary.leaf_counts`` holds every replicate's L, in replicate
@@ -28,14 +28,13 @@ sums rounded once (``atom_stats``), and ``ks_normal`` walks the same atoms,
 so all depend only on the multiset of L.
 
 Audit.  Replicates whose index is a multiple of SPOT_CHECK_STRIDE are
-audited; a block holds at most one.  After the block's decision and tail
-words, its stream yields n - 1 *pick* uniforms for that replicate, and
-the tree is regrown from the replicate's own centroid schedule and those
-picks (``tree.grow_legs``).  Its leg count must equal the counted L, its
-legs, the int64 array ``grow_legs`` returns, are checked in numpy (positive,
-summing to n + 2) as they become a ``TreeState``, and every requested
-index is evaluated directly from the degree multiset and compared with
-the atom value the statistics use at that L.
+audited; a block holds at most one.  Its centroid schedule, which
+``block_leaf_counts`` reads back from its words apart from the popcount or
+byte sums that count it, is recounted: 3 plus its recruits must equal the
+counted L.  Every index is then evaluated by its definition on the degree
+multiset of that (n, L) (``tree.spider_degrees``) and compared with the
+atom value the statistics use at that L.  No tree is grown: an index reads
+nothing of a tree but its degree multiset.
 
 Work.  Replicates are counted in chunks of CHUNK_SIZE (a multiple of
 STREAM_BLOCK, so no block straddles two chunks).  A chunk keys its block
@@ -68,8 +67,9 @@ import numpy as np
 from .analytics import exact_mean_variance, moment_catalog
 from .indices import (Generic, Identity, IndexSpec, UnknownIndexError, check_positive,
                       eval_direct, reduced_values)
-from .tree import (ONE_BIT, GrowthModel, RngStream, TreeState, block_leaf_counts,
-                   decision_threshold, grow_legs)
+from .tree import (ONE_BIT, GrowthModel, RngStream, block_leaf_counts, decision_threshold,
+                   spider_degrees)
+from .tree import grow_legs  # noqa: F401  unused, but bench/run.py --trace 1 rebinds it here
 
 __all__ = [
     "SimConfig",
@@ -193,12 +193,11 @@ class SampleSummary:
 
 def _chunk_worker(args) -> tuple:
     """Replicates ``start..stop-1``: their leaf counts, and for each audited
-    replicate its id and the direct value of every index on its regrown tree.
+    replicate its id and the direct value of every index at its (n, L).
 
     ``start`` is a multiple of STREAM_BLOCK; the chunk's blocks are counted
     together by ``block_leaf_counts``, each from its own stream, and each
-    audited replicate is regrown from its centroid schedule and the picks at
-    its block stream's tail.
+    audited replicate's L is recounted from the centroid schedule it returns.
     """
     config, start, stop = args
     model, steps, seed = config.model, config.horizon - 1, config.master_seed
@@ -212,15 +211,16 @@ def _chunk_worker(args) -> tuple:
     # replicate's draws depend on the replicate count.
     counts, schedules = block_leaf_counts(model, streams, STREAM_BLOCK, steps, audit_rows)
     audits = []
-    for first, stream, row, centroid, block in zip(firsts, streams, audit_rows, schedules, counts):
+    for first, row, centroid, block in zip(firsts, audit_rows, schedules, counts):
         if centroid is None:
             continue
-        legs = grow_legs(centroid, stream.doubles(steps))
-        if len(legs) != block[row]:
+        L = 3 + int(np.count_nonzero(centroid))
+        if L != block[row]:
             raise RuntimeError(f"leaf-count mismatch at n={config.horizon}: counted "
-                               f"L={int(block[row])}, grown tree has {len(legs)} legs")
-        state = TreeState(time=config.horizon, legs=legs)
-        audits.append((first + row, [float(eval_direct(state, spec)) for spec in config.indices]))
+                               f"L={int(block[row])}, its schedule has L={L}")
+        degrees = spider_degrees(config.horizon, L)
+        audits.append((first + row, [float(eval_direct(degrees, config.horizon, spec))
+                                     for spec in config.indices]))
     return counts.reshape(-1)[:stop - start], audits
 
 
@@ -228,8 +228,9 @@ def _pool_pays(config: SimConfig, threads: int) -> bool:
     """Whether ``threads`` workers take at least POOL_MIN_WORK off the one
     that runs the most chunks, ceil(chunks / threads) of them.  A replicate
     counts as REPLICATE_WORK plus its n - 1 growth steps, each one unit
-    under the byte rule and BIT_STEP_WORK under the bit rule (p = 1/2),
-    which is what the steps cost a serial run, its 1% audit included."""
+    under the byte rule and BIT_STEP_WORK under the bit rule (p = 1/2), the
+    serial costs measured while the audit still regrew trees (kept: see
+    BENCH_audit_recount.json's pool table)."""
     R = config.replicates
     chunks = -(-R // CHUNK_SIZE)
     busiest = min(R, -(-chunks // threads) * CHUNK_SIZE)

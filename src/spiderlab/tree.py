@@ -60,6 +60,7 @@ __all__ = [
     "grow_legs",
     "decision_threshold",
     "block_leaf_counts",
+    "spider_degrees",
     "degree_multiset",
 ]
 
@@ -377,13 +378,18 @@ def grow(model: GrowthModel, horizon_n: int, rng: RngStream) -> TreeState:
     return TreeState(time=horizon_n, legs=legs)
 
 
-def degree_multiset(state: TreeState) -> dict[int, int]:
-    """Map degree -> node count for a tree.
-
-    The centroid has degree ``leaf_count`` (>= 3, so it never collides with
-    the leaf or internal degrees); zero counts are omitted.
-    """
-    counts = {state.leaf_count: 1, 1: state.leaf_count}
-    if state.internal_count > 0:
-        counts[2] = state.internal_count
+def spider_degrees(n: int, leaves: int) -> dict[int, int]:
+    """Map degree -> node count of every spider tree at time ``n`` with
+    ``leaves`` legs: {leaves: 1, 1: leaves, 2: n + 2 - leaves}, the centroid's
+    degree (>= 3) never colliding with the others; zero counts are omitted."""
+    if not 3 <= leaves <= n + 2:
+        raise ValueError(f"leaf count {leaves} outside the reachable range [3, {n + 2}]")
+    counts = {leaves: 1, 1: leaves}
+    if leaves < n + 2:
+        counts[2] = n + 2 - leaves
     return counts
+
+
+def degree_multiset(state: TreeState) -> dict[int, int]:
+    """Map degree -> node count for a tree (``spider_degrees``)."""
+    return spider_degrees(state.time, state.leaf_count)

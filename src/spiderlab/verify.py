@@ -46,7 +46,7 @@ from .indices import (
     reduced_values,
 )
 from .montecarlo import STREAM_BLOCK, direct_mismatches
-from .tree import RngStream, TreeState, grow_legs, new_seed
+from .tree import RngStream, TreeState, degree_multiset, grow_legs, new_seed
 
 __all__ = [
     "Failure",
@@ -144,9 +144,9 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
     ``tree.grow`` consumes them.  So a trial's tree depends only on
     (master_seed, t, max_n), not on the trial count.
 
-    Every tree is evaluated directly (``eval_direct``) for every spec; the
-    reduced side is one float64 ``reduced_values`` pass per spec and block
-    over the block's (n, L), the engine's path.  A pair fails by the engine
+    Every spec is evaluated directly (``eval_direct``) on each tree's one
+    degree multiset; the reduced side is one float64 ``reduced_values`` pass
+    per spec and block over the block's (n, L), the engine's path.  A pair fails by the engine
     audit's check, ``montecarlo.direct_mismatches``; failures are listed in
     (trial, spec) order with their (n, L, p) witness.  Only one block's
     trees are held at a time.
@@ -166,7 +166,8 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
             legs = grow_legs(u[:, 0] < ps[first + k], u[:, 1])
             state = TreeState(time=n, legs=legs)
             L_block[k] = state.leaf_count
-            direct[k] = [float(eval_direct(state, spec)) for spec in specs]
+            degrees = degree_multiset(state)
+            direct[k] = [float(eval_direct(degrees, n, spec)) for spec in specs]
         reduced = np.column_stack([reduced_values(spec, n_block, L_block) for spec in specs])
         for k, j in direct_mismatches(direct, reduced):  # (trial, spec) order
             failures.append(Failure(
@@ -201,7 +202,7 @@ def seed_degeneracy_suite(p_values=FULL_P_VALUES, catalog=None) -> list[Failure]
     specs = {spec.name: spec for spec in NAMED_INDICES}
     failures = []
     for key, entry in catalog.items():
-        seed_value = eval_direct(seed, specs[key])
+        seed_value = eval_direct(degree_multiset(seed), seed.time, specs[key])
         for p in p_values:
             mean = entry.mean(1, p)
             var = entry.variance(1, p)

@@ -25,6 +25,7 @@ from spiderlab import (
     SimConfig,
     UniformLeaf,
     coefficient_triangle,
+    degree_multiset,
     eval_direct,
     ks_normal,
     leaf_atoms,
@@ -85,7 +86,7 @@ def test_c2_seed_degeneracy():
     }
     for spec in NAMED_INDICES:
         entry = moment_catalog(spec)
-        seed_value = eval_direct(seed, spec)
+        seed_value = eval_direct(degree_multiset(seed), 1, spec)
         assert seed_value == expected[entry.key]
         for p in FULL_P_VALUES:
             assert entry.mean(1, p) == seed_value, entry.key

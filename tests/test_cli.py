@@ -592,3 +592,13 @@ def test_huge_power_sum_exponents_are_config_errors(alpha):
                           text=True, timeout=60, preexec_fn=_limit_memory)
     assert_rejected_before_work(done.returncode, done.stderr)
     assert "config error" in done.stderr and done.stdout == ""
+
+
+def test_a_huge_exponent_is_echoed_by_its_size(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran"))
+    code, out, err = run_cli(capsys, "simulate", "--model", "uniform:0.4", "--n", "10",
+                             "--replicates", "10", "--seed", "1", "--indices",
+                             "generalized_zagreb:1" + "0" * 400)
+    assert_rejected_before_work(code, err)
+    assert "got an integer of 1329 bits" in err and out == ""  # 10**400 < 2**1329
+    assert "0" * 20 not in err and len(err) < 300

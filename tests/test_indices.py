@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import spiderlab
+import spiderlab.indices as indices
 from spiderlab import (
     FORGOTTEN,
     GINI,
@@ -27,6 +28,7 @@ from spiderlab import (
     Table,
     UniformLeaf,
     UnknownIndexError,
+    degree_multiset,
     eval_direct,
     eval_reduced,
     grow,
@@ -34,6 +36,7 @@ from spiderlab import (
     new_seed,
     parse_index,
     reduced_values,
+    spider_degrees,
 )
 from spiderlab.indices import MAX_ABS_ALPHA
 from spiderlab.verify import _trial_specs
@@ -41,18 +44,23 @@ from spiderlab.verify import _trial_specs
 SEED = new_seed()
 
 
+def direct_on(state, spec):
+    """``eval_direct`` on a tree's degree multiset."""
+    return eval_direct(degree_multiset(state), state.time, spec)
+
+
 def test_seed_values_from_definitions():
     # seed degrees are {3, 1, 1, 1}; sums worked out term by term
-    assert eval_direct(SEED, ZAGREB) == 3**2 + 3 * 1**2 == 12
-    assert eval_direct(SEED, FORGOTTEN) == 3**3 + 3 * 1**3 == 30
+    assert direct_on(SEED, ZAGREB) == 3**2 + 3 * 1**2 == 12
+    assert direct_on(SEED, FORGOTTEN) == 3**3 + 3 * 1**3 == 30
     # three unordered (centroid, leaf) pairs each differing by 2
-    assert eval_direct(SEED, GINI) == Fraction(3 * 2, 2 * 3 * 4) == Fraction(1, 4)
+    assert direct_on(SEED, GINI) == Fraction(3 * 2, 2 * 3 * 4) == Fraction(1, 4)
     # |4*3 - 6| + 3*|4*1 - 6| over 4*(n+2)*(n+3) = 12/48
-    assert eval_direct(SEED, HOOVER) == Fraction(6 + 3 * 2, 4 * 3 * 4) == Fraction(1, 4)
+    assert direct_on(SEED, HOOVER) == Fraction(6 + 3 * 2, 4 * 3 * 4) == Fraction(1, 4)
     # paths of length two through the centroid: C(3, 2)
-    assert eval_direct(SEED, GORDON_SCANTLEBURY) == 3
-    assert eval_direct(SEED, PLATT) == 6
-    assert eval_direct(SEED, LEAVES) == 3
+    assert direct_on(SEED, GORDON_SCANTLEBURY) == 3
+    assert direct_on(SEED, PLATT) == 6
+    assert direct_on(SEED, LEAVES) == 3
 
 
 def test_reduced_contract_examples():
@@ -77,7 +85,7 @@ def test_reduced_rejects_out_of_range_leaf_counts():
 def test_direct_equals_reduced_on_grown_trees(n, p, seed):
     state = grow(UniformLeaf(p), n, RngStream(seed))
     for spec in NAMED_INDICES + (GeneralizedZagreb(4), GeneralizedZagreb(2.5)):
-        direct = float(eval_direct(state, spec))
+        direct = float(direct_on(state, spec))
         reduced = float(eval_reduced(n, state.leaf_count, spec))
         assert abs(direct - reduced) <= 1e-12 * max(1.0, abs(reduced))
 
@@ -91,7 +99,7 @@ def test_reduced_table_equals_direct_for_real_exponents(n, p, seed, data):
     values = data.draw(st.lists(st.floats(0.5, 2), min_size=n + 2, max_size=n + 2), label="table")
     table = Table.from_mapping(dict(enumerate(values, start=1)))
     for spec in (GeneralizedZagreb(alpha), Generic(affine, alpha), Generic(table, alpha)):
-        direct = float(eval_direct(state, spec))
+        direct = float(direct_on(state, spec))
         assert eval_reduced(n, L, spec) == pytest.approx(direct, rel=1e-12, abs=0)
         assert reduced_values(spec, n, [L])[0] == pytest.approx(direct, rel=1e-12, abs=0)
 
@@ -100,7 +108,7 @@ def test_reduced_table_equals_direct_for_real_exponents(n, p, seed, data):
 def test_direct_equals_reduced_exactly_in_rational_mode(n, seed):
     state = grow(UniformLeaf(0.5), n, RngStream(seed))
     for spec in NAMED_INDICES + (GeneralizedZagreb(2), GeneralizedZagreb(3)):
-        assert eval_direct(state, spec) == eval_reduced(n, state.leaf_count, spec)
+        assert direct_on(state, spec) == eval_reduced(n, state.leaf_count, spec)
 
 
 @given(st.integers(1, 200), st.integers(0, 10**6))
@@ -118,15 +126,15 @@ def test_linear_relations_between_indices(n, seed):
 @given(st.integers(1, 200), st.integers(0, 10**6))
 def test_generalized_zagreb_special_cases(n, seed):
     state = grow(UniformLeaf(0.7), n, RngStream(seed))
-    assert eval_direct(state, GeneralizedZagreb(2)) == eval_direct(state, ZAGREB)
-    assert eval_direct(state, GeneralizedZagreb(3)) == eval_direct(state, FORGOTTEN)
+    assert direct_on(state, GeneralizedZagreb(2)) == direct_on(state, ZAGREB)
+    assert direct_on(state, GeneralizedZagreb(3)) == direct_on(state, FORGOTTEN)
 
 
 @given(st.integers(1, 400), st.integers(0, 10**6))
 def test_gini_hoover_in_unit_interval(n, seed):
     state = grow(UniformLeaf(0.6), n, RngStream(seed))
     for spec in (GINI, HOOVER):
-        value = eval_direct(state, spec)
+        value = direct_on(state, spec)
         assert 0 <= value < 1
 
 
@@ -134,7 +142,7 @@ def test_power_family_values_positive():
     state = grow(UniformLeaf(0.5), 50, RngStream(3))
     for spec in (ZAGREB, FORGOTTEN, GeneralizedZagreb(0.5), GeneralizedZagreb(-1),
                  Generic(Affine(1, 1), 2)):
-        assert float(eval_direct(state, spec)) > 0
+        assert float(direct_on(state, spec)) > 0
 
 
 def test_generalized_zagreb_rejects_zero_alpha():
@@ -161,13 +169,42 @@ def test_power_sums_bound_the_exponent():
             Generic(Identity(), alpha)
 
 
+def test_an_exponent_too_long_to_print_is_a_config_error():
+    # past 4300 digits Python will not turn an int into a decimal string
+    for alpha in (10**5000, -(10**5000)):
+        with pytest.raises(UnknownIndexError, match="got an integer of 16610 bits$"):
+            GeneralizedZagreb(alpha)
+        with pytest.raises(UnknownIndexError, match="got an integer of 16610 bits$"):
+            Generic(Identity(), alpha)
+
+
+def test_only_a_degree_function_other_than_the_identity_is_checked_per_call(monkeypatch):
+    checked = []
+    real = indices.check_positive
+    monkeypatch.setattr(indices, "check_positive", lambda h, d: checked.append(h) or real(h, d))
+    degrees = spider_degrees(30, 9)
+    for spec in (GeneralizedZagreb(2), GeneralizedZagreb(2.5), Generic(Identity(), 3)):
+        assert eval_direct(degrees, 30, spec) == sum(c * d ** spec.alpha for d, c in degrees.items())
+    assert checked == []
+    eval_direct(degrees, 30, Generic(Affine(1, 1), 2))
+    assert checked == [Affine(1, 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+def test_direct_on_every_spider_multiset_equals_reduced(n):
+    for L in range(3, n + 3):
+        degrees = spider_degrees(n, L)
+        for spec in NAMED_INDICES + (GeneralizedZagreb(2), GeneralizedZagreb(3)):
+            assert eval_direct(degrees, n, spec) == eval_reduced(n, L, spec)
+
+
 def test_a_non_spec_has_no_evaluation():
     class NotASpec:
         name = "not_a_spec"
 
     for index in (NotASpec(), "zagreb", None):
         with pytest.raises(UnknownIndexError, match="cannot evaluate"):
-            eval_direct(SEED, index)
+            direct_on(SEED, index)
         with pytest.raises(UnknownIndexError, match="cannot evaluate"):
             eval_reduced(1, 3, index)
 
@@ -183,7 +220,7 @@ def test_specs_survive_a_pickle_round_trip():
     for spec in DISPATCH_SPECS:
         copy = pickle.loads(pickle.dumps(spec))
         assert copy == spec and hash(copy) == hash(spec)
-        assert eval_direct(state, copy) == eval_direct(state, spec)
+        assert direct_on(state, copy) == direct_on(state, spec)
         assert eval_reduced(n, state.leaf_count, copy) == eval_reduced(n, state.leaf_count, spec)
         assert reduced_values(copy, n, L).tobytes() == reduced_values(spec, n, L).tobytes()
 
@@ -201,23 +238,23 @@ def test_spec_reprs_are_the_same_in_another_interpreter():
 def test_generic_rejects_nonpositive_h():
     bad = Generic(Affine(1, -2), 2)  # h(1) = -1
     with pytest.raises(UnknownIndexError):
-        eval_direct(SEED, bad)
+        direct_on(SEED, bad)
     with pytest.raises(UnknownIndexError):
         eval_reduced(5, 4, bad)
 
 
 def test_generic_identity_matches_generalized_zagreb():
     state = grow(UniformLeaf(0.4), 60, RngStream(12))
-    via_generic = eval_direct(state, Generic(Identity(), 2))
-    assert via_generic == eval_direct(state, ZAGREB)
+    via_generic = direct_on(state, Generic(Identity(), 2))
+    assert via_generic == direct_on(state, ZAGREB)
 
 
 def test_generic_table_h():
     table = Table.from_mapping({1: 2.0, 2: 1.0, 3: 5.0})
-    value = eval_direct(SEED, Generic(table, 1))
+    value = direct_on(SEED, Generic(table, 1))
     assert value == 5.0 + 3 * 2.0
     with pytest.raises(UnknownIndexError):
-        eval_direct(grow(UniformLeaf(0.5), 10, RngStream(0)), Generic(table, 1))
+        direct_on(grow(UniformLeaf(0.5), 10, RngStream(0)), Generic(table, 1))
 
 
 def test_table_looks_degrees_up_by_value():

@@ -122,18 +122,24 @@ def test_audit_checks_the_values_that_are_merged(monkeypatch):
     assert shifted.stats["leaves"] == clean.stats["leaves"]
 
 
-@pytest.mark.parametrize("corrupt,match", [
-    (lambda legs: np.concatenate([[0], legs[1:-1], [legs[-1] + legs[0]]]),
-     "leg lengths must be positive"),
-    (lambda legs: legs + np.eye(len(legs), dtype=np.int64)[0], "leg lengths sum to"),
-    (lambda legs: np.concatenate([legs[:-1], [legs[-1] - 1, 1]]), "leaf-count mismatch"),
-])
-def test_audit_rejects_a_regrown_tree_that_is_not_a_spider(monkeypatch, corrupt, match):
-    real = montecarlo.grow_legs
-    monkeypatch.setattr(montecarlo, "grow_legs", lambda *args: corrupt(real(*args)))
-    config = SimConfig(model=UniformLeaf(0.5), horizon=40, replicates=5,
+@pytest.mark.parametrize("p,flipped", [(0.5, 0), (0.4, 20), (0.4, -1)])
+def test_audit_rejects_a_flipped_step_in_the_audited_schedule(monkeypatch, p, flipped):
+    # The audit recounts L from the audited row's schedule, which is read
+    # back apart from the popcount or byte sums that count the block.
+    real = montecarlo.block_leaf_counts
+
+    def one_step_flipped(*args):
+        counts, schedules = real(*args)
+        for centroid in schedules:
+            if centroid is not None:
+                centroid[flipped] = ~centroid[flipped]
+        return counts, schedules
+
+    monkeypatch.setattr(montecarlo, "block_leaf_counts", one_step_flipped)
+    config = SimConfig(model=UniformLeaf(p), horizon=40, replicates=5,
                        master_seed=3, indices=(LEAVES,))
-    with pytest.raises((ValueError, RuntimeError), match=match):
+    with pytest.raises(RuntimeError, match="leaf-count mismatch at n=40: counted L=\\d+, "
+                                           "its schedule has L=\\d+$"):
         run_experiment(config)
 
 
@@ -274,27 +280,35 @@ def test_blocks_counted_together_equal_blocks_counted_alone(monkeypatch, n):
         assert np.array_equal(leaf_samples(n, 0.4, replicates, 3), expected)
 
 
-def test_audit_regrows_from_the_counted_row_and_the_tail_picks(monkeypatch):
-    n, p, seed, replicates = 50, 0.5, 5, 130
-    calls = []
-    real = montecarlo.grow_legs
+@pytest.mark.parametrize("p", [0.4, 0.5])
+def test_an_audited_block_draws_its_decision_and_tail_words_only(monkeypatch, p):
+    n, seed, replicates = 50, 5, 130  # replicates 0 and 100 are audited, in blocks 0 and 1
+    made = []
 
-    def recording(centroid, picks):
-        calls.append((centroid.copy(), picks.copy()))
-        return real(centroid, picks)
+    class Recording(RngStream):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.draws = []
+            made.append(self)
 
-    monkeypatch.setattr(montecarlo, "grow_legs", recording)
+        def doubles(self, count):
+            self.draws.append(("doubles", count))
+            return super().doubles(count)
+
+        def words(self, count):
+            self.draws.append(("words", count))
+            return super().words(count)
+
+    monkeypatch.setattr(montecarlo, "RngStream", Recording)
     leaf_samples(n, p, replicates, seed)
-    # replicate 0 is row 0 of block 0; replicate 100 is row 36 of block 1
-    expected = []
-    for block, row in ((0, 0), (1, 36)):
-        stream = RngStream(seed, block)
-        _, centroid = reference_block(stream, STREAM_BLOCK, n - 1, p)
-        expected.append((centroid[row], stream.doubles(n - 1)))
-    assert len(calls) == len(expected)
-    for (got_c, got_p), (want_c, want_p) in zip(calls, expected):
-        assert np.array_equal(got_c, want_c)
-        assert np.array_equal(got_p, want_p)
+    assert [(s.master_seed, s.stream_index) for s in made] == [(seed, b) for b in range(3)]
+    for stream in made:
+        assert {kind for kind, _ in stream.draws} == {"words"}
+        # a fresh stream that has yielded the block's decision and tail words
+        # is where the engine's stream was left
+        reference = RngStream(seed, stream.stream_index)
+        reference_block(reference, STREAM_BLOCK, n - 1, p)
+        assert stream.words(4).tolist() == reference.words(4).tolist()
 
 
 def test_first_replicates_do_not_depend_on_the_replicate_count():

@@ -15,6 +15,7 @@ from spiderlab import (
     grow,
     grow_legs,
     new_seed,
+    spider_degrees,
     step,
 )
 
@@ -73,14 +74,25 @@ def test_step_picks_any_leg():
 
 def test_tree_state_invariants_enforced():
     for wrap in (tuple, lambda legs: np.array(legs, dtype=np.int64)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 3 legs, got 2"):
             TreeState(time=1, legs=wrap((1, 1)))  # fewer than 3 legs
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sum to 3, expected time"):
             TreeState(time=2, legs=wrap((1, 1, 1)))  # sum != time + 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sum to 6, expected time"):
+            TreeState(time=5, legs=wrap((2, 2, 1, 1)))  # a leg too short for the time
+        with pytest.raises(ValueError, match="must be positive"):
             TreeState(time=3, legs=wrap((0, 2, 3)))  # empty leg
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be positive"):
             TreeState(time=3, legs=wrap((-1, 3, 3)))  # negative leg
+
+
+def test_spider_degrees_is_the_multiset_at_every_reachable_leaf_count():
+    assert spider_degrees(1, 3) == degree_multiset(new_seed()) == {3: 1, 1: 3}
+    assert spider_degrees(4, 6) == {6: 1, 1: 6}  # every leg of length one
+    assert spider_degrees(4, 5) == {5: 1, 1: 5, 2: 1}
+    for n, L in ((1, 2), (1, 4), (5, 8), (0, 3)):
+        with pytest.raises(ValueError, match="outside the reachable range"):
+            spider_degrees(n, L)
 
 
 def construction_outcome(time, legs):

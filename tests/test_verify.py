@@ -7,7 +7,7 @@ import pytest
 
 from spiderlab import verify
 from spiderlab.indices import LEAVES, PLATT, ZAGREB, ReducedForm, eval_direct
-from spiderlab.tree import RngStream, UniformLeaf, grow
+from spiderlab.tree import RngStream, UniformLeaf, degree_multiset, grow
 from spiderlab.verify import direct_reduced_suite
 
 SEED = 4242
@@ -47,7 +47,8 @@ def test_planted_faults_reported_with_witnesses_in_trial_spec_order(planted):
     expected = []
     for n, tree, p in _trees(trials, max_n, SEED):
         witness = {"n": n, "L": tree.leaf_count, "p": round(p, 6)}
-        zagreb, platt = eval_direct(tree, ZAGREB), eval_direct(tree, PLATT)
+        degrees = degree_multiset(tree)
+        zagreb, platt = eval_direct(degrees, n, ZAGREB), eval_direct(degrees, n, PLATT)
         expected.append(("zagreb_plus_one", witness,
                          f"direct={float(zagreb)!r} reduced={float(zagreb + 1)!r}"))
         expected.append(("platt_minus_one", witness,
