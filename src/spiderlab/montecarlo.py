@@ -8,16 +8,19 @@ steps that tie (the exact byte rule of ``tree.block_leaf_counts``), or one
 random bit per step at p = 1/2 (its bit rule, for ``Preferential`` too),
 counts the recruits, then evaluates the closed forms on the counted L.
 
-Streams.  Replicates are laid out in fixed blocks of STREAM_BLOCK = 64:
-replicate i is row i % 64 of block b = i // 64, and block b draws from the
-one stream ``RngStream(master_seed, b)``.  That stream yields, in order,
-the decision words of all 64 rows (ceil((n - 1) / 8) raw words per row,
-one byte per step, in replicate order; ceil((n - 1) / 64) words, one bit
-per step, under the bit rule), then one tail word per tie in row-major
+Streams.  Replicates are laid out in fixed chunks of CHUNK_SIZE = 1024:
+replicate i is row i % 1024 of chunk c = i // 1024, and chunk c draws from
+the one stream ``RngStream(master_seed, c)``.  That stream yields, in
+order, the decision words of all 1024 rows (ceil((n - 1) / 8) raw words per
+row, one byte per step, in replicate order; ceil((n - 1) / 64) words, one
+bit per step, under the bit rule), then one tail word per tie in row-major
 order (none under the bit rule), and nothing more, audited or not.  The
-whole block is drawn even where the run ends inside it.  A replicate's L
-and its audit therefore depend only on (master_seed, i, n, model): not on
-the replicate count, the worker count or the order workers finish in.
+whole chunk is drawn even where the run ends inside it, so a run draws at
+most CHUNK_SIZE - 1 rows past its replicate count.  A replicate's L and
+its audit therefore depend only on (master_seed, i, n, model): not on the
+replicate count, the worker count or the order workers finish in.  Keying
+a stream costs 12-20 us on a 2-core x86-64 host, so one key per chunk
+keeps it a small share of any run.
 
 Result.  A run's only random output is one integer per replicate, so
 ``SampleSummary.leaf_counts`` holds every replicate's L, in replicate
@@ -28,7 +31,7 @@ sums rounded once (``atom_stats``), and ``ks_normal`` walks the same atoms,
 so all depend only on the multiset of L.
 
 Audit.  Replicates whose index is a multiple of SPOT_CHECK_STRIDE are
-audited; a block holds at most one.  Its centroid schedule, which
+audited; a chunk holds ten or eleven.  Each one's centroid schedule, which
 ``block_leaf_counts`` reads back from its words apart from the popcount or
 byte sums that count it, is recounted: 3 plus its recruits must equal the
 counted L.  Every index is then evaluated by its definition on the degree
@@ -36,17 +39,15 @@ multiset of that (n, L) (``tree.spider_degrees``) and compared with the
 atom value the statistics use at that L.  No tree is grown: an index reads
 nothing of a tree but its degree multiset.
 
-Work.  Replicates are counted in chunks of CHUNK_SIZE (a multiple of
-STREAM_BLOCK, so no block straddles two chunks).  A chunk keys its block
-streams and hands them to ``block_leaf_counts`` together, which stacks
-their rows and counts them in pieces of about ``tree.DRAW_PIECE`` words,
-so small-n blocks are not each bound by numpy call overhead; the piece
-size bounds memory and is not part of the contract.  Chunks go to
-a process pool only when that takes at least POOL_MIN_WORK off the
-busiest worker, a replicate counting as REPLICATE_WORK plus its n - 1
-steps, each weighed by what it costs a serial run under its rule (one
-unit under the byte rule, BIT_STEP_WORK under the bit rule); below that,
-starting the pool costs more than it saves.  The result is the same
+Work.  A chunk is one ``_chunk_worker`` call: ``block_leaf_counts`` counts
+its rows from its one stream in pieces of about ``tree.DRAW_PIECE`` words, so
+small-n rows are not each bound by numpy call overhead; the piece size
+bounds memory and is not part of the contract.  Chunks go to a process
+pool, one batch per worker, only when that takes at least POOL_MIN_WORK
+off the busiest worker, a replicate counting as REPLICATE_WORK plus its
+n - 1 steps, each weighed by what it costs a serial run under its rule
+(one unit under the byte rule, BIT_STEP_WORK under the bit rule); below
+that, starting the pool costs more than it saves.  The result is the same
 either way.  A command that runs several horizons shares one
 ``Workers``: its pool starts at the first run that pays for it and shuts
 down when the command ends, so the command pays the start at most once.
@@ -85,11 +86,10 @@ __all__ = [
     "convergence_probe",
 ]
 
-CHUNK_SIZE = 1024          # replicates per worker task
-STREAM_BLOCK = 64          # replicates per random stream; divides CHUNK_SIZE
-POOL_MIN_WORK = 24_000_000  # work the pool must take off the busiest worker to pay for its start
-REPLICATE_WORK = 600       # a replicate's work besides its n - 1 steps, in byte-rule steps
-BIT_STEP_WORK = 0.28       # a bit-rule step's work, in byte-rule steps
+CHUNK_SIZE = 1024          # replicates per _chunk_worker call, and per random stream
+POOL_MIN_WORK = 30_000_000  # work the pool must take off the busiest worker to pay for itself
+REPLICATE_WORK = 260       # a replicate's work besides its n - 1 steps, in byte-rule steps
+BIT_STEP_WORK = 0.08       # a bit-rule step's work, in byte-rule steps
 SPOT_CHECK_STRIDE = 100    # deterministic 1% direct-evaluation audit
 DIRECT_CHECK_RTOL = 1e-12
 KS_MIN_SAMPLES = 10        # smallest replicate count ks_normal accepts
@@ -195,33 +195,27 @@ def _chunk_worker(args) -> tuple:
     """Replicates ``start..stop-1``: their leaf counts, and for each audited
     replicate its id and the direct value of every index at its (n, L).
 
-    ``start`` is a multiple of STREAM_BLOCK; the chunk's blocks are counted
-    together by ``block_leaf_counts``, each from its own stream, and each
-    audited replicate's L is recounted from the centroid schedule it returns.
+    ``start`` is a multiple of CHUNK_SIZE; the chunk's rows are counted by
+    ``block_leaf_counts`` from its one stream, and each audited replicate's L
+    is recounted from the centroid schedule it returns.
     """
     config, start, stop = args
-    model, steps, seed = config.model, config.horizon - 1, config.master_seed
-    firsts = range(start, stop, STREAM_BLOCK)
-    streams = [RngStream(seed, first // STREAM_BLOCK) for first in firsts]
-    audit_rows = []
-    for first in firsts:
-        row = -first % SPOT_CHECK_STRIDE  # row of the block's multiple of the stride
-        audit_rows.append(row if row < min(STREAM_BLOCK, stop - first) else -1)
-    # A block is drawn whole even where the run ends inside it, so no
+    n = config.horizon
+    stream = RngStream(config.master_seed, start // CHUNK_SIZE)
+    audit_rows = range(-start % SPOT_CHECK_STRIDE, stop - start, SPOT_CHECK_STRIDE)
+    # The chunk is drawn whole even where the run ends inside it, so no
     # replicate's draws depend on the replicate count.
-    counts, schedules = block_leaf_counts(model, streams, STREAM_BLOCK, steps, audit_rows)
+    counts, schedules = block_leaf_counts(config.model, stream, CHUNK_SIZE, n - 1, audit_rows)
     audits = []
-    for first, row, centroid, block in zip(firsts, audit_rows, schedules, counts):
-        if centroid is None:
-            continue
+    for row, centroid in zip(audit_rows, schedules):
         L = 3 + int(np.count_nonzero(centroid))
-        if L != block[row]:
-            raise RuntimeError(f"leaf-count mismatch at n={config.horizon}: counted "
-                               f"L={int(block[row])}, its schedule has L={L}")
-        degrees = spider_degrees(config.horizon, L)
-        audits.append((first + row, [float(eval_direct(degrees, config.horizon, spec))
+        if L != counts[row]:
+            raise RuntimeError(f"leaf-count mismatch at n={n}: counted "
+                               f"L={int(counts[row])}, its schedule has L={L}")
+        degrees = spider_degrees(n, L)
+        audits.append((start + row, [float(eval_direct(degrees, n, spec))
                                      for spec in config.indices]))
-    return counts.reshape(-1)[:stop - start], audits
+    return counts[:stop - start], audits
 
 
 def _pool_pays(config: SimConfig, threads: int) -> bool:
@@ -229,8 +223,8 @@ def _pool_pays(config: SimConfig, threads: int) -> bool:
     that runs the most chunks, ceil(chunks / threads) of them.  A replicate
     counts as REPLICATE_WORK plus its n - 1 growth steps, each one unit
     under the byte rule and BIT_STEP_WORK under the bit rule (p = 1/2), the
-    serial costs measured while the audit still regrew trees (kept: see
-    BENCH_audit_recount.json's pool table)."""
+    serial costs of a run (BENCH_chunk_streams.json's fit); POOL_MIN_WORK
+    is fitted to its forced-pool table."""
     R = config.replicates
     chunks = -(-R // CHUNK_SIZE)
     busiest = min(R, -(-chunks // threads) * CHUNK_SIZE)
@@ -258,7 +252,8 @@ class Workers:
         if self.threads > 1 and len(tasks) > 1 and _pool_pays(config, self.threads):
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(max_workers=self.threads)
-            return list(self._pool.map(_chunk_worker, tasks, chunksize=1))
+            batch = -(-len(tasks) // self.threads)  # one batch per worker
+            return list(self._pool.map(_chunk_worker, tasks, chunksize=batch))
         return [_chunk_worker(t) for t in tasks]
 
     def __enter__(self) -> Workers:

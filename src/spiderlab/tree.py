@@ -176,10 +176,11 @@ class RngStream:
     Equal addresses replay the same sequence; distinct stream indices give
     statistically independent streams (PCG64 keyed through a SeedSequence).
     ``doubles`` and ``words`` advance the same generator, one 64-bit output
-    per value.  Keying costs about 12-13 us, as much as drawing some 5000
-    words or uniforms (2.5-2.7 ns each, on a 2-core x86-64 host), so the
-    Monte Carlo engine keys one stream per block of replicates, and the
-    verification suite one per block of trees, not one per replicate or tree.
+    per value.  Keying costs 12-20 us (``SeedSequence``, its state, and
+    ``PCG64``), as much as drawing some 5000 words or uniforms (2.5-3.5 ns
+    each, on a 2-core x86-64 host), so the Monte Carlo engine keys one
+    stream per chunk of 1024 replicates, and the verification suite one per
+    block of 64 trees, not one per replicate or tree.
     """
 
     __slots__ = ("master_seed", "stream_index", "_generator")
@@ -266,22 +267,21 @@ def decision_threshold(model: GrowthModel) -> tuple[int, int]:
     return K >> TAIL_BITS, K & ((1 << TAIL_BITS) - 1)
 
 
-def block_leaf_counts(model: GrowthModel, streams, rows: int, steps: int, audit_rows):
-    """Leaf counts, of shape ``(blocks, rows)``, of blocks of ``rows``
-    replicates of ``steps`` growth steps each, one block per stream in
-    ``streams``, decided by the bit rule at p = 1/2 and by the byte rule at
-    every other p; and per block the centroid schedule of its row
-    ``audit_rows[b]``, or None unless ``0 <= audit_rows[b] < rows``.
+def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_rows):
+    """Leaf counts, of shape ``(rows,)``, of ``rows`` replicates of ``steps``
+    growth steps each, all drawn from the one ``stream``, decided by the bit
+    rule at p = 1/2 and by the byte rule at every other p; and the centroid
+    schedule of each row in ``audit_rows``, in that order.
 
     The bit rule applies when ``decision_threshold(model) == ONE_BIT``, so
-    to ``Preferential`` and ``UniformLeaf(0.5)`` alike.  Each block's
-    stream yields ``rows * W`` raw words, W = ceil(steps / 64), and nothing
-    more.  Row r owns words ``r*W .. r*W + W - 1``, and step s of row r
-    recruits iff bit ``s % 64`` of word ``r*W + s // 64`` is 0.  The bits of
-    a row's last word above step ``steps - 1`` are unused.  The row's leaf
-    count is 3 + steps minus the popcount of its used bits.
+    to ``Preferential`` and ``UniformLeaf(0.5)`` alike.  The stream yields
+    ``rows * W`` raw words, W = ceil(steps / 64), and nothing more.  Row r
+    owns words ``r*W .. r*W + W - 1``, and step s of row r recruits iff bit
+    ``s % 64`` of word ``r*W + s // 64`` is 0.  The bits of a row's last
+    word above step ``steps - 1`` are unused.  The row's leaf count is 3 +
+    steps minus the popcount of its used bits.
 
-    Under the byte rule each block's stream yields, in order:
+    Under the byte rule the stream yields, in order:
 
     1. ``rows * W`` raw words, W = ceil(steps / 8).  Row r owns words
        ``r*W .. r*W + W - 1``, and step s of row r takes its byte a from
@@ -291,22 +291,25 @@ def block_leaf_counts(model: GrowthModel, streams, rows: int, steps: int, audit_
     2. One tail word per tie (a byte equal to A), in row-major (row, step)
        order; a tail word w gives the tail ``b = w >> 19``.
 
-    Under either rule the rows of all blocks are stacked in order and drawn
-    and counted in pieces (``_decision_pieces``), one pass each.  Ties are
-    resolved after the last decision word, each block's from its own
-    stream, so the piece size bounds memory and is not part of the contract.
+    Under either rule the rows are drawn and counted in pieces of h =
+    DRAW_PIECE // W whole rows (at least one), one pass each.  Ties are
+    resolved after the last decision word, so the piece size bounds memory
+    and is not part of the contract.  An audited row whose own ties differ from its summed
+    tie count raises the engine's "leaf-count mismatch" ``RuntimeError``.
     """
+    if not all(0 <= row < rows for row in audit_rows):
+        raise ValueError(f"audited rows {list(audit_rows)} outside 0..{rows - 1}")
     A, T = decision_threshold(model)
     one_bit = (A, T) == ONE_BIT
     width = -(-steps // (64 if one_bit else 8))  # decision words per row
-    blocks = len(streams)
-    below = np.empty(blocks * rows, dtype=np.int64)  # recruits with no tail, per stacked row
-    ties = np.empty(blocks * rows, dtype=np.int64)   # bytes equal to A, per stacked row
-    # the audited rows' decision words, by stacked row b * rows + audit_rows[b]
-    audited = {b * rows + row: None for b, row in enumerate(audit_rows) if 0 <= row < rows}
-    for at, words in _decision_pieces(streams, rows, width):
-        end = at + len(words)
-        audited.update({i: words[i - at].copy() for i in audited if at <= i < end})
+    below = np.empty(rows, dtype=np.int64)  # recruits with no tail, per row
+    ties = np.empty(rows, dtype=np.int64)   # bytes equal to A, per row
+    audited = dict.fromkeys(audit_rows)     # the audited rows' decision words
+    height = max(1, DRAW_PIECE // max(width, 1))  # rows per piece
+    for at in range(0, rows, height):
+        end = min(at + height, rows)
+        words = stream.words((end - at) * width).reshape(end - at, width)
+        audited.update({row: words[row - at].copy() for row in audited if at <= row < end})
         if one_bit:
             if steps % 64:
                 words[:, -1] &= np.uint64((1 << steps % 64) - 1)  # clear the unused bits
@@ -317,41 +320,24 @@ def block_leaf_counts(model: GrowthModel, streams, rows: int, steps: int, audit_
             ties[at:end] = _row_sums(octets <= A, steps) - below[at:end]
     counts = 3 + below
     if not one_bit:
-        tails = [stream.words(count) for stream, count in
-                 zip(streams, ties.reshape(blocks, rows).sum(axis=1).tolist())]
-        tail_rows = np.repeat(np.arange(blocks * rows), ties)  # the row each tail word decides for
-        recruit = (np.concatenate(tails) >> np.uint64(TAIL_SHIFT)) < T
-        counts += np.bincount(tail_rows[recruit], minlength=blocks * rows)
-    schedules = [None] * blocks
-    for i, row_words in audited.items():
-        octets = row_words.astype("<u8", copy=False).view(np.uint8)
+        tail_rows = np.repeat(np.arange(rows), ties)  # the row each tail word decides for
+        recruit = (stream.words(len(tail_rows)) >> np.uint64(TAIL_SHIFT)) < T
+        counts += np.bincount(tail_rows[recruit], minlength=rows)
+    schedules = []
+    for row in audit_rows:
+        octets = audited[row].astype("<u8", copy=False).view(np.uint8)
         if one_bit:
-            schedules[i // rows] = np.unpackbits(octets, bitorder="little")[:steps] == 0
-        else:
-            octets = octets[:steps]
-            schedules[i // rows] = octets < A
-            schedules[i // rows][octets == A] = recruit[tail_rows == i]
-    return counts.reshape(blocks, rows), schedules
-
-
-def _decision_pieces(streams, rows: int, width: int):
-    """The decision words of every block, ``rows * width`` from each stream,
-    as ``(at, words)``: ``words`` of shape ``(height, width)`` are the rows
-    ``at .. at + height - 1`` of the blocks stacked in order, each block's
-    drawn from its own stream.  The stack is cut every h = DRAW_PIECE //
-    width rows (at least one), rounded down to whole blocks when h > rows,
-    so a piece may end one block and begin the next.
-    """
-    height = max(1, DRAW_PIECE // max(width, 1))
-    if height > rows:
-        height -= height % rows
-    total = len(streams) * rows
-    for at in range(0, total, height):
-        end = min(at + height, total)
-        drawn = [streams[b].words((min(end, b * rows + rows) - max(at, b * rows)) * width)
-                 for b in range(at // rows, (end - 1) // rows + 1)]
-        words = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
-        yield at, words.reshape(end - at, width)
+            schedules.append(np.unpackbits(octets, bitorder="little")[:steps] == 0)
+            continue
+        octets = octets[:steps]
+        tied = octets == A
+        if np.count_nonzero(tied) != ties[row]:
+            raise RuntimeError(f"leaf-count mismatch at n={steps + 1}: row {row} holds "
+                               f"{np.count_nonzero(tied)} ties, counted {ties[row]}")
+        centroid = octets < A
+        centroid[tied] = recruit[tail_rows == row]
+        schedules.append(centroid)
+    return counts, schedules
 
 
 def _row_sums(flags: np.ndarray, steps: int) -> np.ndarray:

@@ -10,9 +10,9 @@ with what they test:
   is reported as a formula flag with its (index, n, p) witness, never
   silently patched);
 * direct degree-multiset evaluation against the reduced closed forms on
-  randomly grown trees, grown in blocks of 64 that share one random stream
-  (the layout the Monte Carlo engine uses), the reduced side taken in one
-  float64 ``reduced_values`` pass per index and block;
+  randomly grown trees, grown in blocks of TRIAL_BLOCK = 64 that share one
+  random stream, the reduced side taken in one float64 ``reduced_values``
+  pass per index and block;
 * the coefficient triangle against Stirling numbers of the second kind
   computed by inclusion-exclusion;
 * degeneracy at time 1, where the tree is deterministic, so every catalog
@@ -45,7 +45,7 @@ from .indices import (
     eval_reduced,
     reduced_values,
 )
-from .montecarlo import STREAM_BLOCK, direct_mismatches
+from .montecarlo import direct_mismatches
 from .tree import RngStream, TreeState, degree_multiset, grow_legs, new_seed
 
 __all__ = [
@@ -64,6 +64,7 @@ FULL_P_VALUES = tuple(Fraction(i, 10) for i in range(1, 10))
 FULL_N_VALUES = tuple(range(1, 51))
 QUICK_P_VALUES = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
 QUICK_N_VALUES = tuple(range(1, 16))
+TRIAL_BLOCK = 64  # random trees per stream in direct_reduced_suite
 
 
 @dataclass
@@ -138,7 +139,8 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
 
     Trial t takes u = (u[2t], u[2t + 1]) of ``RngStream(master_seed, 0)``,
     n = 1 + floor(u[0] max_n) and p = 0.05 + 0.9 u[1].  Trials run in blocks
-    of STREAM_BLOCK = 64: block b = t // 64 draws from the one stream
+    of TRIAL_BLOCK = 64, this suite's own block, not the Monte Carlo
+    engine's chunk: block b = t // 64 draws from the one stream
     ``RngStream(master_seed, 1 + b)``, which yields the 2 (n - 1) interleaved
     (decision, pick) uniforms of each of its trials in trial order, as
     ``tree.grow`` consumes them.  So a trial's tree depends only on
@@ -156,9 +158,9 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
     meta = RngStream(master_seed, 0).doubles(2 * trials).reshape(trials, 2)
     ns = 1 + (meta[:, 0] * max_n).astype(np.int64)
     ps = 0.05 + 0.9 * meta[:, 1]
-    for first in range(0, trials, STREAM_BLOCK):
-        n_block = ns[first:first + STREAM_BLOCK]
-        stream = RngStream(master_seed, 1 + first // STREAM_BLOCK)
+    for first in range(0, trials, TRIAL_BLOCK):
+        n_block = ns[first:first + TRIAL_BLOCK]
+        stream = RngStream(master_seed, 1 + first // TRIAL_BLOCK)
         L_block = np.empty(len(n_block), dtype=np.int64)
         direct = np.empty((len(n_block), len(specs)))
         for k, n in enumerate(n_block.tolist()):

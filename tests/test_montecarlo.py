@@ -28,10 +28,10 @@ from spiderlab import (
 import spiderlab.montecarlo as montecarlo
 import spiderlab.tree as tree
 from spiderlab.indices import Affine, Generic, Table, eval_reduced, index_name, reduced_values
-from spiderlab.montecarlo import CHUNK_SIZE, KS_MIN_SAMPLES, STREAM_BLOCK
+from spiderlab.montecarlo import CHUNK_SIZE, KS_MIN_SAMPLES, SPOT_CHECK_STRIDE
 from spiderlab.tree import DRAW_PIECE, RngStream, decision_threshold
 
-from conftest import ScriptedWords, reference_block
+from conftest import reference_block
 
 
 def test_seed_horizon_experiment_is_deterministic():
@@ -59,12 +59,12 @@ def test_parallel_run_matches_serial(monkeypatch):
     many_chunks = SimConfig(model=UniformLeaf(0.6), horizon=80, replicates=4000,
                             master_seed=123, indices=(LEAVES, ZAGREB, GINI))
     assert many_chunks.replicates > 3 * CHUNK_SIZE
-    partial_block = SimConfig(model=UniformLeaf(0.4), horizon=201, replicates=1100,
+    partial_chunk = SimConfig(model=UniformLeaf(0.4), horizon=201, replicates=1100,
                               master_seed=11, indices=(LEAVES, ZAGREB, GINI))
-    assert partial_block.replicates % STREAM_BLOCK and partial_block.replicates > CHUNK_SIZE
+    assert partial_chunk.replicates % CHUNK_SIZE and partial_chunk.replicates > CHUNK_SIZE
     half = SimConfig(model=UniformLeaf(0.5), horizon=150, replicates=3 * CHUNK_SIZE + 37,
                      master_seed=5, indices=(LEAVES, ZAGREB, GINI))  # the bit rule
-    for config in (many_chunks, partial_block, half):
+    for config in (many_chunks, partial_chunk, half):
         serial = run_experiment(config, threads=1)
         for threads in (2, 3):
             parallel = run_experiment(config, threads=threads)
@@ -131,8 +131,7 @@ def test_audit_rejects_a_flipped_step_in_the_audited_schedule(monkeypatch, p, fl
     def one_step_flipped(*args):
         counts, schedules = real(*args)
         for centroid in schedules:
-            if centroid is not None:
-                centroid[flipped] = ~centroid[flipped]
+            centroid[flipped] = ~centroid[flipped]
         return counts, schedules
 
     monkeypatch.setattr(montecarlo, "block_leaf_counts", one_step_flipped)
@@ -140,6 +139,17 @@ def test_audit_rejects_a_flipped_step_in_the_audited_schedule(monkeypatch, p, fl
                        master_seed=3, indices=(LEAVES,))
     with pytest.raises(RuntimeError, match="leaf-count mismatch at n=40: counted L=\\d+, "
                                            "its schedule has L=\\d+$"):
+        run_experiment(config)
+
+
+def test_a_faulty_byte_sum_is_named_as_a_leaf_count_mismatch(monkeypatch):
+    # A byte sum that misses byte 0 of each word undercounts row 0's ties;
+    # the audit names it before the row's tail words are scattered.
+    monkeypatch.setattr(tree, "_BYTE_SUM", 0x0001010101010101)
+    config = SimConfig(model=UniformLeaf(0.4), horizon=201, replicates=1,
+                       master_seed=1, indices=(LEAVES,))
+    with pytest.raises(RuntimeError, match="^leaf-count mismatch at n=201: row 0 holds 1 ties, "
+                                           "counted 0$"):
         run_experiment(config)
 
 
@@ -152,169 +162,168 @@ def leaf_samples(n, p, replicates, master_seed, threads=1):
 
 
 @pytest.mark.parametrize("seed,i,n,p,expected", [
-    (11, 0, 201, 0.4, 82),  # holds a tie its tail word resolves to a recruit
+    (11, 0, 201, 0.4, 81),  # holds a tie its tail word resolves to no recruit
     (11, 63, 201, 0.4, 80),
-    (11, 64, 201, 0.4, 80),
-    (11, 1099, 201, 0.4, 94),
+    (11, 64, 201, 0.4, 86),  # holds a tie its tail word resolves to a recruit
+    (11, 1099, 201, 0.4, 95),  # row 75 of chunk 1
     (1, 6, 13, 0.3, 8),  # 12 steps, so half a word unused, and a tie resolved to a recruit
     (7, 5, 1, 0.5, 3),
     (7, 3, 2, 0.3, 4),
     (7, 4, 2, 0.3, 4),
-    (7, 128, 2, 0.3, 4),
-    (20250808, 3, 5000, 0.5, 2465),  # the bit rule: three blocks per piece
-    (7, 65, 8 * DRAW_PIECE + 2, 0.5, 65491),  # the bit rule: rows of one block per piece
-    (7, 65, 8 * DRAW_PIECE + 2, 0.4, 52250),  # the byte rule: a row longer than DRAW_PIECE words
-    (7, 65, 64 * DRAW_PIECE + 2, 0.5, 524641),  # the bit rule: a row longer than DRAW_PIECE words
+    (7, 128, 2, 0.3, 3),
+    (20250808, 3, 5000, 0.5, 2465),  # the bit rule: 207 rows per piece
+    (7, 65, 8 * DRAW_PIECE + 2, 0.5, 65609),  # the bit rule: seven rows per piece
+    (7, 65, 8 * DRAW_PIECE + 2, 0.4, 52536),  # the byte rule: a row longer than DRAW_PIECE words
+    (7, 65, 64 * DRAW_PIECE + 2, 0.5, 525226),  # the bit rule: a row longer than DRAW_PIECE words
 ])
 def test_golden_leaf_counts(seed, i, n, p, expected):
     assert leaf_samples(n, p, i + 1, seed)[i] == expected
 
 
-def test_stream_block_divides_chunk_size():
-    assert CHUNK_SIZE % STREAM_BLOCK == 0
+class RecordingStream(RngStream):
+    """An ``RngStream`` that records every stream it keys, in ``made``, and
+    the kind and size of each of its draws, in ``draws``."""
+
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.draws = []
+        RecordingStream.made.append(self)
+
+    def doubles(self, count):
+        self.draws.append(("doubles", count))
+        return super().doubles(count)
+
+    def words(self, count):
+        self.draws.append(("words", count))
+        return super().words(count)
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    """The streams the engine keys, recorded."""
+    monkeypatch.setattr(montecarlo, "RngStream", RecordingStream)
+    monkeypatch.setattr(RecordingStream, "made", [])
+    return RecordingStream.made
 
 
 def test_block_layout_matches_hand_drawn_streams():
-    n, p, seed, replicates = 201, 0.4, 11, 130  # two full blocks and a partial one
+    n, p, seed = 201, 0.4, 11
+    replicates = CHUNK_SIZE + 130  # a whole chunk and a partial one
     expected = []
-    for b in range(3):
-        counts, _ = reference_block(RngStream(seed, b), STREAM_BLOCK, n - 1, p)
+    for c in range(2):
+        counts, _ = reference_block(RngStream(seed, c), CHUNK_SIZE, n - 1, p)
         expected += counts.tolist()
     assert leaf_samples(n, p, replicates, seed).tolist() == expected[:replicates]
-    # block 0 holds ties, so tail words are read as well
-    octets = RngStream(seed, 0).words(STREAM_BLOCK * (n - 1) // 8).astype("<u8").view(np.uint8)
+    # chunk 0 holds ties, so tail words are read as well
+    octets = RngStream(seed, 0).words(CHUNK_SIZE * (n - 1) // 8).astype("<u8").view(np.uint8)
     assert (octets == decision_threshold(UniformLeaf(p))[0]).any()
 
 
 def test_pieces_equal_a_one_shot_block_draw_at_large_n(monkeypatch):
-    n, p, seed, blocks = 5000, 0.5, 3, 4
+    n, p, seed = 5000, 0.5, 3
     width = -(-(n - 1) // 64)  # the bit rule's words per row
-    block = STREAM_BLOCK * width
-    assert 3 * block <= DRAW_PIECE < 4 * block  # the engine counts three blocks per pass
-    audit_rows = [0, 36, -1, 63]
-    expected, schedules = [], []
-    for b, row in enumerate(audit_rows):
-        counts, centroid = reference_block(RngStream(seed, b), STREAM_BLOCK, n - 1, p)
-        expected.append(counts)
-        schedules.append(centroid[row] if row >= 0 else None)
-    assert np.array_equal(leaf_samples(n, p, blocks * STREAM_BLOCK, seed),
-                          np.concatenate(expected))
-    # pieces of 5 and 43 rows span two blocks; at 43 rows, row 36 of block 1 is
-    # audited inside the piece of stacked rows 86..128, which spans blocks 1 and 2
-    for piece in (1, width, 3 * width - 1, 5 * width, 43 * width, block, 3 * block, DRAW_PIECE,
-                  blocks * block):
+    chunk = CHUNK_SIZE * width
+    assert DRAW_PIECE // width == 207  # the engine counts a chunk in pieces of 207 rows, then 196
+    audit_rows = [0, 36, 206, 207, 1023]  # 206 ends the first default piece, 207 begins the next
+    expected, centroid = reference_block(RngStream(seed, 0), CHUNK_SIZE, n - 1, p)
+    assert np.array_equal(leaf_samples(n, p, CHUNK_SIZE, seed), expected)
+    # pieces of 5 and 43 rows leave a shorter last piece (4 and 35 rows)
+    # that holds the audited row 1023
+    for piece in (1, width, 3 * width - 1, 5 * width, 43 * width, DRAW_PIECE, chunk):
         monkeypatch.setattr(tree, "DRAW_PIECE", piece)
-        streams = [RngStream(seed, b) for b in range(blocks)]
-        counts, got = tree.block_leaf_counts(UniformLeaf(p), streams, STREAM_BLOCK, n - 1,
-                                             audit_rows)
-        assert np.array_equal(counts, np.stack(expected))
-        for schedule, want in zip(got, schedules):
-            assert (schedule is None) == (want is None)
-            assert want is None or np.array_equal(schedule, want)
+        counts, got = tree.block_leaf_counts(UniformLeaf(p), RngStream(seed, 0), CHUNK_SIZE,
+                                             n - 1, audit_rows)
+        assert np.array_equal(counts, expected)
+        assert len(got) == len(audit_rows)
+        for schedule, row in zip(got, audit_rows):
+            assert np.array_equal(schedule, centroid[row])
     stream = RngStream(seed, 0)
     pieces = [stream.words(size) for size in (DRAW_PIECE, 1, DRAW_PIECE - 1, 12345)]
     assert np.array_equal(np.concatenate(pieces),
                           RngStream(seed, 0).words(2 * DRAW_PIECE + 12345))
 
 
-def block_leaf_counts_alone(model, stream, steps, audit_row):
-    """One block counted by itself: its counts, its audited schedule, and
-    how many tail words it drew."""
-    counts, schedules = tree.block_leaf_counts(model, [stream], STREAM_BLOCK, steps, [audit_row])
-    return counts[0], schedules[0], stream.draws[-1]
-
-
 @pytest.mark.parametrize("n", [2, 9, 201, 5000])
-def test_blocks_counted_together_equal_blocks_counted_alone(monkeypatch, n):
-    model, steps, blocks = UniformLeaf(0.4), n - 1, 5
+def test_blocks_counted_together_equal_blocks_counted_alone(monkeypatch, recording, n):
+    # A run counts its chunks together, each a block of CHUNK_SIZE rows from
+    # its own stream, in pieces of whole rows; counted alone, block by block,
+    # they give the same counts at any piece size, and draw exactly their
+    # decision words, piece by piece, then their tail words.
+    model, steps, p, seed = UniformLeaf(0.4), n - 1, 0.4, 3
     width = -(-steps // 8)
-    block = STREAM_BLOCK * width  # decision words per block
-    audit_rows = [0, -1, 63, 36, 70]  # 70 is past the block: no schedule
-
-    def scripted():
-        # each block's own stream, scripted: its decision words, then ample tail words
-        return [ScriptedWords(RngStream(3, b).words(block + block // 8 + 64).tolist())
-                for b in range(blocks)]
-
-    alone = [block_leaf_counts_alone(model, stream, steps, row)
-             for stream, row in zip(scripted(), audit_rows)]
-    for b, (counts, schedule, _) in enumerate(alone):
-        want, centroid = reference_block(RngStream(3, b), STREAM_BLOCK, steps, 0.4)
-        assert np.array_equal(counts, want)
-        row = audit_rows[b]
-        assert schedule is None if not 0 <= row < STREAM_BLOCK else np.array_equal(
-            schedule, centroid[row])
+    alone, ties = [], []
+    for c in range(2):
+        counts, centroid = reference_block(RngStream(seed, c), CHUNK_SIZE, steps, p)
+        ties.append(int((RngStream(seed, c).words(CHUNK_SIZE * width).astype("<u8")
+                         .view(np.uint8).reshape(CHUNK_SIZE, 8 * width)[:, :steps]
+                         == decision_threshold(model)[0]).sum()))
+        alone.append((counts, centroid[[0, 517, 1023]]))
     passes = []
     real_row_sums = tree._row_sums
     monkeypatch.setattr(tree, "_row_sums", lambda *args: passes.append(1) or real_row_sums(*args))
-    # Each block's decision draws, in rows, at one block per piece, three, a
-    # single word (so one row at a time), and 5 and 43 rows, whose pieces span
-    # two blocks: row 63 of block 2, stacked row 191, is audited inside the
-    # piece of stacked rows 190..194, and of 172..214.
-    five = [5] * 12
-    for piece, decision_rows, pieces in (
-            (block, [[STREAM_BLOCK]] * blocks, blocks),
-            (3 * block, [[STREAM_BLOCK]] * blocks, 2),
-            (1, [[1] * STREAM_BLOCK] * blocks, blocks * STREAM_BLOCK),
-            (5 * width, [five + [4], [1] + five + [3], [2] + five + [2], [3] + five + [1],
-                         [4] + five], 64),
-            (43 * width, [[43, 21], [22, 42], [1, 43, 20], [23, 41], [2, 43, 19]], 8)):
+    for piece in (1, width, 5 * width, 43 * width, DRAW_PIECE, CHUNK_SIZE * width):
         monkeypatch.setattr(tree, "DRAW_PIECE", piece)
-        streams = scripted()
-        passes.clear()
-        counts, schedules = tree.block_leaf_counts(model, streams, STREAM_BLOCK, steps,
-                                                   audit_rows)
-        assert len(passes) == 2 * pieces  # below and at A, once per piece
-        assert counts.shape == (blocks, STREAM_BLOCK)
-        for b, (want_counts, want_schedule, ties) in enumerate(alone):
-            assert np.array_equal(counts[b], want_counts)
-            assert (schedules[b] is None) == (want_schedule is None)
-            if want_schedule is not None:
-                assert np.array_equal(schedules[b], want_schedule)
-            assert streams[b].draws == [rows * width for rows in decision_rows[b]] + [ties]
-    # the engine over a partial last block, at each piece size
-    replicates = (blocks - 1) * STREAM_BLOCK + 17
-    expected = np.concatenate([alone[b][0] for b in range(blocks)])[:replicates]
-    for piece in (block, 3 * block, 1, 5 * width, 43 * width, DRAW_PIECE):
-        monkeypatch.setattr(tree, "DRAW_PIECE", piece)
-        assert np.array_equal(leaf_samples(n, 0.4, replicates, 3), expected)
+        height = max(1, piece // width)
+        heights = [height] * (CHUNK_SIZE // height) + [CHUNK_SIZE % height] * bool(
+            CHUNK_SIZE % height)
+        for c, (want_counts, want_schedules) in enumerate(alone):
+            stream = RecordingStream(seed, c)
+            passes.clear()
+            counts, schedules = tree.block_leaf_counts(model, stream, CHUNK_SIZE, steps,
+                                                       [0, 517, 1023])
+            assert np.array_equal(counts, want_counts)
+            assert np.array_equal(np.stack(schedules), want_schedules)
+            assert len(passes) == 2 * len(heights)  # below and at A, once per piece
+            assert stream.draws == [("words", h * width) for h in heights] + [("words", ties[c])]
+        # the engine over a whole and a partial chunk, at this piece size
+        replicates = CHUNK_SIZE + 17
+        expected = np.concatenate([counts for counts, _ in alone])[:replicates]
+        assert np.array_equal(leaf_samples(n, p, replicates, seed), expected)
 
 
 @pytest.mark.parametrize("p", [0.4, 0.5])
-def test_an_audited_block_draws_its_decision_and_tail_words_only(monkeypatch, p):
-    n, seed, replicates = 50, 5, 130  # replicates 0 and 100 are audited, in blocks 0 and 1
-    made = []
-
-    class Recording(RngStream):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.draws = []
-            made.append(self)
-
-        def doubles(self, count):
-            self.draws.append(("doubles", count))
-            return super().doubles(count)
-
-        def words(self, count):
-            self.draws.append(("words", count))
-            return super().words(count)
-
-    monkeypatch.setattr(montecarlo, "RngStream", Recording)
+def test_an_audited_block_draws_its_decision_and_tail_words_only(recording, p):
+    n, seed = 50, 5
+    replicates = CHUNK_SIZE + 130  # replicates 0, 100, ..., 1000 audited in chunk 0, 1100 in 1
     leaf_samples(n, p, replicates, seed)
-    assert [(s.master_seed, s.stream_index) for s in made] == [(seed, b) for b in range(3)]
-    for stream in made:
+    assert [(s.master_seed, s.stream_index) for s in recording] == [(seed, 0), (seed, 1)]
+    for stream in recording:
         assert {kind for kind, _ in stream.draws} == {"words"}
-        # a fresh stream that has yielded the block's decision and tail words
+        # a fresh stream that has yielded the chunk's decision and tail words
         # is where the engine's stream was left
         reference = RngStream(seed, stream.stream_index)
-        reference_block(reference, STREAM_BLOCK, n - 1, p)
+        reference_block(reference, CHUNK_SIZE, n - 1, p)
         assert stream.words(4).tolist() == reference.words(4).tolist()
 
 
+@pytest.mark.parametrize("R", [1, CHUNK_SIZE, CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 77, 10**4])
+def test_a_run_keys_one_stream_per_chunk_and_audits_each_hundredth_replicate_once(
+        monkeypatch, recording, R):
+    audited = []
+    real = montecarlo._chunk_worker
+
+    def chunk_worker(args):
+        counts, audits = real(args)
+        audited.extend(i for i, _ in audits)
+        return counts, audits
+
+    monkeypatch.setattr(montecarlo, "_chunk_worker", chunk_worker)
+    config = SimConfig(model=UniformLeaf(0.4), horizon=30, replicates=R,
+                       master_seed=8, indices=(LEAVES, GINI))
+    summary = run_experiment(config)
+    chunks = -(-R // CHUNK_SIZE)
+    assert [(s.master_seed, s.stream_index) for s in recording] == [(8, c) for c in range(chunks)]
+    assert audited == list(range(0, R, SPOT_CHECK_STRIDE))
+    assert summary.spot_checks == len(range(0, R, SPOT_CHECK_STRIDE))
+
+
 def test_first_replicates_do_not_depend_on_the_replicate_count():
-    short = leaf_samples(201, 0.4, 100, 11)
-    long = leaf_samples(201, 0.4, 1100, 11)
-    assert np.array_equal(short, long[:100])
+    for n, p in ((201, 0.4), (70, 0.5)):
+        longest = leaf_samples(n, p, 2 * CHUNK_SIZE + 77, 11)
+        for R in (1, 100, CHUNK_SIZE, CHUNK_SIZE + 1):
+            assert np.array_equal(leaf_samples(n, p, R, 11), longest[:R])
 
 
 def test_pool_starts_only_above_the_work_threshold(monkeypatch):
@@ -333,7 +342,10 @@ def test_pool_starts_only_above_the_work_threshold(monkeypatch):
     # the clt example's shape: counted serially under the bit rule, pooled at p = 0.4
     assert not montecarlo._pool_pays(shape(5000, 20_000, 0.5), 2)
     assert montecarlo._pool_pays(shape(5000, 20_000), 2)
-    assert montecarlo._pool_pays(shape(5000, 50_000, 0.5), 2)
+    # under the bit rule a chunk is cheap: a forced pool read 1.1-1.6x a serial run at
+    # 5 * 10**4 replicates (BENCH_chunk_streams.json)
+    assert not montecarlo._pool_pays(shape(5000, 50_000, 0.5), 2)
+    assert montecarlo._pool_pays(shape(5000, 100_000, 0.5), 2)
     assert not montecarlo._pool_pays(shape(5000, 20_000), 1)
     # chunks of 1024 and 76: a second worker could take only the 76
     assert not montecarlo._pool_pays(shape(5001, 1100), 2)
@@ -477,17 +489,17 @@ def test_run_rejects_nonpositive_threads():
 
 
 def test_leaf_counts_keep_every_replicate_in_order():
-    # more than 10**6 replicates, every one kept, each block as its
-    # hand-drawn stream gives it, the last block included
+    # more than 10**6 replicates, every one kept, each chunk as its
+    # hand-drawn stream gives it, the last chunk included
     n, p, seed, R = 3, 0.5, 7, 1_000_001
     config = SimConfig(model=UniformLeaf(p), horizon=n, replicates=R,
                        master_seed=seed, indices=(LEAVES,))
     counts = run_experiment(config).leaf_counts
     assert counts.dtype == np.int64 and counts.shape == (R,)
-    for b in (0, 1, (R - 1) // STREAM_BLOCK):
-        expected, _ = reference_block(RngStream(seed, b), STREAM_BLOCK, n - 1, p)
-        block = counts[b * STREAM_BLOCK:(b + 1) * STREAM_BLOCK]
-        assert np.array_equal(block, expected[:len(block)])
+    for c in (0, 1, (R - 1) // CHUNK_SIZE):
+        expected, _ = reference_block(RngStream(seed, c), CHUNK_SIZE, n - 1, p)
+        chunk = counts[c * CHUNK_SIZE:(c + 1) * CHUNK_SIZE]
+        assert np.array_equal(chunk, expected[:len(chunk)])
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -266,7 +266,7 @@ models = st.one_of(
 def test_leaf_count_equals_grown_leg_count(model, rows, steps, master_seed, stream_index, data):
     audit_row = data.draw(st.integers(0, rows - 1))
     stream = RngStream(master_seed, stream_index)
-    (counts,), (centroid,) = block_leaf_counts(model, [stream], rows, steps, [audit_row])
+    counts, (centroid,) = block_leaf_counts(model, stream, rows, steps, [audit_row])
     want_counts, want_centroid = reference_block(RngStream(master_seed, stream_index), rows,
                                                  steps, model.centroid_probability)
     assert counts.tolist() == want_counts.tolist()
@@ -279,13 +279,28 @@ def test_leaf_count_equals_grown_leg_count(model, rows, steps, master_seed, stre
 def test_leaf_count_at_seed_is_three_and_draws_nothing():
     model = UniformLeaf(0.5)
     stream = RngStream(4, 2)
-    (counts,), (centroid,) = block_leaf_counts(model, [stream], 4, 0, [1])
+    counts, (centroid,) = block_leaf_counts(model, stream, 4, 0, [1])
     assert counts.tolist() == [3, 3, 3, 3] and centroid.tolist() == []
     assert np.array_equal(stream.words(3), RngStream(4, 2).words(3))
     assert grow_legs(np.zeros(0, dtype=bool), np.empty(0)).tolist() == [1, 1, 1]
     rng = RngStream(4, 2)
     assert grow(model, 1, rng) == new_seed()
     assert np.array_equal(rng.doubles(3), RngStream(4, 2).doubles(3))
+
+
+def test_schedules_follow_the_audited_rows_which_must_lie_in_the_block():
+    model, stream_words = UniformLeaf(0.4), RngStream(6, 1).words(4 * 3 + 64)
+    want_counts, want_centroid = reference_block(RngStream(6, 1), 4, 20, 0.4)
+    for audit_rows in ([], [3], [2, 0], [1, 1]):
+        counts, schedules = block_leaf_counts(model, ScriptedWords(stream_words), 4, 20,
+                                              audit_rows)
+        assert counts.tolist() == want_counts.tolist()
+        assert len(schedules) == len(audit_rows)
+        for row, centroid in zip(audit_rows, schedules):
+            assert np.array_equal(centroid, want_centroid[row])
+    for audit_rows in ([4], [-1], [0, 4]):
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            block_leaf_counts(model, RngStream(6, 1), 4, 20, audit_rows)
 
 
 def octet_words(rows, pad):
@@ -321,7 +336,7 @@ def test_leaf_count_scripted_decisions(monkeypatch):
              tail(T), tail(2**45 - 1), tail(T - 1), tail(5)]  # row 2: no, no, recruit, recruit
     words = octet_words(rows, pad=A)
     stream = ScriptedWords(words + tails + [0xFFFF])
-    (counts,), (centroid,) = block_leaf_counts(model, [stream], 3, 13, [2])
+    counts, (centroid,) = block_leaf_counts(model, stream, 3, 13, [2])
     assert counts.tolist() == [3 + 7 + 2, 3, 3 + 3 + 2]  # below A + recruiting ties
     assert centroid.tolist() == [False, True, False, True, False, True, True,
                                  False, False, False, False, False, True]
@@ -330,9 +345,9 @@ def test_leaf_count_scripted_decisions(monkeypatch):
     for piece, draws in ((1, [2, 2, 2]), (2, [2, 2, 2]), (6, [6]), (DRAW_PIECE, [6])):
         monkeypatch.setattr(tree, "DRAW_PIECE", piece)
         again = ScriptedWords(words + tails)
-        got = [result[0] for result in block_leaf_counts(model, [again], 3, 13, [2])]
+        got, (schedule,) = block_leaf_counts(model, again, 3, 13, [2])
         assert again.draws == draws + [len(tails)]
-        assert got[0].tolist() == counts.tolist() and np.array_equal(got[1], centroid)
+        assert got.tolist() == counts.tolist() and np.array_equal(schedule, centroid)
     want_counts, want_centroid = reference_block(ScriptedWords(words + tails), 3, 13, 0.4)
     assert want_counts.tolist() == counts.tolist()
     assert np.array_equal(want_centroid[2], centroid)
@@ -363,7 +378,7 @@ def test_byte_rule_is_the_float_comparison(model):
         byte, b = k >> 45, k & (2**45 - 1)
         word = byte | (filler << 8)  # the step's byte is byte 0; the rest is unused
         stream = ScriptedWords([word, (b << 19) | low])
-        (counts,), (centroid,) = block_leaf_counts(model, [stream], 1, 1, [0])
+        counts, (centroid,) = block_leaf_counts(model, stream, 1, 1, [0])
         assert bool(counts[0] - 3) == (k * 2.0**-53 < p) == bool(centroid[0]), k
         assert stream.left == (0 if byte == A else 1), k
 
@@ -383,7 +398,7 @@ def test_bit_rule_has_the_float_comparison_law(model):
     for word in rng.integers(0, 2**64, 200, dtype=np.uint64).tolist():
         for steps in (1, 13, 64):
             stream = ScriptedWords([word, 0])
-            (counts,), (centroid,) = block_leaf_counts(model, [stream], 1, steps, [0])
+            counts, (centroid,) = block_leaf_counts(model, stream, 1, steps, [0])
             want = [(word >> s) & 1 == 0 for s in range(steps)]
             assert centroid.tolist() == want and counts[0] == 3 + sum(want)
             assert stream.draws == [1] and stream.left == 1
@@ -396,7 +411,7 @@ def test_bit_rule_counts_and_schedules_equal_the_reference(model, rows, steps, m
     want_counts, want_centroid = reference_block(RngStream(master_seed, stream_index), rows,
                                                  steps, 0.5)
     for audit_row in range(rows):
-        (counts,), (centroid,) = block_leaf_counts(model, [RngStream(master_seed, stream_index)],
+        counts, (centroid,) = block_leaf_counts(model, RngStream(master_seed, stream_index),
                                                    rows, steps, [audit_row])
         assert counts.tolist() == want_counts.tolist()
         assert np.array_equal(centroid, want_centroid[audit_row])
@@ -428,7 +443,7 @@ def test_bit_rule_reads_only_the_used_bits_and_draws_no_tail(monkeypatch, n):
                          (DRAW_PIECE, [5 * width])):
         monkeypatch.setattr(tree, "DRAW_PIECE", piece)
         stream = ScriptedWords(words + [2**64 - 1])
-        (counts,), (centroid,) = block_leaf_counts(Preferential(), [stream], 5, steps, [4])
+        counts, (centroid,) = block_leaf_counts(Preferential(), stream, 5, steps, [4])
         assert counts.tolist() == want
         assert centroid.tolist() == [bit == 0 for bit in rows[4]]
         assert stream.draws == draws and stream.left == 1  # no tail word
