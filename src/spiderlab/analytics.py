@@ -223,13 +223,23 @@ def leaf_raw_moment_exact(law: LeafLaw, order: int):
     Combines the coefficient triangle with the u-scale derivatives of the
     MGF at u = 1.  Writing the MGF as
     (u**(n+2) + 3(p-1) u**(n+1) + 3(p-1)^2 u**n + (p-1)^3 u**(n-1)) / p^3,
-    the i-th u-derivative at 1 is a sum of four falling factorials.
+    the i-th u-derivative at 1 is a sum of four falling factorials.  For
+    p = a/c the sum is taken in integers over the one denominator
+    c**order * a**3, and a float p sums in floats.
     """
     if not 1 <= order <= MAX_MOMENT_ORDER:
         raise ValueError(f"order must be in [1, {MAX_MOMENT_ORDER}], got {order}")
     n, p = law.n, law.p
-    weights = {2: 1, 1: 3 * (p - 1), 0: 3 * (p - 1) ** 2, -1: (p - 1) ** 3}
     row = coefficient_triangle(order)[order - 1]
+    if isinstance(p, Fraction):
+        a, c = p.numerator, p.denominator
+        d = a - c  # c (p - 1); the weights below are c**3 times the float path's
+        weights = {2: c**3, 1: 3 * d * c * c, 0: 3 * d * d * c, -1: d**3}
+        total = sum(row[i - 1] * a**i * c ** (order - i)
+                    * sum(w * _falling(n + k, i) for k, w in weights.items())
+                    for i in range(1, order + 1))
+        return Fraction(total, c**order * a**3)
+    weights = {2: 1, 1: 3 * (p - 1), 0: 3 * (p - 1) ** 2, -1: (p - 1) ** 3}
     total = 0
     for i in range(1, order + 1):
         du = sum(w * _falling(n + k, i) for k, w in weights.items())

@@ -14,9 +14,11 @@ the one stream ``RngStream(master_seed, c)``.  That stream yields, in
 order, the decision words of all 1024 rows (ceil((n - 1) / 8) raw words per
 row, one byte per step, in replicate order; ceil((n - 1) / 64) words, one
 bit per step, under the bit rule), then one tail word per tie in row-major
-order (none under the bit rule), and nothing more, audited or not.  The
-whole chunk is drawn even where the run ends inside it, so a run draws at
-most CHUNK_SIZE - 1 rows past its replicate count.  A replicate's L and
+order (none under the bit rule), and nothing more, audited or not.  A
+chunk where the run ends keeps that layout but draws only the rows below
+the replicate count: under the byte rule its stream skips the other rows'
+decision words (``RngStream.advance``) before the counted rows' tail
+words, which come first.  A replicate's L and
 its audit therefore depend only on (master_seed, i, n, model): not on the
 replicate count, the worker count or the order workers finish in.  Keying
 a stream costs 12-20 us on a 2-core x86-64 host, so one key per chunk
@@ -195,17 +197,19 @@ def _chunk_worker(args) -> tuple:
     """Replicates ``start..stop-1``: their leaf counts, and for each audited
     replicate its id and the direct value of every index at its (n, L).
 
-    ``start`` is a multiple of CHUNK_SIZE; the chunk's rows are counted by
-    ``block_leaf_counts`` from its one stream, and each audited replicate's L
-    is recounted from the centroid schedule it returns.
+    ``start`` is a multiple of CHUNK_SIZE; the chunk's rows below ``stop``
+    are counted by ``block_leaf_counts`` from its one stream, laid out as a
+    whole chunk's, and each audited replicate's L is recounted from the
+    centroid schedule it returns.
     """
     config, start, stop = args
     n = config.horizon
     stream = RngStream(config.master_seed, start // CHUNK_SIZE)
     audit_rows = range(-start % SPOT_CHECK_STRIDE, stop - start, SPOT_CHECK_STRIDE)
-    # The chunk is drawn whole even where the run ends inside it, so no
-    # replicate's draws depend on the replicate count.
-    counts, schedules = block_leaf_counts(config.model, stream, CHUNK_SIZE, n - 1, audit_rows)
+    # The layout is the whole chunk's even where the run ends inside it, so
+    # no replicate's draws depend on the replicate count.
+    counts, schedules = block_leaf_counts(config.model, stream, CHUNK_SIZE, n - 1, audit_rows,
+                                          stop - start)
     audits = []
     for row, centroid in zip(audit_rows, schedules):
         L = 3 + int(np.count_nonzero(centroid))
@@ -215,7 +219,7 @@ def _chunk_worker(args) -> tuple:
         degrees = spider_degrees(n, L)
         audits.append((start + row, [float(eval_direct(degrees, n, spec))
                                      for spec in config.indices]))
-    return counts[:stop - start], audits
+    return counts, audits
 
 
 def _pool_pays(config: SimConfig, threads: int) -> bool:

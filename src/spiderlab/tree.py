@@ -16,11 +16,14 @@ equals the leaf count, the centroid is picked with probability exactly 1/2
 at every step, so the rule coincides with ``UniformLeaf(1/2)`` and shares
 its code path.
 
-Growth is written once, over a given centroid schedule: ``grow_legs(centroid,
-picks)`` applies one step per (decision, pick) pair.  ``grow`` and ``step``
-draw their uniforms from an ``RngStream`` interleaved, (decision, pick) per
-step, and a step recruits at the centroid when its decision uniform is below
-p, so a grown tree equals a stepped one bit for bit.
+Growth is written once, over a block of trees laid end to end:
+``grow_legs(centroid, picks, steps)`` applies one step per (decision, pick)
+pair, tree k taking ``steps[k]`` of them, in one pass over the block.
+``grow`` calls it on a block of one tree and ``spiderlab.verify`` on 64
+trees at a time.  ``grow`` and ``step`` draw their uniforms from an
+``RngStream`` interleaved, (decision, pick) per step, and a step recruits at
+the centroid when its decision uniform is below p, so a grown tree equals a
+stepped one bit for bit.
 
 Everything the indices need is the leaf count, 3 plus the centroid recruits,
 and the Monte Carlo engine draws only that, with fewer random bits.  A
@@ -120,11 +123,11 @@ class TreeState:
     non-centroid node count ``sum(legs)`` equals ``time + 2`` (the tree has
     ``time + 3`` nodes in total).
 
-    ``legs`` may be any sequence of integers, or the int64 array that
-    ``grow_legs`` returns; an array is checked in numpy, several times
-    faster than a pass over Python ints.  Either way ``legs`` is stored as
-    a tuple of Python ints, and an invalid input raises the same
-    ``ValueError``.
+    ``legs`` may be any sequence of integers, or an int64 array such as
+    ``grow_legs`` returns for a block of one tree; an array is checked in
+    numpy, several times faster than a pass over Python ints.  Either way
+    ``legs`` is stored as a tuple of Python ints, and an invalid input
+    raises the same ``ValueError``, the one ``grow_legs`` raises.
     """
 
     time: int
@@ -147,14 +150,7 @@ class TreeState:
         object.__setattr__(self, "legs", legs)
         if self.time < 1:
             raise ValueError(f"time must be >= 1, got {self.time}")
-        if count < 3:
-            raise ValueError(f"a spider tree needs at least 3 legs, got {count}")
-        if low < 1:
-            raise ValueError("leg lengths must be positive")
-        if total != self.time + 2:
-            raise ValueError(
-                f"leg lengths sum to {total}, expected time + 2 = {self.time + 2}"
-            )
+        _check_spider(self.time, count, low, total)
 
     @property
     def leaf_count(self) -> int:
@@ -170,17 +166,30 @@ class TreeState:
         return self.time + 3
 
 
+def _check_spider(time: int, count: int, low: int, total: int) -> None:
+    """Raise ``TreeState``'s ``ValueError`` unless a tree at ``time`` with
+    ``count`` legs, the shortest ``low`` long and summing to ``total``, is a
+    spider tree."""
+    if count < 3:
+        raise ValueError(f"a spider tree needs at least 3 legs, got {count}")
+    if low < 1:
+        raise ValueError("leg lengths must be positive")
+    if total != time + 2:
+        raise ValueError(f"leg lengths sum to {total}, expected time + 2 = {time + 2}")
+
+
 class RngStream:
     """Deterministic random stream addressed by (master_seed, stream_index).
 
     Equal addresses replay the same sequence; distinct stream indices give
     statistically independent streams (PCG64 keyed through a SeedSequence).
     ``doubles`` and ``words`` advance the same generator, one 64-bit output
-    per value.  Keying costs 12-20 us (``SeedSequence``, its state, and
-    ``PCG64``), as much as drawing some 5000 words or uniforms (2.5-3.5 ns
-    each, on a 2-core x86-64 host), so the Monte Carlo engine keys one
-    stream per chunk of 1024 replicates, and the verification suite one per
-    block of 64 trees, not one per replicate or tree.
+    per value, and ``advance`` skips outputs without drawing them.  Keying
+    costs 12-20 us (``SeedSequence``, its state, and ``PCG64``), as much as
+    drawing some 5000 words or uniforms (2.5-3.5 ns each, on a 2-core x86-64
+    host), so the Monte Carlo engine keys one stream per chunk of 1024
+    replicates, and the verification suite one per block of 64 trees, whose
+    uniforms it draws in one ``doubles`` call, not one per replicate or tree.
     """
 
     __slots__ = ("master_seed", "stream_index", "_generator")
@@ -206,6 +215,11 @@ class RngStream:
         """Next ``count`` raw 64-bit outputs as a uint64 array; ``doubles``
         turns each such output ``w`` into ``(w >> 11) * 2**-53``."""
         return self._generator.bit_generator.random_raw(count)
+
+    def advance(self, count: int) -> None:
+        """Skip the next ``count`` raw outputs, as ``words(count)`` would,
+        in O(log count) time: PCG64's jump ahead of its LCG state."""
+        self._generator.bit_generator.advance(count)
 
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
@@ -233,22 +247,42 @@ def step(state: TreeState, model: GrowthModel, rng: RngStream) -> TreeState:
     return TreeState(time=state.time + 1, legs=legs)
 
 
-def grow_legs(centroid: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """Leg lengths, as an int64 array, after one growth step per entry of the
-    boolean centroid schedule, starting from the seed.
+def grow_legs(centroid: np.ndarray, picks: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Leg lengths and leaf counts, as int64 arrays, of a block of trees
+    grown from the seed and laid end to end: tree k takes ``steps[k]`` >= 0
+    growth steps, one per entry of the boolean centroid schedule and of
+    ``picks``, after the entries of trees 0..k-1.
 
-    Step ``k`` recruits at the centroid when ``centroid[k]``; otherwise the
-    leaf of leg ``floor(picks[k] * leaves)`` recruits, where ``leaves`` is
-    the leaf count before step ``k``.  This is the rule ``step`` applies to
-    its two uniforms, vectorised over the whole schedule.
+    Step j of a tree recruits at the centroid when ``centroid[j]``;
+    otherwise the leaf of its tree's leg ``floor(picks[j] * leaves)``
+    recruits, ``leaves`` being that tree's leaf count before step j.  This
+    is the rule ``step`` applies to its two uniforms, vectorised over the
+    block.  Tree k's ``leaves[k]`` legs follow those of trees 0..k-1 in the
+    returned legs.  Every tree is checked against ``TreeState``'s
+    invariants and fails with its ``ValueError``; a pick that lands in a
+    neighbouring tree's legs breaks both trees' sums.
     """
-    # A leaf step k sees 3 plus the centroid recruits up to k, which are the
-    # recruits before k; the product is non-negative, so truncation floors it.
-    leaves = np.cumsum(centroid)
-    leaves += 3
-    chosen = (picks * leaves)[~centroid].astype(np.int64)
-    leg_total = int(leaves[-1]) if len(leaves) else 3
-    return 1 + np.bincount(chosen, minlength=leg_total)
+    steps = np.asarray(steps, dtype=np.int64)
+    ends = np.cumsum(steps)
+    recruits = np.zeros(len(centroid) + 1, dtype=np.int64)  # before each step, block-wide
+    np.cumsum(centroid, out=recruits[1:])
+    before = recruits[ends - steps]  # each tree's recruits before its first step
+    leaves = 3 + recruits[ends] - before
+    first_leg = np.cumsum(leaves) - leaves
+    leaf = np.flatnonzero(~centroid)  # indices gather faster than a random boolean mask
+    owner = np.repeat(np.arange(len(steps)), steps)[leaf]
+    # A leaf step sees 3 plus its tree's recruits before it; the product is
+    # non-negative, so truncation floors it.
+    seen = 3 + recruits[leaf] - before[owner]
+    chosen = (picks[leaf] * seen).astype(np.int64) + first_leg[owner]
+    legs = 1 + np.bincount(chosen, minlength=int(leaves.sum()))
+    low = np.minimum.reduceat(legs, first_leg)
+    total = np.add.reduceat(legs, first_leg)
+    bad = np.flatnonzero((leaves < 3) | (low < 1) | (total != steps + 3))
+    if bad.size:
+        k = bad[0]
+        _check_spider(int(steps[k]) + 1, int(leaves[k]), int(low[k]), int(total[k]))
+    return legs, leaves
 
 
 DRAW_PIECE = 1 << 14      # most decision words held at once, unless one row is longer
@@ -267,11 +301,13 @@ def decision_threshold(model: GrowthModel) -> tuple[int, int]:
     return K >> TAIL_BITS, K & ((1 << TAIL_BITS) - 1)
 
 
-def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_rows):
-    """Leaf counts, of shape ``(rows,)``, of ``rows`` replicates of ``steps``
-    growth steps each, all drawn from the one ``stream``, decided by the bit
-    rule at p = 1/2 and by the byte rule at every other p; and the centroid
-    schedule of each row in ``audit_rows``, in that order.
+def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_rows,
+                      counted: int):
+    """Leaf counts, of shape ``(counted,)``, of the first ``counted`` of a
+    block of ``rows`` replicates of ``steps`` growth steps each, all laid
+    out on the one ``stream``, decided by the bit rule at p = 1/2 and by
+    the byte rule at every other p; and the centroid schedule of each row
+    in ``audit_rows``, in that order.
 
     The bit rule applies when ``decision_threshold(model) == ONE_BIT``, so
     to ``Preferential`` and ``UniformLeaf(0.5)`` alike.  The stream yields
@@ -291,23 +327,29 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     2. One tail word per tie (a byte equal to A), in row-major (row, step)
        order; a tail word w gives the tail ``b = w >> 19``.
 
-    Under either rule the rows are drawn and counted in pieces of h =
-    DRAW_PIECE // W whole rows (at least one), one pass each.  Ties are
-    resolved after the last decision word, so the piece size bounds memory
-    and is not part of the contract.  An audited row whose own ties differ from its summed
-    tie count raises the engine's "leaf-count mismatch" ``RuntimeError``.
+    Only the ``counted`` rows are drawn, and the byte rule skips the other
+    rows' decision words (``RngStream.advance``) before the counted rows'
+    tail words, which come first; so a row's count does not depend on
+    ``counted``.  Under either rule the rows are drawn and counted in pieces
+    of h = DRAW_PIECE // W whole rows (at least one), one pass each.  Ties
+    are resolved after the last decision word, so the piece size bounds
+    memory and is not part of the contract.  An audited row whose own ties
+    differ from its summed tie count raises the engine's "leaf-count
+    mismatch" ``RuntimeError``.
     """
-    if not all(0 <= row < rows for row in audit_rows):
-        raise ValueError(f"audited rows {list(audit_rows)} outside 0..{rows - 1}")
+    if not 0 <= counted <= rows:
+        raise ValueError(f"{counted} counted rows outside 0..{rows}")
+    if not all(0 <= row < counted for row in audit_rows):
+        raise ValueError(f"audited rows {list(audit_rows)} outside 0..{counted - 1}")
     A, T = decision_threshold(model)
     one_bit = (A, T) == ONE_BIT
     width = -(-steps // (64 if one_bit else 8))  # decision words per row
-    below = np.empty(rows, dtype=np.int64)  # recruits with no tail, per row
-    ties = np.empty(rows, dtype=np.int64)   # bytes equal to A, per row
-    audited = dict.fromkeys(audit_rows)     # the audited rows' decision words
+    below = np.empty(counted, dtype=np.int64)  # recruits with no tail, per row
+    ties = np.empty(counted, dtype=np.int64)   # bytes equal to A, per row
+    audited = dict.fromkeys(audit_rows)        # the audited rows' decision words
     height = max(1, DRAW_PIECE // max(width, 1))  # rows per piece
-    for at in range(0, rows, height):
-        end = min(at + height, rows)
+    for at in range(0, counted, height):
+        end = min(at + height, counted)
         words = stream.words((end - at) * width).reshape(end - at, width)
         audited.update({row: words[row - at].copy() for row in audited if at <= row < end})
         if one_bit:
@@ -320,9 +362,11 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
             ties[at:end] = _row_sums(octets <= A, steps) - below[at:end]
     counts = 3 + below
     if not one_bit:
-        tail_rows = np.repeat(np.arange(rows), ties)  # the row each tail word decides for
+        if counted < rows:
+            stream.advance((rows - counted) * width)  # past the uncounted rows' decision words
+        tail_rows = np.repeat(np.arange(counted), ties)  # the row each tail word decides for
         recruit = (stream.words(len(tail_rows)) >> np.uint64(TAIL_SHIFT)) < T
-        counts += np.bincount(tail_rows[recruit], minlength=rows)
+        counts += np.bincount(tail_rows[recruit], minlength=counted)
     schedules = []
     for row in audit_rows:
         octets = audited[row].astype("<u8", copy=False).view(np.uint8)
@@ -360,7 +404,7 @@ def grow(model: GrowthModel, horizon_n: int, rng: RngStream) -> TreeState:
     if horizon_n < 1:
         raise ValueError(f"horizon_n must be >= 1, got {horizon_n}")
     draws = rng.doubles(2 * (horizon_n - 1)).reshape(horizon_n - 1, 2)
-    legs = grow_legs(draws[:, 0] < model.centroid_probability, draws[:, 1])
+    legs, _ = grow_legs(draws[:, 0] < model.centroid_probability, draws[:, 1], [horizon_n - 1])
     return TreeState(time=horizon_n, legs=legs)
 
 

@@ -11,8 +11,8 @@ with what they test:
   silently patched);
 * direct degree-multiset evaluation against the reduced closed forms on
   randomly grown trees, grown in blocks of TRIAL_BLOCK = 64 that share one
-  random stream, the reduced side taken in one float64 ``reduced_values``
-  pass per index and block;
+  random stream, one draw and one ``grow_legs`` pass per block, the reduced
+  side taken in one float64 ``reduced_values`` pass per index and block;
 * the coefficient triangle against Stirling numbers of the second kind
   computed by inclusion-exclusion;
 * degeneracy at time 1, where the tree is deterministic, so every catalog
@@ -46,7 +46,7 @@ from .indices import (
     reduced_values,
 )
 from .montecarlo import direct_mismatches
-from .tree import RngStream, TreeState, degree_multiset, grow_legs, new_seed
+from .tree import RngStream, degree_multiset, grow_legs, new_seed, spider_degrees
 
 __all__ = [
     "Failure",
@@ -144,14 +144,18 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
     ``RngStream(master_seed, 1 + b)``, which yields the 2 (n - 1) interleaved
     (decision, pick) uniforms of each of its trials in trial order, as
     ``tree.grow`` consumes them.  So a trial's tree depends only on
-    (master_seed, t, max_n), not on the trial count.
+    (master_seed, t, max_n), not on the trial count.  A block draws all its
+    uniforms in one ``doubles`` call and grows all its trees in one
+    ``grow_legs`` pass, which checks every tree against ``TreeState``'s
+    invariants.
 
     Every spec is evaluated directly (``eval_direct``) on each tree's one
-    degree multiset; the reduced side is one float64 ``reduced_values`` pass
-    per spec and block over the block's (n, L), the engine's path.  A pair fails by the engine
-    audit's check, ``montecarlo.direct_mismatches``; failures are listed in
-    (trial, spec) order with their (n, L, p) witness.  Only one block's
-    trees are held at a time.
+    degree multiset, ``spider_degrees(n, L)``; the reduced side is one
+    float64 ``reduced_values`` pass per spec and block over the block's
+    (n, L), the engine's path.  A pair fails by the engine audit's check,
+    ``montecarlo.direct_mismatches``; failures are listed in (trial, spec)
+    order with their (n, L, p) witness.  Only one block's trees are held at
+    a time.
     """
     specs = _trial_specs()
     failures = []
@@ -160,15 +164,14 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
     ps = 0.05 + 0.9 * meta[:, 1]
     for first in range(0, trials, TRIAL_BLOCK):
         n_block = ns[first:first + TRIAL_BLOCK]
+        steps = n_block - 1
         stream = RngStream(master_seed, 1 + first // TRIAL_BLOCK)
-        L_block = np.empty(len(n_block), dtype=np.int64)
+        u = stream.doubles(2 * int(steps.sum())).reshape(-1, 2)
+        centroid = u[:, 0] < np.repeat(ps[first:first + TRIAL_BLOCK], steps)
+        _, L_block = grow_legs(centroid, u[:, 1], steps)
         direct = np.empty((len(n_block), len(specs)))
-        for k, n in enumerate(n_block.tolist()):
-            u = stream.doubles(2 * (n - 1)).reshape(n - 1, 2)
-            legs = grow_legs(u[:, 0] < ps[first + k], u[:, 1])
-            state = TreeState(time=n, legs=legs)
-            L_block[k] = state.leaf_count
-            degrees = degree_multiset(state)
+        for k, (n, L) in enumerate(zip(n_block.tolist(), L_block.tolist())):
+            degrees = spider_degrees(n, L)
             direct[k] = [float(eval_direct(degrees, n, spec)) for spec in specs]
         reduced = np.column_stack([reduced_values(spec, n_block, L_block) for spec in specs])
         for k, j in direct_mismatches(direct, reduced):  # (trial, spec) order

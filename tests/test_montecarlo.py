@@ -199,6 +199,10 @@ class RecordingStream(RngStream):
         self.draws.append(("words", count))
         return super().words(count)
 
+    def advance(self, count):
+        self.draws.append(("advance", count))
+        super().advance(count)
+
 
 @pytest.fixture
 def recording(monkeypatch):
@@ -234,7 +238,7 @@ def test_pieces_equal_a_one_shot_block_draw_at_large_n(monkeypatch):
     for piece in (1, width, 3 * width - 1, 5 * width, 43 * width, DRAW_PIECE, chunk):
         monkeypatch.setattr(tree, "DRAW_PIECE", piece)
         counts, got = tree.block_leaf_counts(UniformLeaf(p), RngStream(seed, 0), CHUNK_SIZE,
-                                             n - 1, audit_rows)
+                                             n - 1, audit_rows, CHUNK_SIZE)
         assert np.array_equal(counts, expected)
         assert len(got) == len(audit_rows)
         for schedule, row in zip(got, audit_rows):
@@ -272,7 +276,7 @@ def test_blocks_counted_together_equal_blocks_counted_alone(monkeypatch, recordi
             stream = RecordingStream(seed, c)
             passes.clear()
             counts, schedules = tree.block_leaf_counts(model, stream, CHUNK_SIZE, steps,
-                                                       [0, 517, 1023])
+                                                       [0, 517, 1023], CHUNK_SIZE)
             assert np.array_equal(counts, want_counts)
             assert np.array_equal(np.stack(schedules), want_schedules)
             assert len(passes) == 2 * len(heights)  # below and at A, once per piece
@@ -289,12 +293,25 @@ def test_an_audited_block_draws_its_decision_and_tail_words_only(recording, p):
     replicates = CHUNK_SIZE + 130  # replicates 0, 100, ..., 1000 audited in chunk 0, 1100 in 1
     leaf_samples(n, p, replicates, seed)
     assert [(s.master_seed, s.stream_index) for s in recording] == [(seed, 0), (seed, 1)]
-    for stream in recording:
-        assert {kind for kind, _ in stream.draws} == {"words"}
-        # a fresh stream that has yielded the chunk's decision and tail words
-        # is where the engine's stream was left
+    byte_rule = p != 0.5
+    width = -(-(n - 1) // (8 if byte_rule else 64))
+    for stream, rows in zip(recording, (CHUNK_SIZE, 130)):
+        # a fresh stream that has yielded the counted rows' decision words,
+        # skipped the other rows' (byte rule), then yielded the counted rows'
+        # tail words is where the engine's stream was left
         reference = RngStream(seed, stream.stream_index)
-        reference_block(reference, CHUNK_SIZE, n - 1, p)
+        words = reference.words(rows * width).astype("<u8").view(np.uint8)
+        octets = words.reshape(rows, 8 * width)[:, :n - 1]
+        want = [("words", rows * width)]
+        if byte_rule:
+            ties = int((octets == decision_threshold(UniformLeaf(p))[0]).sum())
+            assert ties > 0
+            if rows < CHUNK_SIZE:
+                want.append(("advance", (CHUNK_SIZE - rows) * width))
+            want.append(("words", ties))
+            reference.advance((CHUNK_SIZE - rows) * width)
+            reference.words(ties)
+        assert stream.draws == want
         assert stream.words(4).tolist() == reference.words(4).tolist()
 
 
@@ -320,9 +337,13 @@ def test_a_run_keys_one_stream_per_chunk_and_audits_each_hundredth_replicate_onc
 
 
 def test_first_replicates_do_not_depend_on_the_replicate_count():
+    # A partial chunk draws only its counted rows, and the byte rule skips the
+    # rest before their tail words; at R = 10 the counted rows hold ties.
+    octets = RngStream(11, 0).words(10 * 25).astype("<u8").view(np.uint8)
+    assert (octets == decision_threshold(UniformLeaf(0.4))[0]).any()
     for n, p in ((201, 0.4), (70, 0.5)):
         longest = leaf_samples(n, p, 2 * CHUNK_SIZE + 77, 11)
-        for R in (1, 100, CHUNK_SIZE, CHUNK_SIZE + 1):
+        for R in (1, 10, 100, CHUNK_SIZE, CHUNK_SIZE + 1):
             assert np.array_equal(leaf_samples(n, p, R, 11), longest[:R])
 
 

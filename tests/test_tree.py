@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spiderlab import (
     InvalidProbabilityError,
@@ -129,15 +129,16 @@ def test_grow_legs_applies_the_floor_rule(n, seed, p):
     before = 3 + np.cumsum(centroid) - centroid
     chosen = np.floor(picks[~centroid] * before[~centroid]).astype(np.int64)
     want = 1 + np.bincount(chosen, minlength=3 + int(centroid.sum()))
-    got = grow_legs(centroid, picks)
+    got, leaves = grow_legs(centroid, picks, [n - 1])
     assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert leaves.tolist() == [len(want)]
 
 
 @given(st.integers(1, 300), st.integers(0, 10**6), st.floats(0.05, 0.95))
 def test_counts_follow_the_legs_on_grown_trees(n, seed, p):
     model = UniformLeaf(p)
     draws = RngStream(seed).doubles(2 * (n - 1)).reshape(n - 1, 2)
-    grown = TreeState(time=n, legs=grow_legs(draws[:, 0] < p, draws[:, 1]))
+    grown = TreeState(time=n, legs=grow_legs(draws[:, 0] < p, draws[:, 1], [n - 1])[0])
     stepped = new_seed()
     rng = RngStream(seed)
     for _ in range(min(n, 60) - 1):
@@ -150,6 +151,65 @@ def test_counts_follow_the_legs_on_grown_trees(n, seed, p):
         if sum(legs) > len(legs):
             expected[2] = sum(legs) - len(legs)
         assert degree_multiset(state) == expected
+
+
+def block_of_trees(trees, stream):
+    """The block kernel's legs and leaf counts for the ``(n, p)`` trees,
+    grown from one draw of their interleaved (decision, pick) uniforms."""
+    steps = np.array([n - 1 for n, _ in trees], dtype=np.int64)
+    u = stream.doubles(2 * int(steps.sum())).reshape(-1, 2)
+    centroid = u[:, 0] < np.repeat([p for _, p in trees], steps)
+    return grow_legs(centroid, u[:, 1], steps)
+
+
+@given(st.lists(st.tuples(st.integers(1, 80), st.floats(0.05, 0.95)), min_size=1, max_size=70),
+       st.integers(0, 10**6))
+@example([(1, 0.05), (2, 0.95), (1, 0.95), (2, 0.05), (40, 0.05), (40, 0.9499999)], 7)
+def test_a_block_holds_the_trees_grow_grows_one_at_a_time(trees, seed):
+    legs, leaves = block_of_trees(trees, RngStream(seed, 1))
+    stream, at = RngStream(seed, 1), 0
+    for (n, p), L in zip(trees, leaves.tolist()):
+        assert legs[at:at + L].tolist() == list(grow(UniformLeaf(p), n, stream).legs)
+        at += L
+    assert at == len(legs) and legs.dtype == leaves.dtype == np.int64
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.9499])
+def test_blocks_of_64_with_a_partial_last_block_equal_per_tree_growth(p):
+    # verify's layout: block b of 64 trials from stream 1 + b; 87 trials, so the
+    # last block holds 23, and n = 1 and n = 2 trees sit among the others
+    ns = np.random.default_rng(3).integers(1, 300, 87).tolist()
+    ns[:6] = [1, 2, 1, 2, 2, 1]
+    ns[64:66] = [2, 1]
+    for first in range(0, len(ns), 64):
+        trees = [(n, p) for n in ns[first:first + 64]]
+        legs, leaves = block_of_trees(trees, RngStream(9, 1 + first // 64))
+        stream = RngStream(9, 1 + first // 64)
+        grown = [grow(UniformLeaf(p), n, stream) for n, _ in trees]
+        assert leaves.tolist() == [tree.leaf_count for tree in grown]
+        assert legs.tolist() == [leg for tree in grown for leg in tree.legs]
+
+
+def test_a_pick_in_a_neighbouring_trees_legs_breaks_the_invariant():
+    # three trees of 4, 5 and 6 steps; tree 1 recruits no leg, so it holds
+    # three legs throughout, and a pick shifted by one lands three legs on,
+    # in tree 2's legs (or, from tree 2, past the block)
+    steps = [4, 5, 6]
+    rng = np.random.default_rng(5)
+    centroid = rng.random(15) < 0.5
+    centroid[4:9] = False
+    picks = rng.random(15)
+    legs, leaves = grow_legs(centroid, picks, steps)
+    assert [sum(legs[a:a + L]) for a, L in zip(np.cumsum(leaves) - leaves, leaves)] == [7, 8, 9]
+    shifted = picks.copy()
+    shifted[4:9] += 1  # tree 1's picks, offset by its three legs
+    with pytest.raises(ValueError, match="^leg lengths sum to 3, expected time \\+ 2 = 8$"):
+        grow_legs(centroid, shifted, steps)
+    shifted = picks.copy()
+    shifted[9:][~centroid[9:]] += 1  # tree 2's leaf steps, past the last leg
+    assert (~centroid[9:]).any()
+    with pytest.raises(ValueError, match="^leg lengths sum to \\d+, expected time \\+ 2 = 9$"):
+        grow_legs(centroid, shifted, steps)
 
 
 def test_boundary_probabilities_rejected():
@@ -266,12 +326,12 @@ models = st.one_of(
 def test_leaf_count_equals_grown_leg_count(model, rows, steps, master_seed, stream_index, data):
     audit_row = data.draw(st.integers(0, rows - 1))
     stream = RngStream(master_seed, stream_index)
-    counts, (centroid,) = block_leaf_counts(model, stream, rows, steps, [audit_row])
+    counts, (centroid,) = block_leaf_counts(model, stream, rows, steps, [audit_row], rows)
     want_counts, want_centroid = reference_block(RngStream(master_seed, stream_index), rows,
                                                  steps, model.centroid_probability)
     assert counts.tolist() == want_counts.tolist()
     assert np.array_equal(centroid, want_centroid[audit_row])
-    legs = grow_legs(centroid, stream.doubles(steps))
+    legs, _ = grow_legs(centroid, stream.doubles(steps), [steps])
     assert len(legs) == counts[audit_row]
     assert legs.sum() == steps + 3
 
@@ -279,10 +339,10 @@ def test_leaf_count_equals_grown_leg_count(model, rows, steps, master_seed, stre
 def test_leaf_count_at_seed_is_three_and_draws_nothing():
     model = UniformLeaf(0.5)
     stream = RngStream(4, 2)
-    counts, (centroid,) = block_leaf_counts(model, stream, 4, 0, [1])
+    counts, (centroid,) = block_leaf_counts(model, stream, 4, 0, [1], 4)
     assert counts.tolist() == [3, 3, 3, 3] and centroid.tolist() == []
     assert np.array_equal(stream.words(3), RngStream(4, 2).words(3))
-    assert grow_legs(np.zeros(0, dtype=bool), np.empty(0)).tolist() == [1, 1, 1]
+    assert grow_legs(np.zeros(0, dtype=bool), np.empty(0), [0])[0].tolist() == [1, 1, 1]
     rng = RngStream(4, 2)
     assert grow(model, 1, rng) == new_seed()
     assert np.array_equal(rng.doubles(3), RngStream(4, 2).doubles(3))
@@ -293,14 +353,73 @@ def test_schedules_follow_the_audited_rows_which_must_lie_in_the_block():
     want_counts, want_centroid = reference_block(RngStream(6, 1), 4, 20, 0.4)
     for audit_rows in ([], [3], [2, 0], [1, 1]):
         counts, schedules = block_leaf_counts(model, ScriptedWords(stream_words), 4, 20,
-                                              audit_rows)
+                                              audit_rows, 4)
         assert counts.tolist() == want_counts.tolist()
         assert len(schedules) == len(audit_rows)
         for row, centroid in zip(audit_rows, schedules):
             assert np.array_equal(centroid, want_centroid[row])
     for audit_rows in ([4], [-1], [0, 4]):
         with pytest.raises(ValueError, match=r"outside 0\.\.3"):
-            block_leaf_counts(model, RngStream(6, 1), 4, 20, audit_rows)
+            block_leaf_counts(model, RngStream(6, 1), 4, 20, audit_rows, 4)
+
+
+class SkipRecorder(RngStream):
+    """An ``RngStream`` that records each ``words`` and ``advance`` call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def words(self, count):
+        self.calls.append(("words", count))
+        return super().words(count)
+
+    def advance(self, count):
+        self.calls.append(("advance", count))
+        super().advance(count)
+
+
+@pytest.mark.parametrize("p", [0.4, 0.5])
+def test_a_block_counts_only_its_first_rows_and_draws_no_other_row(p):
+    model, rows, steps = UniformLeaf(p), 40, 100
+    byte_rule = p != 0.5
+    width = -(-steps // (8 if byte_rule else 64))
+    words = RngStream(6, 2).words(rows * width)
+    octets = words.astype("<u8").view(np.uint8).reshape(rows, 8 * width)[:, :steps]
+    ties = (octets == decision_threshold(model)[0]).sum(axis=1) if byte_rule else [0] * rows
+    assert not byte_rule or ties[:17].sum() > 0  # the counted rows of 17 hold ties
+    want_counts, want_centroid = reference_block(RngStream(6, 2), rows, steps, p)
+    for counted in (0, 1, 17, 39, 40):
+        audit_rows = [row for row in (16, 0, 38) if row < counted]
+        stream = SkipRecorder(6, 2)
+        counts, schedules = block_leaf_counts(model, stream, rows, steps, audit_rows, counted)
+        assert counts.tolist() == want_counts[:counted].tolist()
+        for row, centroid in zip(audit_rows, schedules):
+            assert np.array_equal(centroid, want_centroid[row])
+        # the counted rows' decision words, a skip past the other rows' (byte
+        # rule), then the counted rows' tail words
+        want = [("words", counted * width)] * bool(counted)
+        if byte_rule:
+            want += [("advance", (rows - counted) * width)] * (counted < rows)
+            want += [("words", int(sum(ties[:counted])))]
+        assert stream.calls == want
+    for counted in (-1, 41):
+        with pytest.raises(ValueError, match=f"^{counted} counted rows outside 0\\.\\.40$"):
+            block_leaf_counts(model, RngStream(6, 2), rows, steps, [], counted)
+    with pytest.raises(ValueError, match=r"outside 0\.\.16"):
+        block_leaf_counts(model, RngStream(6, 2), rows, steps, [17], 17)
+
+
+def test_advance_skips_the_words_it_is_given():
+    stream = RngStream(3, 1)
+    stream.words(5)
+    stream.advance(10**6)
+    stream.advance(0)
+    skipped = RngStream(3, 1)
+    skipped.words(5)
+    for _ in range(10):
+        skipped.words(10**5)
+    assert np.array_equal(stream.words(4), skipped.words(4))
 
 
 def octet_words(rows, pad):
@@ -336,7 +455,7 @@ def test_leaf_count_scripted_decisions(monkeypatch):
              tail(T), tail(2**45 - 1), tail(T - 1), tail(5)]  # row 2: no, no, recruit, recruit
     words = octet_words(rows, pad=A)
     stream = ScriptedWords(words + tails + [0xFFFF])
-    counts, (centroid,) = block_leaf_counts(model, stream, 3, 13, [2])
+    counts, (centroid,) = block_leaf_counts(model, stream, 3, 13, [2], 3)
     assert counts.tolist() == [3 + 7 + 2, 3, 3 + 3 + 2]  # below A + recruiting ties
     assert centroid.tolist() == [False, True, False, True, False, True, True,
                                  False, False, False, False, False, True]
@@ -345,7 +464,7 @@ def test_leaf_count_scripted_decisions(monkeypatch):
     for piece, draws in ((1, [2, 2, 2]), (2, [2, 2, 2]), (6, [6]), (DRAW_PIECE, [6])):
         monkeypatch.setattr(tree, "DRAW_PIECE", piece)
         again = ScriptedWords(words + tails)
-        got, (schedule,) = block_leaf_counts(model, again, 3, 13, [2])
+        got, (schedule,) = block_leaf_counts(model, again, 3, 13, [2], 3)
         assert again.draws == draws + [len(tails)]
         assert got.tolist() == counts.tolist() and np.array_equal(schedule, centroid)
     want_counts, want_centroid = reference_block(ScriptedWords(words + tails), 3, 13, 0.4)
@@ -378,7 +497,7 @@ def test_byte_rule_is_the_float_comparison(model):
         byte, b = k >> 45, k & (2**45 - 1)
         word = byte | (filler << 8)  # the step's byte is byte 0; the rest is unused
         stream = ScriptedWords([word, (b << 19) | low])
-        counts, (centroid,) = block_leaf_counts(model, stream, 1, 1, [0])
+        counts, (centroid,) = block_leaf_counts(model, stream, 1, 1, [0], 1)
         assert bool(counts[0] - 3) == (k * 2.0**-53 < p) == bool(centroid[0]), k
         assert stream.left == (0 if byte == A else 1), k
 
@@ -398,7 +517,7 @@ def test_bit_rule_has_the_float_comparison_law(model):
     for word in rng.integers(0, 2**64, 200, dtype=np.uint64).tolist():
         for steps in (1, 13, 64):
             stream = ScriptedWords([word, 0])
-            counts, (centroid,) = block_leaf_counts(model, stream, 1, steps, [0])
+            counts, (centroid,) = block_leaf_counts(model, stream, 1, steps, [0], 1)
             want = [(word >> s) & 1 == 0 for s in range(steps)]
             assert centroid.tolist() == want and counts[0] == 3 + sum(want)
             assert stream.draws == [1] and stream.left == 1
@@ -412,7 +531,7 @@ def test_bit_rule_counts_and_schedules_equal_the_reference(model, rows, steps, m
                                                  steps, 0.5)
     for audit_row in range(rows):
         counts, (centroid,) = block_leaf_counts(model, RngStream(master_seed, stream_index),
-                                                   rows, steps, [audit_row])
+                                                   rows, steps, [audit_row], rows)
         assert counts.tolist() == want_counts.tolist()
         assert np.array_equal(centroid, want_centroid[audit_row])
 
@@ -443,7 +562,7 @@ def test_bit_rule_reads_only_the_used_bits_and_draws_no_tail(monkeypatch, n):
                          (DRAW_PIECE, [5 * width])):
         monkeypatch.setattr(tree, "DRAW_PIECE", piece)
         stream = ScriptedWords(words + [2**64 - 1])
-        counts, (centroid,) = block_leaf_counts(Preferential(), stream, 5, steps, [4])
+        counts, (centroid,) = block_leaf_counts(Preferential(), stream, 5, steps, [4], 5)
         assert counts.tolist() == want
         assert centroid.tolist() == [bit == 0 for bit in rows[4]]
         assert stream.draws == draws and stream.left == 1  # no tail word
