@@ -225,26 +225,21 @@ def leaf_raw_moment_exact(law: LeafLaw, order: int):
     (u**(n+2) + 3(p-1) u**(n+1) + 3(p-1)^2 u**n + (p-1)^3 u**(n-1)) / p^3,
     the i-th u-derivative at 1 is a sum of four falling factorials.  For
     p = a/c the sum is taken in integers over the one denominator
-    c**order * a**3, and a float p sums in floats.
+    c**order * a**3; a float p is the case (a, c) = (p, 1), summed in
+    floats.
     """
     if not 1 <= order <= MAX_MOMENT_ORDER:
         raise ValueError(f"order must be in [1, {MAX_MOMENT_ORDER}], got {order}")
     n, p = law.n, law.p
     row = coefficient_triangle(order)[order - 1]
-    if isinstance(p, Fraction):
-        a, c = p.numerator, p.denominator
-        d = a - c  # c (p - 1); the weights below are c**3 times the float path's
-        weights = {2: c**3, 1: 3 * d * c * c, 0: 3 * d * d * c, -1: d**3}
-        total = sum(row[i - 1] * a**i * c ** (order - i)
-                    * sum(w * _falling(n + k, i) for k, w in weights.items())
-                    for i in range(1, order + 1))
-        return Fraction(total, c**order * a**3)
-    weights = {2: 1, 1: 3 * (p - 1), 0: 3 * (p - 1) ** 2, -1: (p - 1) ** 3}
-    total = 0
-    for i in range(1, order + 1):
-        du = sum(w * _falling(n + k, i) for k, w in weights.items())
-        total += row[i - 1] * p ** i * du
-    return total / p ** 3
+    a, c = (p.numerator, p.denominator) if isinstance(p, Fraction) else (p, 1)
+    d = a - c  # c (p - 1)
+    weights = {2: c**3, 1: 3 * d * c**2, 0: 3 * d**2 * c, -1: d**3}
+    total = sum(row[i - 1] * a**i * c ** (order - i)
+                * sum(w * _falling(n + k, i) for k, w in weights.items())
+                for i in range(1, order + 1))
+    den = c**order * a**3
+    return Fraction(total, den) if isinstance(p, Fraction) else total / den
 
 
 @dataclass(frozen=True)

@@ -258,9 +258,10 @@ def grow_legs(centroid: np.ndarray, picks: np.ndarray, steps) -> tuple[np.ndarra
     recruits, ``leaves`` being that tree's leaf count before step j.  This
     is the rule ``step`` applies to its two uniforms, vectorised over the
     block.  Tree k's ``leaves[k]`` legs follow those of trees 0..k-1 in the
-    returned legs.  Every tree is checked against ``TreeState``'s
-    invariants and fails with its ``ValueError``; a pick that lands in a
-    neighbouring tree's legs breaks both trees' sums.
+    returned legs.  Every tree meets ``TreeState``'s invariants: at least
+    three legs and every leg positive by construction, and its leg sum
+    checked, failing with ``TreeState``'s ``ValueError``; a pick that lands
+    in a neighbouring tree's legs breaks both trees' sums.
     """
     steps = np.asarray(steps, dtype=np.int64)
     ends = np.cumsum(steps)
@@ -276,12 +277,13 @@ def grow_legs(centroid: np.ndarray, picks: np.ndarray, steps) -> tuple[np.ndarra
     seen = 3 + recruits[leaf] - before[owner]
     chosen = (picks[leaf] * seen).astype(np.int64) + first_leg[owner]
     legs = 1 + np.bincount(chosen, minlength=int(leaves.sum()))
-    low = np.minimum.reduceat(legs, first_leg)
+    # Every tree has leaves >= 3 legs, as recruits never fall, each leg 1 plus
+    # a count; only a leg sum can break, as a misplaced pick breaks it.
     total = np.add.reduceat(legs, first_leg)
-    bad = np.flatnonzero((leaves < 3) | (low < 1) | (total != steps + 3))
+    bad = np.flatnonzero(total != steps + 3)
     if bad.size:
         k = bad[0]
-        _check_spider(int(steps[k]) + 1, int(leaves[k]), int(low[k]), int(total[k]))
+        _check_spider(int(steps[k]) + 1, int(leaves[k]), 1, int(total[k]))
     return legs, leaves
 
 
