@@ -15,9 +15,13 @@ carries its index once as a ``ReducedForm`` in (n, L).  One Horner routine
 evaluates it, exactly for an integer L (``eval_reduced``: named indices and
 integer exponents give ints/Fractions, real exponents floats) and in
 float64 over an array of leaf counts (``reduced_values``, the engine's
-path).  Each spec also carries its definition, ``direct(degrees, n)`` on a
-tree's degree multiset, which never reads the reduced form; ``eval_direct``
-calls it, and it is the independent oracle the table is checked against.
+path).  Each spec also carries its definition, ``direct(degrees, n)``,
+which reads only ``degrees.items()``, a tree's (degree, count) pairs, and
+never the reduced form; ``eval_direct`` calls it, and it is the independent
+oracle the table is checked against.  The one body runs the same two ways:
+exactly on a tree's multiset {degree: count}, and in float64 on the degree
+columns of a block of trees (``direct_values``, which ``verify`` runs once
+per index on 64 trees at a time).
 A named index is one ``NamedIndex`` row: its name, its reduced form and its
 definition; the power sums compute both from their exponent.
 """
@@ -30,6 +34,8 @@ from functools import cached_property
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
+
+from .tree import spider_degrees
 
 __all__ = [
     "UnknownIndexError",
@@ -54,6 +60,7 @@ __all__ = [
     "eval_direct",
     "eval_reduced",
     "reduced_values",
+    "direct_values",
 ]
 
 
@@ -147,7 +154,8 @@ class ReducedForm:
 @dataclass(frozen=True)
 class NamedIndex:
     """A named index, one row: its reduced form in (n, L) and ``direct``,
-    its definition on the degree multiset {degree: count} at time n.
+    its definition on the degree multiset {degree: count} at time n, read
+    through ``items()`` only, so it runs on degree columns as well.
 
     ``direct`` is a module-level function, so a spec pickles by reference
     when a config crosses the process pool; it is left out of the repr."""
@@ -159,7 +167,7 @@ class NamedIndex:
 
 def _leaves(degrees, n):
     """The leaf count itself (number of degree-1 nodes)."""
-    return degrees.get(1, 0)
+    return sum(c * (d == 1) for d, c in degrees.items())
 
 
 def _zagreb(degrees, n):
@@ -185,19 +193,22 @@ def _forgotten(degrees, n):
 def _gini(degrees, n):
     """Pairwise absolute degree differences over unordered node pairs,
     normalized by (node count)^2 times the average degree."""
-    ds = sorted(degrees)
-    total = 0
-    for i, a in enumerate(ds):
-        for b in ds[i + 1 :]:
-            total += degrees[a] * degrees[b] * (b - a)
-    return Fraction(total, 2 * (n + 2) * (n + 3))
+    items = list(degrees.items())
+    total = sum(ca * cb * abs(b - a)
+                for i, (a, ca) in enumerate(items) for b, cb in items[i + 1:])
+    return _ratio(total, 2 * (n + 2) * (n + 3))
 
 
 def _hoover(degrees, n):
     """Sum of |node_count*deg - degree_sum| over nodes, normalized by
     2 * node_count * degree_sum."""
     total = sum(c * abs((n + 3) * d - 2 * (n + 2)) for d, c in degrees.items())
-    return Fraction(total, 4 * (n + 2) * (n + 3))
+    return _ratio(total, 4 * (n + 2) * (n + 3))
+
+
+def _ratio(total, den):
+    """total / den: a Fraction for ints, float64 (rounded once) for columns."""
+    return total / den if isinstance(total, np.ndarray) else Fraction(total, den)
 
 
 LEAVES = NamedIndex("leaves", ReducedForm(((1,), (0,))), _leaves)               # L
@@ -255,7 +266,7 @@ class Generic:
 
     def direct(self, degrees, n):
         if not isinstance(self.h, Identity):  # the identity is positive on every degree
-            check_positive(self.h, degrees)
+            check_positive(self.h, [d for d, _ in degrees.items()])
         return sum(c * _power(self.h(d), self.alpha) for d, c in degrees.items())
 
 
@@ -331,8 +342,12 @@ def _power(base, alpha):
 
 
 def check_positive(h: DegreeFunction, degrees) -> None:
+    """h(d) > 0 for each d in ``degrees``, a degree or a column of them."""
     for d in degrees:
         value = h(d)
+        if isinstance(value, np.ndarray):  # a column: its first non-positive entry, if any
+            k = np.argmin(value > 0)
+            d, value = int(d[k]), value[k].item()
         if not value > 0:
             raise UnknownIndexError(
                 f"degree function must be positive on occurring degrees; h({d}) = {value!r}"
@@ -341,7 +356,8 @@ def check_positive(h: DegreeFunction, degrees) -> None:
 
 def eval_direct(degrees: Mapping[int, int], n: int, index: IndexSpec):
     """Evaluate ``index`` by its definition on a tree's degree multiset
-    {degree: count} at time ``n`` (``tree.degree_multiset``)."""
+    {degree: count} at time ``n`` (``tree.degree_multiset``), exactly where
+    the index is, or on a block's degree columns (``direct_values``)."""
     direct = getattr(index, "direct", None)
     if direct is None:
         raise UnknownIndexError(f"cannot evaluate index spec {index!r}")
@@ -403,3 +419,22 @@ def reduced_values(index: IndexSpec, n: int | np.ndarray, leaf_counts) -> np.nda
     ``eval_reduced``'s for real alpha.
     """
     return _evaluate(index, n, np.asarray(leaf_counts, dtype=np.float64))
+
+
+def direct_values(index: IndexSpec, n: int | np.ndarray, leaf_counts) -> np.ndarray:
+    """Vectorised float64 evaluation by definition, the twin of
+    ``reduced_values``: the spec's one ``direct`` runs once on the degree
+    columns (``tree.spider_degrees``) of the trees with these leaf counts,
+    at one time ``n`` or at an integer ndarray of times, one per leaf count.
+
+    A named index, or a power sum whose h is integer-valued on the degrees
+    and whose exponent is a nonnegative integer, sums integer terms, so an
+    entry equals ``float(eval_direct(spider_degrees(n, L), n, index))`` bit
+    for bit while its terms and partial sums stay below 2**53 (Gini and
+    Hoover rounded once, by one division).  Otherwise an entry sums the
+    three positive terms c * h(d)**alpha of the same float h values in the
+    same order as the scalar path, each power within one ulp, so both lie
+    within 5 * 2**-53 of the exact sum of those terms and within
+    10 * 2**-53 relative of each other.
+    """
+    return eval_direct(spider_degrees(n, np.asarray(leaf_counts, dtype=np.float64)), n, index)

@@ -63,6 +63,7 @@ __all__ = [
     "grow_legs",
     "decision_threshold",
     "block_leaf_counts",
+    "DegreeColumns",
     "spider_degrees",
     "degree_multiset",
 ]
@@ -410,10 +411,36 @@ def grow(model: GrowthModel, horizon_n: int, rng: RngStream) -> TreeState:
     return TreeState(time=horizon_n, legs=legs)
 
 
-def spider_degrees(n: int, leaves: int) -> dict[int, int]:
+@dataclass(frozen=True)
+class DegreeColumns:
+    """The degree multisets of a block of spider trees, one tree per entry:
+    the (degree, count) pairs (L, 1), (1, L), (2, m - L) with L and m - L
+    float64 columns and the degrees 1 and 2 floats.  ``items()`` yields them
+    as a ``spider_degrees`` dict's ``items()`` yields its pairs."""
+
+    pairs: tuple
+
+    def items(self) -> tuple:
+        return self.pairs
+
+
+def spider_degrees(n: int | np.ndarray,
+                   leaves: int | np.ndarray) -> dict[int, int] | DegreeColumns:
     """Map degree -> node count of every spider tree at time ``n`` with
     ``leaves`` legs: {leaves: 1, 1: leaves, 2: n + 2 - leaves}, the centroid's
-    degree (>= 3) never colliding with the others; zero counts are omitted."""
+    degree (>= 3) never colliding with the others; zero counts are omitted.
+
+    Given an ndarray of leaf counts, at one time ``n`` or at an integer
+    ndarray of times, one per leaf count, it returns the same pairs as
+    float64 columns (``DegreeColumns``), a zero count kept."""
+    if isinstance(leaves, np.ndarray):
+        L = leaves.astype(np.float64, copy=False)
+        bad = (L < 3) | (L > n + 2)
+        if bad.any():
+            k = bad.argmax()
+            raise ValueError(f"leaf count {L[k]:.0f} outside the reachable range "
+                             f"[3, {np.broadcast_to(n + 2, L.shape)[k]}]")
+        return DegreeColumns(((L, 1), (1.0, L), (2.0, n + 2 - L)))
     if not 3 <= leaves <= n + 2:
         raise ValueError(f"leaf count {leaves} outside the reachable range [3, {n + 2}]")
     counts = {leaves: 1, 1: leaves}

@@ -11,8 +11,10 @@ with what they test:
   silently patched);
 * direct degree-multiset evaluation against the reduced closed forms on
   randomly grown trees, grown in blocks of TRIAL_BLOCK = 64 that share one
-  random stream, one draw and one ``grow_legs`` pass per block, the reduced
-  side taken in one float64 ``reduced_values`` pass per index and block;
+  random stream, one draw and one ``grow_legs`` pass per block, each side
+  taken in one float64 pass per index and block: ``direct_values`` runs the
+  index's definition on the block's degree columns, ``reduced_values`` its
+  closed form;
 * the coefficient triangle against Stirling numbers of the second kind
   computed by inclusion-exclusion;
 * degeneracy at time 1, where the tree is deterministic, so every catalog
@@ -41,12 +43,13 @@ from .indices import (
     GeneralizedZagreb,
     Generic,
     IndexSpec,
+    direct_values,
     eval_direct,
     eval_reduced,
     reduced_values,
 )
 from .montecarlo import direct_mismatches
-from .tree import RngStream, degree_multiset, grow_legs, new_seed, spider_degrees
+from .tree import RngStream, degree_multiset, grow_legs, new_seed
 
 __all__ = [
     "Failure",
@@ -149,10 +152,11 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
     ``grow_legs`` pass, which checks every tree against ``TreeState``'s
     invariants.
 
-    Every spec is evaluated directly (``eval_direct``) on each tree's one
-    degree multiset, ``spider_degrees(n, L)``; the reduced side is one
-    float64 ``reduced_values`` pass per spec and block over the block's
-    (n, L), the engine's path.  A pair fails by the engine audit's check,
+    Each spec is evaluated per block over the block's (n, L), in float64,
+    on both sides: directly, by its own definition run once on the block's
+    degree columns (``direct_values``, the body ``eval_direct`` runs exactly
+    on one tree's multiset), and by its reduced form (``reduced_values``,
+    the engine's path).  A pair fails by the engine audit's check,
     ``montecarlo.direct_mismatches``; failures are listed in (trial, spec)
     order with their (n, L, p) witness.  Only one block's trees are held at
     a time.
@@ -169,10 +173,7 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
         u = stream.doubles(2 * int(steps.sum())).reshape(-1, 2)
         centroid = u[:, 0] < np.repeat(ps[first:first + TRIAL_BLOCK], steps)
         _, L_block = grow_legs(centroid, u[:, 1], steps)
-        direct = np.empty((len(n_block), len(specs)))
-        for k, (n, L) in enumerate(zip(n_block.tolist(), L_block.tolist())):
-            degrees = spider_degrees(n, L)
-            direct[k] = [float(eval_direct(degrees, n, spec)) for spec in specs]
+        direct = np.column_stack([direct_values(spec, n_block, L_block) for spec in specs])
         reduced = np.column_stack([reduced_values(spec, n_block, L_block) for spec in specs])
         for k, j in direct_mismatches(direct, reduced):  # (trial, spec) order
             failures.append(Failure(

@@ -93,6 +93,20 @@ def test_spider_degrees_is_the_multiset_at_every_reachable_leaf_count():
     for n, L in ((1, 2), (1, 4), (5, 8), (0, 3)):
         with pytest.raises(ValueError, match="outside the reachable range"):
             spider_degrees(n, L)
+        range_error = rf"count {L} outside the reachable range \[3, {n + 2}\]"
+        with pytest.raises(ValueError, match=range_error):
+            spider_degrees(np.array([n, 1]), np.array([L, 3]))  # one tree per entry
+
+
+def test_spider_degrees_of_a_block_are_its_trees_multisets_as_columns():
+    # the pairs of {L: 1, 1: L, 2: n + 2 - L}, one tree per entry, a zero count kept
+    for ns in (np.array([4, 4, 4, 9]), 4):
+        columns = spider_degrees(ns, np.array([3, 6, 5, 5])).items()
+        (centroid, one), (leaf, leaves), (internal, internals) = columns
+        assert centroid.dtype == leaves.dtype == internals.dtype == np.float64
+        assert (centroid.tolist(), one, leaf, leaves.tolist(), internal) == (
+            [3, 6, 5, 5], 1, 1, [3, 6, 5, 5], 2)
+        assert internals.tolist() == ([3, 0, 1, 6] if np.ndim(ns) else [3, 0, 1, 1])
 
 
 def construction_outcome(time, legs):

@@ -20,6 +20,15 @@ PLATT_MINUS_ONE = replace(PLATT, name="platt_minus_one",
                           reduced_form=ReducedForm(((1,), (-3,), (2, -1))))   # L^2 - 3L + 2m - 1
 
 
+def _zagreb_plus_one(degrees, n):
+    """Zagreb's definition, off by one."""
+    return sum(c * d * d for d, c in degrees.items()) + 1
+
+
+# Reduced as Zagreb; its definition is off by one.
+ZAGREB_DIRECT_PLUS_ONE = replace(ZAGREB, name="zagreb_direct_plus_one", direct=_zagreb_plus_one)
+
+
 def _trees(trials, max_n, seed):
     """(n, tree, p) of each trial, read off the documented stream layout:
     (n, p) from stream 0, two uniforms per trial, and trial t's growth
@@ -55,6 +64,23 @@ def test_planted_faults_reported_with_witnesses_in_trial_spec_order(planted):
                          f"direct={float(platt)!r} reduced={float(platt - 1)!r}"))
     assert [(f.index, f.witness, f.detail) for f in failures] == expected
     assert {f.suite for f in failures} == {"direct-reduced"}
+
+
+def test_a_planted_fault_in_a_definition_is_reported_like_one_in_a_reduced_form(monkeypatch):
+    monkeypatch.setattr(verify, "_trial_specs",
+                        lambda: (LEAVES, ZAGREB_DIRECT_PLUS_ONE, ZAGREB, PLATT_MINUS_ONE))
+    trials, max_n = 150, 90
+    failures = direct_reduced_suite(trials, max_n, SEED)
+    expected = []
+    for n, tree, p in _trees(trials, max_n, SEED):
+        witness = {"n": n, "L": tree.leaf_count, "p": round(p, 6)}
+        degrees = degree_multiset(tree)
+        zagreb, platt = eval_direct(degrees, n, ZAGREB), eval_direct(degrees, n, PLATT)
+        expected.append(("zagreb_direct_plus_one", witness,
+                         f"direct={float(zagreb + 1)!r} reduced={float(zagreb)!r}"))
+        expected.append(("platt_minus_one", witness,
+                         f"direct={float(platt)!r} reduced={float(platt - 1)!r}"))
+    assert [(f.index, f.witness, f.detail) for f in failures] == expected
 
 
 def test_trial_trees_do_not_depend_on_trial_count(planted):
