@@ -44,6 +44,7 @@ __all__ = [
     "leaf_pmf",
     "support_pmf",
     "support_weights",
+    "integer_scaled",
     "exact_mean_variance",
     "leaf_mgf",
     "affine_mgf",
@@ -149,26 +150,28 @@ def support_weights(law: LeafLaw) -> tuple[list[int], int]:
     return [math.comb(m, j) * a ** j * (c - a) ** (m - j) for j in range(m + 1)], c ** m
 
 
-def _integer_scaled(values) -> tuple[list[int], int]:
-    """Integers x over the lcm d of the values' exact denominators, with
-    x[i] / d == values[i] for ints, Fractions and floats."""
+def integer_scaled(values) -> tuple[list[int], int]:
+    """The values, ints, Fractions or floats, as integers x over the lcm d
+    of their exact denominators: returns (x, d) with x[i] / d == values[i].
+
+    Scaling depends on the values alone, so a caller that sums one list of
+    values under many weightings (the catalog suite's reduced values of one
+    (n, index) under each p) scales it once."""
     ratios = [v.as_integer_ratio() for v in values]
     # Pairwise: math.lcm(*denominators) grew RSS on every call under CPython 3.11.
     d = reduce(math.lcm, (den for _, den in ratios), 1)
     return [num * (d // den) for num, den in ratios], d
 
 
-def exact_mean_variance(weights: list[int], values) -> tuple[Fraction, Fraction]:
-    """Exact mean and population variance of ``values[i]`` under the
-    non-negative integer ``weights[i]``, W = sum(weights) in all.
+def exact_mean_variance(weights: list[int], xs: list[int], d: int) -> tuple[Fraction, Fraction]:
+    """Exact mean and population variance of the values ``xs[i] / d`` under
+    the non-negative integer ``weights[i]``, W = sum(weights) in all.
 
-    The values, ints, Fractions or floats, are scaled to integers x over
-    one denominator d (``_integer_scaled``), so both sums stay in integers:
-    S1 = sum w x and S2 = sum w x**2 give the mean S1 / (W d) and the
-    variance (W S2 - S1**2) / (W d)**2.  A caller that reports floats
+    ``(xs, d)`` is ``integer_scaled(values)``, so both sums stay in
+    integers: S1 = sum w x and S2 = sum w x**2 give the mean S1 / (W d) and
+    the variance (W S2 - S1**2) / (W d)**2.  A caller that reports floats
     rounds each once, its only rounding.
     """
-    xs, d = _integer_scaled(values)
     total = sum(weights)
     wx = list(map(operator.mul, weights, xs))
     s1 = sum(wx)
@@ -300,10 +303,14 @@ class PolyNP:
 
     ``rows[i]`` holds the p-coefficients (decreasing powers of p) of
     n**(deg - i); rows are listed in decreasing powers of n.  Evaluation
-    runs across them: each column, the coefficient of one power of p as a
-    polynomial in n (short rows padded with leading zeros), is evaluated
-    at n first, in integers for integer n and integer coefficients, and
-    one Horner pass in p then combines the columns.
+    runs in integers, at an integer n (every caller's time is one).  The
+    columns, each the coefficient of one power of p as a polynomial in n
+    (short rows padded with leading zeros), are scaled once to integers
+    over the lcm s of their coefficients' denominators.  For p = a/c, each
+    column is evaluated at n and one homogeneous Horner pass over (a, c)
+    sums col_j(n) a**(D - j) c**j, the value times s c**D, so the result
+    is one ``Fraction`` with one gcd.  A float p is lifted to its exact
+    binary value first and the result rounded once (``_exact_eval``).
     """
 
     rows: tuple[tuple, ...]
@@ -316,8 +323,31 @@ class PolyNP:
         width = max(map(len, self.rows))
         return tuple(zip(*((0,) * (width - len(row)) + tuple(row) for row in self.rows)))
 
+    @cached_property
+    def _integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The columns times s, as ints, and s."""
+        s = reduce(math.lcm, (Fraction(c).denominator for col in self._columns for c in col), 1)
+
+        def to_int(c) -> int:
+            x = Fraction(c) * s
+            if x.denominator != 1:
+                raise ArithmeticError(f"coefficient {c!r} times {s} is not an integer")
+            return x.numerator
+
+        return tuple(tuple(map(to_int, col)) for col in self._columns), s
+
+    def _scaled(self, n: int, p) -> tuple[int, int]:
+        """(num, s c**D) with num / (s c**D) the value at n and p = a/c."""
+        columns, s = self._integer_columns
+        a, c = p.numerator, p.denominator
+        num, c_power = 0, 1
+        for column in columns:
+            num = num * a + horner(column, n) * c_power
+            c_power *= c
+        return num, s * (c_power // c)
+
     def _eval(self, n, p):
-        return horner([horner(column, n) for column in self._columns], p)
+        return Fraction(*self._scaled(n, p))
 
     def to_json(self):
         return [[_coeff_json(c) for c in row] for row in self.rows]
@@ -325,7 +355,8 @@ class PolyNP:
 
 @dataclass(frozen=True)
 class RationalFormula:
-    """PolyNP numerator over a polynomial-in-n denominator (default 1)."""
+    """PolyNP numerator over a polynomial-in-n denominator (default 1),
+    evaluated as one ``Fraction``."""
 
     num: PolyNP
     den: tuple[int, ...] = (1,)
@@ -334,7 +365,8 @@ class RationalFormula:
         return _exact_eval(self._eval, n, p)
 
     def _eval(self, n, p):
-        return self.num._eval(n, p) / Fraction(horner(self.den, n))
+        num, den = self.num._scaled(n, p)
+        return Fraction(num, den * horner(self.den, n))
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": list(self.den)}
@@ -582,10 +614,11 @@ def oracle_mean_variance(index: IndexSpec, n: int, p, order: int = 1) -> tuple:
     states."""
     law = LeafLaw(n, p)
     values = [eval_reduced(n, k, index) ** order for k in law.support]
+    scaled = integer_scaled(values)
     if isinstance(p, Fraction):
-        return exact_mean_variance(support_weights(law)[0], values)
-    weights, _ = _integer_scaled(support_pmf(law))
-    return tuple(map(float, exact_mean_variance(weights, values)))
+        return exact_mean_variance(support_weights(law)[0], *scaled)
+    weights, _ = integer_scaled(support_pmf(law))
+    return tuple(map(float, exact_mean_variance(weights, *scaled)))
 
 
 def oracle_moment(index: IndexSpec, n: int, p, order: int = 1):

@@ -20,8 +20,9 @@ which reads only ``degrees.items()``, a tree's (degree, count) pairs, and
 never the reduced form; ``eval_direct`` calls it, and it is the independent
 oracle the table is checked against.  The one body runs the same two ways:
 exactly on a tree's multiset {degree: count}, and in float64 on the degree
-columns of a block of trees (``direct_values``, which ``verify`` runs once
-per index on 64 trees at a time).
+columns of a block of trees (``tree.spider_degrees`` of arrays, which
+``verify`` builds once per 64-tree block and passes to ``eval_direct`` for
+each index; ``direct_values`` is that call for one index).
 A named index is one ``NamedIndex`` row: its name, its reduced form and its
 definition; the power sums compute both from their exponent.
 """

@@ -67,7 +67,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import exact_mean_variance, moment_catalog
+from .analytics import exact_mean_variance, integer_scaled, moment_catalog
 from .indices import (Generic, Identity, IndexSpec, UnknownIndexError, check_positive,
                       eval_direct, reduced_values)
 from .tree import (ONE_BIT, GrowthModel, RngStream, block_leaf_counts, decision_threshold,
@@ -327,7 +327,7 @@ def atom_stats(counts: list[int], values: np.ndarray) -> IndexStats:
     holds ``values[i]`` ``counts[i]`` times, R = sum(counts): exact sums over
     the atoms (``analytics.exact_mean_variance``), each rounded once."""
     R = sum(counts)
-    mean, variance = exact_mean_variance(counts, values.tolist())
+    mean, variance = exact_mean_variance(counts, *integer_scaled(values.tolist()))
     return IndexStats(count=R, mean=float(mean),
                       variance=float(variance * R / (R - 1)) if R > 1 else 0.0)
 

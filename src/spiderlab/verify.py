@@ -6,15 +6,15 @@ with what they test:
 * catalog formulas against the brute-force summation oracle, in exact
   arithmetic: the binomial masses and the reduced index values are summed
   as integers over one common denominator (``support_weights``,
-  ``exact_mean_variance``), never through a catalog polynomial (a mismatch
-  is reported as a formula flag with its (index, n, p) witness, never
-  silently patched);
+  ``integer_scaled`` once per (n, index), ``exact_mean_variance``), never
+  through a catalog polynomial (a mismatch is reported as a formula flag
+  with its (index, n, p) witness, never silently patched);
 * direct degree-multiset evaluation against the reduced closed forms on
   randomly grown trees, grown in blocks of TRIAL_BLOCK = 64 that share one
   random stream, one draw and one ``grow_legs`` pass per block, each side
-  taken in one float64 pass per index and block: ``direct_values`` runs the
-  index's definition on the block's degree columns, ``reduced_values`` its
-  closed form;
+  taken in one float64 pass per index and block: ``eval_direct`` runs the
+  index's definition on the block's degree columns, built once per block
+  (``spider_degrees``), ``reduced_values`` its closed form;
 * the coefficient triangle against Stirling numbers of the second kind
   computed by inclusion-exclusion;
 * degeneracy at time 1, where the tree is deterministic, so every catalog
@@ -33,6 +33,7 @@ from .analytics import (
     LeafLaw,
     coefficient_triangle,
     exact_mean_variance,
+    integer_scaled,
     moment_catalog,
     support_weights,
 )
@@ -43,13 +44,12 @@ from .indices import (
     GeneralizedZagreb,
     Generic,
     IndexSpec,
-    direct_values,
     eval_direct,
     eval_reduced,
     reduced_values,
 )
 from .montecarlo import direct_mismatches
-from .tree import RngStream, degree_multiset, grow_legs, new_seed
+from .tree import RngStream, degree_multiset, grow_legs, new_seed, spider_degrees
 
 __all__ = [
     "Failure",
@@ -101,17 +101,21 @@ def _default_catalog() -> dict:
 def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
                          catalog=None) -> list[Failure]:
     """Exact equality of every cataloged mean/variance with the summation
-    oracle over the given (p, n) grid."""
+    oracle over the given (p, n) grid, reported in (n, p, key) order.
+
+    The reduced values of each (n, index) do not depend on p, so each row
+    is scaled to integers (``integer_scaled``) once per n and summed under
+    every p's ``support_weights``."""
     if catalog is None:
         catalog = _default_catalog()
     failures = []
     for n in n_values:
-        reduced = {spec.name: [eval_reduced(n, k, spec) for k in range(3, n + 3)]
-                   for spec in NAMED_INDICES}
+        scaled = {spec.name: integer_scaled([eval_reduced(n, k, spec) for k in range(3, n + 3)])
+                  for spec in NAMED_INDICES}
         for p in p_values:
             weights, _ = support_weights(LeafLaw(n, p))
             for key, entry in catalog.items():
-                m1, oracle_var = exact_mean_variance(weights, reduced[key])
+                m1, oracle_var = exact_mean_variance(weights, *scaled[key])
                 mean_formula = entry.mean(n, p)
                 var_formula = entry.variance(n, p)
                 if mean_formula != m1:
@@ -153,13 +157,14 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
     invariants.
 
     Each spec is evaluated per block over the block's (n, L), in float64,
-    on both sides: directly, by its own definition run once on the block's
-    degree columns (``direct_values``, the body ``eval_direct`` runs exactly
-    on one tree's multiset), and by its reduced form (``reduced_values``,
-    the engine's path).  A pair fails by the engine audit's check,
-    ``montecarlo.direct_mismatches``; failures are listed in (trial, spec)
-    order with their (n, L, p) witness.  Only one block's trees are held at
-    a time.
+    on both sides: directly, by its own definition run through
+    ``eval_direct`` on the block's degree columns (``spider_degrees``, built
+    once per block; the same body runs exactly on one tree's multiset, and
+    ``direct_values`` is this call for one spec), and by its reduced form
+    (``reduced_values``, the engine's path).  A pair fails by the engine
+    audit's check, ``montecarlo.direct_mismatches``; failures are listed in
+    (trial, spec) order with their (n, L, p) witness.  Only one block's
+    trees are held at a time.
     """
     specs = _trial_specs()
     failures = []
@@ -173,7 +178,8 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
         u = stream.doubles(2 * int(steps.sum())).reshape(-1, 2)
         centroid = u[:, 0] < np.repeat(ps[first:first + TRIAL_BLOCK], steps)
         _, L_block = grow_legs(centroid, u[:, 1], steps)
-        direct = np.column_stack([direct_values(spec, n_block, L_block) for spec in specs])
+        columns = spider_degrees(n_block, L_block)
+        direct = np.column_stack([eval_direct(columns, n_block, spec) for spec in specs])
         reduced = np.column_stack([reduced_values(spec, n_block, L_block) for spec in specs])
         for k, j in direct_mismatches(direct, reduced):  # (trial, spec) order
             failures.append(Failure(

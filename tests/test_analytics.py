@@ -39,7 +39,7 @@ from spiderlab import (
     step,
     support_pmf,
 )
-from spiderlab.analytics import PolyNP, exact_mean_variance, support_weights
+from spiderlab.analytics import PolyNP, exact_mean_variance, integer_scaled, support_weights
 from spiderlab.indices import eval_reduced, horner
 from spiderlab.verify import catalog_oracle_suite, stirling2
 
@@ -409,21 +409,39 @@ def test_oracle_mean_variance_is_both_oracles_in_one_pass(p):
             assert all(type(x) is type(p) for x in both)
 
 
-def test_poly_np_matches_row_by_row_horner():
-    # Reference: a Horner pass in p per row, then one in n, in exact rationals.
-    def rowwise(poly, n, p):
-        value = horner([horner(row, Fraction(p)) for row in poly.rows], n)
-        return float(value) if isinstance(p, float) else value
+def rowwise(poly, n, p):
+    """Reference evaluation: a Horner pass in p per row, then one in n, in
+    exact rationals (a float p lifted to its exact value, rounded once)."""
+    value = horner([horner(row, Fraction(p)) for row in poly.rows], n)
+    return float(value) if isinstance(p, float) else value
 
-    polys = [PolyNP(((1, 0), (3,))), PolyNP(((Fraction(1, 2), 0, 0), (2,), (-1, 5)))]
+
+def test_poly_np_matches_row_by_row_horner():
+    polys = [PolyNP(((1, 0), (3,))), PolyNP(((Fraction(1, 2), 0, 0), (2,), (-1, 5))),
+             # Unlike denominators, within one column and across columns.
+             PolyNP(((Fraction(1, 3), Fraction(-5, 4), 0), (Fraction(1, 6),),
+                     (Fraction(-5, 4), Fraction(1, 3), Fraction(1, 6))))]
     for spec in NAMED_INDICES:
         entry = moment_catalog(spec)
         polys += [entry.mean.num, entry.variance.num] + ([entry.clt.center] if entry.clt else [])
+    # 0.1 lifts to a Fraction over 2**55; 1/3**40 has a 64-bit denominator.
+    p_values = (Fraction(2, 5), Fraction(1, 3), Fraction(1, 3 ** 40), 0.3, 0.5, 0.1)
     for poly in polys:
-        for n in (1, 2, 9, 5000):
-            for p in (Fraction(2, 5), Fraction(1, 3), 0.3, 0.5):
+        for n in (1, 2, 9, 5000, 10 ** 6):
+            for p in p_values:
                 value = poly(n, p)
                 assert value == rowwise(poly, n, p) and type(value) is type(rowwise(poly, n, p))
+
+
+@pytest.mark.parametrize("spec", NAMED_INDICES + (GeneralizedZagreb(1),), ids=lambda s: s.name)
+def test_catalog_formulas_equal_the_row_wise_reference_over_their_denominator(spec):
+    entry = moment_catalog(spec)
+    for formula in (entry.mean, entry.variance):
+        for n in (1, 2, 17, 50):
+            for p in (Fraction(1, 10), Fraction(2, 7), Fraction(9, 10)):
+                value = formula(n, p)
+                assert type(value) is Fraction
+                assert value == rowwise(formula.num, n, p) / horner(formula.den, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 13, 50])
@@ -444,7 +462,9 @@ def test_exact_mean_variance_matches_fraction_sums():
         values = [eval_reduced(law.n, k, spec) for k in law.support]
         m1 = sum(w * Fraction(v) for w, v in zip(pmf, values))
         m2 = sum(w * Fraction(v) ** 2 for w, v in zip(pmf, values))
-        assert exact_mean_variance(support_weights(law)[0], values) == (m1, m2 - m1 * m1)
+        xs, d = integer_scaled(values)
+        assert all(type(x) is int for x in xs) and [Fraction(x, d) for x in xs] == values
+        assert exact_mean_variance(support_weights(law)[0], xs, d) == (m1, m2 - m1 * m1)
 
 
 @pytest.mark.parametrize("field", ["mean", "variance"])

@@ -90,3 +90,27 @@ def test_trial_trees_do_not_depend_on_trial_count(planted):
     assert len(short) == 200 and len(long) == 600
     assert [f.witness for f in short] == [f.witness for f in long[:200]]
     assert len({(f.witness["n"], f.witness["L"]) for f in long}) > 250
+
+
+def test_each_block_builds_its_columns_once_and_calls_eval_direct_through_verify(monkeypatch):
+    # bench/run.py --trace 1 counts the direct pass by rebinding verify's
+    # names, so the suite must reach both through them.
+    specs = verify._trial_specs()[:10] + (ZAGREB_PLUS_ONE, ZAGREB_DIRECT_PLUS_ONE)
+    monkeypatch.setattr(verify, "_trial_specs", lambda: specs)
+    unwrapped = direct_reduced_suite(130, 60, SEED)  # blocks of 64, 64 and 2 trees
+    calls = {"eval_direct": 0, "spider_degrees": 0}
+
+    def counting(name):
+        inner = getattr(verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counting(name))
+    failures = direct_reduced_suite(130, 60, SEED)
+    assert calls == {"eval_direct": 3 * 12, "spider_degrees": 3}
+    assert [str(f) for f in failures] == [str(f) for f in unwrapped]
+    assert {f.index for f in failures} == {"zagreb_plus_one", "zagreb_direct_plus_one"}
