@@ -483,7 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     exact.add_argument("--oracle", action="store_true",
                        help="also compute the summation oracle and a match column")
 
-    ver = sub.add_parser("verify", parents=[seed, out, config], help="run the verification suites")
+    ver = sub.add_parser("verify", parents=[seed, out, config], help="run the verification suites",
+                         description="Run the verification suites.  No suite draws a random "
+                                     "number, so the report does not depend on --seed, which "
+                                     "is only echoed in the resolved config.")
     ver.add_argument("--level", choices=("quick", "full"), default="quick")
 
     clt = sub.add_parser("clt", parents=diagnostic,

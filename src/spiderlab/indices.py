@@ -21,8 +21,8 @@ never the reduced form; ``eval_direct`` calls it, and it is the independent
 oracle the table is checked against.  The one body runs the same two ways:
 exactly on a tree's multiset {degree: count}, and in float64 on the degree
 columns of a block of trees (``tree.spider_degrees`` of arrays, which
-``verify`` builds once per 64-tree block and passes to ``eval_direct`` for
-each index; ``direct_values`` is that call for one index).
+``verify`` builds once per block of (n, L) pairs and passes to
+``eval_direct`` for each index).
 A named index is one ``NamedIndex`` row: its name, its reduced form and its
 definition; the power sums compute both from their exponent.
 """
@@ -35,8 +35,6 @@ from functools import cached_property
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
-
-from .tree import spider_degrees
 
 __all__ = [
     "UnknownIndexError",
@@ -61,7 +59,6 @@ __all__ = [
     "eval_direct",
     "eval_reduced",
     "reduced_values",
-    "direct_values",
 ]
 
 
@@ -358,7 +355,20 @@ def check_positive(h: DegreeFunction, degrees) -> None:
 def eval_direct(degrees: Mapping[int, int], n: int, index: IndexSpec):
     """Evaluate ``index`` by its definition on a tree's degree multiset
     {degree: count} at time ``n`` (``tree.degree_multiset``), exactly where
-    the index is, or on a block's degree columns (``direct_values``)."""
+    the index is, or in float64 on the degree columns of a block of trees
+    (``tree.spider_degrees`` of an array of leaf counts, at one time ``n``
+    or at an integer ndarray of times, one per leaf count), the twin of
+    ``reduced_values``.
+
+    On columns, a named index, or a power sum whose h is integer-valued on
+    the degrees and whose exponent is a nonnegative integer, sums integer
+    terms, so an entry equals ``float(eval_direct(spider_degrees(n, L), n,
+    index))`` bit for bit while its terms and partial sums stay below 2**53
+    (Gini and Hoover rounded once, by one division).  Otherwise an entry
+    sums the three positive terms c * h(d)**alpha of the same float h
+    values in the same order as the scalar path, each power within one
+    ulp, so both lie within 5 * 2**-53 of the exact sum of those terms and
+    within 10 * 2**-53 relative of each other."""
     direct = getattr(index, "direct", None)
     if direct is None:
         raise UnknownIndexError(f"cannot evaluate index spec {index!r}")
@@ -421,21 +431,3 @@ def reduced_values(index: IndexSpec, n: int | np.ndarray, leaf_counts) -> np.nda
     """
     return _evaluate(index, n, np.asarray(leaf_counts, dtype=np.float64))
 
-
-def direct_values(index: IndexSpec, n: int | np.ndarray, leaf_counts) -> np.ndarray:
-    """Vectorised float64 evaluation by definition, the twin of
-    ``reduced_values``: the spec's one ``direct`` runs once on the degree
-    columns (``tree.spider_degrees``) of the trees with these leaf counts,
-    at one time ``n`` or at an integer ndarray of times, one per leaf count.
-
-    A named index, or a power sum whose h is integer-valued on the degrees
-    and whose exponent is a nonnegative integer, sums integer terms, so an
-    entry equals ``float(eval_direct(spider_degrees(n, L), n, index))`` bit
-    for bit while its terms and partial sums stay below 2**53 (Gini and
-    Hoover rounded once, by one division).  Otherwise an entry sums the
-    three positive terms c * h(d)**alpha of the same float h values in the
-    same order as the scalar path, each power within one ulp, so both lie
-    within 5 * 2**-53 of the exact sum of those terms and within
-    10 * 2**-53 relative of each other.
-    """
-    return eval_direct(spider_degrees(n, np.asarray(leaf_counts, dtype=np.float64)), n, index)

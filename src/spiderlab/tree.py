@@ -19,11 +19,11 @@ its code path.
 Growth is written once, over a block of trees laid end to end:
 ``grow_legs(centroid, picks, steps)`` applies one step per (decision, pick)
 pair, tree k taking ``steps[k]`` of them, in one pass over the block.
-``grow`` calls it on a block of one tree and ``spiderlab.verify`` on 64
-trees at a time.  ``grow`` and ``step`` draw their uniforms from an
-``RngStream`` interleaved, (decision, pick) per step, and a step recruits at
-the centroid when its decision uniform is below p, so a grown tree equals a
-stepped one bit for bit.
+``grow`` calls it on a block of one tree and
+``verify.direct_reduced_suite`` on 64 trees at a time.  ``grow`` and
+``step`` draw their uniforms from an ``RngStream`` interleaved, (decision,
+pick) per step, and a step recruits at the centroid when its decision
+uniform is below p, so a grown tree equals a stepped one bit for bit.
 
 Everything the indices need is the leaf count, 3 plus the centroid recruits,
 and the Monte Carlo engine draws only that, with fewer random bits.  A
@@ -189,8 +189,9 @@ class RngStream:
     costs 12-20 us (``SeedSequence``, its state, and ``PCG64``), as much as
     drawing some 5000 words or uniforms (2.5-3.5 ns each, on a 2-core x86-64
     host), so the Monte Carlo engine keys one stream per chunk of 1024
-    replicates, and the verification suite one per block of 64 trees, whose
-    uniforms it draws in one ``doubles`` call, not one per replicate or tree.
+    replicates, and ``verify.direct_reduced_suite`` one per block of 64
+    trees, whose uniforms it draws in one ``doubles`` call, not one per
+    replicate or tree.
     """
 
     __slots__ = ("master_seed", "stream_index", "_generator")

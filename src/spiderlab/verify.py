@@ -1,7 +1,7 @@
 """One-shot verification suites.
 
-Four suites cross-check the package against routes that do not share code
-with what they test:
+Four suites, run by ``run_level``, cross-check the package against routes
+that do not share code with what they test:
 
 * catalog formulas against the brute-force summation oracle, in exact
   arithmetic: the binomial masses and the reduced index values are summed
@@ -9,16 +9,22 @@ with what they test:
   ``integer_scaled`` once per (n, index), ``exact_mean_variance``), never
   through a catalog polynomial (a mismatch is reported as a formula flag
   with its (index, n, p) witness, never silently patched);
-* direct degree-multiset evaluation against the reduced closed forms on
-  randomly grown trees, grown in blocks of TRIAL_BLOCK = 64 that share one
-  random stream, one draw and one ``grow_legs`` pass per block, each side
-  taken in one float64 pass per index and block: ``eval_direct`` runs the
-  index's definition on the block's degree columns, built once per block
-  (``spider_degrees``), ``reduced_values`` its closed form;
+* direct degree-multiset evaluation against the reduced closed forms at
+  every reachable (n, L), 1 <= n <= max_n and 3 <= L <= n + 2: every index
+  is a function of (n, L) alone, so this covers every tree up to time
+  max_n.  The pairs are taken in blocks of whole horizons of at most
+  PAIR_BLOCK = 2048 pairs, each side in one float64 pass per index and
+  block: ``eval_direct`` runs the index's definition on the block's degree
+  columns, built once per block (``spider_degrees``), ``reduced_values``
+  its closed form (``reachable_pairs_suite``; ``direct_reduced_suite``
+  samples the same check on randomly grown trees);
 * the coefficient triangle against Stirling numbers of the second kind
   computed by inclusion-exclusion;
 * degeneracy at time 1, where the tree is deterministic, so every catalog
   variance must vanish and every mean must equal the seed value.
+
+None of the four draws a random number, so ``run_level``'s report does
+not depend on the seed.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ __all__ = [
     "stirling2",
     "catalog_oracle_suite",
     "direct_reduced_suite",
+    "reachable_pairs_suite",
     "triangle_suite",
     "seed_degeneracy_suite",
     "run_level",
@@ -68,6 +75,7 @@ FULL_N_VALUES = tuple(range(1, 51))
 QUICK_P_VALUES = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
 QUICK_N_VALUES = tuple(range(1, 16))
 TRIAL_BLOCK = 64  # random trees per stream in direct_reduced_suite
+PAIR_BLOCK = 2048  # most (n, L) pairs per block in reachable_pairs_suite
 
 
 @dataclass
@@ -156,15 +164,10 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
     ``grow_legs`` pass, which checks every tree against ``TreeState``'s
     invariants.
 
-    Each spec is evaluated per block over the block's (n, L), in float64,
-    on both sides: directly, by its own definition run through
-    ``eval_direct`` on the block's degree columns (``spider_degrees``, built
-    once per block; the same body runs exactly on one tree's multiset, and
-    ``direct_values`` is this call for one spec), and by its reduced form
-    (``reduced_values``, the engine's path).  A pair fails by the engine
-    audit's check, ``montecarlo.direct_mismatches``; failures are listed in
-    (trial, spec) order with their (n, L, p) witness.  Only one block's
-    trees are held at a time.
+    Each block's (n, L) are checked as ``reachable_pairs_suite`` checks
+    its pairs (``_mismatches``); failures are listed in (trial, spec) order
+    with their (n, L, p) witness.  Only one block's trees are held at a
+    time.
     """
     specs = _trial_specs()
     failures = []
@@ -178,15 +181,58 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
         u = stream.doubles(2 * int(steps.sum())).reshape(-1, 2)
         centroid = u[:, 0] < np.repeat(ps[first:first + TRIAL_BLOCK], steps)
         _, L_block = grow_legs(centroid, u[:, 1], steps)
-        columns = spider_degrees(n_block, L_block)
-        direct = np.column_stack([eval_direct(columns, n_block, spec) for spec in specs])
-        reduced = np.column_stack([reduced_values(spec, n_block, L_block) for spec in specs])
-        for k, j in direct_mismatches(direct, reduced):  # (trial, spec) order
+        for k, name, detail in _mismatches(specs, n_block, L_block):  # (trial, spec) order
             failures.append(Failure(
-                "direct-reduced", specs[j].name,
+                "direct-reduced", name,
                 {"n": int(n_block[k]), "L": int(L_block[k]), "p": round(float(ps[first + k]), 6)},
-                f"direct={float(direct[k, j])!r} reduced={float(reduced[k, j])!r}"))
+                detail))
     return failures
+
+
+def reachable_pairs_suite(max_n: int) -> list[Failure]:
+    """Direct vs reduced evaluation at every reachable (n, L), 1 <= n <=
+    max_n and 3 <= L <= n + 2, max_n (max_n + 1) / 2 pairs: every index is a
+    function of (n, L) alone, so this checks each spec on every tree up to
+    time max_n, the all-legs tree L = n + 2 (no degree-2 node) included.
+
+    The horizons are taken in order, in blocks of whole horizons holding at
+    most PAIR_BLOCK pairs (a horizon of more pairs is a block alone), which
+    bounds the float64 columns held at a time.  Each block is checked by
+    ``_mismatches``; failures are listed in (n, L, spec) order with their
+    (n, L) witness.
+    """
+    specs = _trial_specs()
+    failures = []
+    first = 1
+    while first <= max_n:
+        last, size = first, first
+        while last < max_n and size + last + 1 <= PAIR_BLOCK:
+            last += 1
+            size += last
+        ns = np.arange(first, last + 1)
+        n_col = np.repeat(ns, ns)
+        L_col = 3 + np.arange(size) - np.repeat(np.cumsum(ns) - ns, ns)  # 3..n + 2 per horizon
+        for k, name, detail in _mismatches(specs, n_col, L_col):
+            failures.append(Failure("direct-reduced", name,
+                                    {"n": int(n_col[k]), "L": int(L_col[k])}, detail))
+        first = last + 1
+    return failures
+
+
+def _mismatches(specs, n_col: np.ndarray, L_col: np.ndarray) -> list[tuple[int, str, str]]:
+    """(row, spec name, detail) of every (n, L) row and spec whose direct
+    and reduced values fail the engine audit's check
+    (``montecarlo.direct_mismatches``), in (row, spec) order.  Both sides
+    are float64, one pass per spec: its own definition run through
+    ``eval_direct`` on the rows' degree columns (``spider_degrees``, built
+    once; the same body runs exactly on one tree's multiset), and its
+    reduced form (``reduced_values``, the engine's path)."""
+    columns = spider_degrees(n_col, L_col)
+    # One contiguous row per spec, read as columns: (row, spec) order.
+    direct = np.array([eval_direct(columns, n_col, spec) for spec in specs]).T
+    reduced = np.array([reduced_values(spec, n_col, L_col) for spec in specs]).T
+    return [(k, specs[j].name, f"direct={float(direct[k, j])!r} reduced={float(reduced[k, j])!r}")
+            for k, j in direct_mismatches(direct, reduced)]
 
 
 def triangle_suite(max_order: int = 20) -> list[Failure]:
@@ -230,24 +276,28 @@ def seed_degeneracy_suite(p_values=FULL_P_VALUES, catalog=None) -> list[Failure]
 
 
 def run_level(level: str, master_seed: int = 20240917) -> tuple[list[Failure], dict]:
-    """Run every suite at the requested depth; returns (failures, counts)."""
+    """Run every suite at the requested depth; returns (failures, counts).
+
+    No suite draws a random number, so the result does not depend on
+    ``master_seed``; it is accepted, as ``verify --seed`` and a config's
+    ``master_seed`` are, and shows only in the CLI's resolved config."""
     if level == "quick":
         p_values, n_values = QUICK_P_VALUES, QUICK_N_VALUES
-        trials, max_n, max_order = 500, 120, 12
+        max_n, max_order = 120, 12
     elif level == "full":
         p_values, n_values = FULL_P_VALUES, FULL_N_VALUES
-        trials, max_n, max_order = 10_000, 500, 20
+        max_n, max_order = 500, 20
     else:
         raise ValueError(f"unknown verification level {level!r}")
     failures = []
     failures += catalog_oracle_suite(p_values, n_values)
     failures += seed_degeneracy_suite(p_values)
     failures += triangle_suite(max_order)
-    failures += direct_reduced_suite(trials, max_n, master_seed)
+    failures += reachable_pairs_suite(max_n)
     counts = {
         "level": level,
         "catalog_grid": f"{len(p_values)} p-values x {len(n_values)} horizons",
-        "random_trees": trials,
+        "reachable_pairs": max_n * (max_n + 1) // 2,
         "triangle_order": max_order,
     }
     return failures, counts

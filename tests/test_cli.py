@@ -218,6 +218,17 @@ def test_verify_quick_passes(capsys):
     assert "all suites passed" in out
 
 
+def test_verify_report_does_not_depend_on_the_seed(capsys):
+    # No suite draws a random number; the seed shows only in the resolved config.
+    code, out4, err4 = run_cli(capsys, "verify", "--level", "quick", "--seed", "4")
+    assert code == 0
+    code, out9, err9 = run_cli(capsys, "verify", "--level", "quick", "--seed", "9")
+    assert code == 0
+    assert out4 == out9
+    assert "  reachable_pairs: 7260\n" in out4
+    assert '"master_seed": 4' in err4 and '"master_seed": 9' in err9
+
+
 def test_verify_reports_failures_with_witness(capsys, monkeypatch):
     fake = Failure("catalog-oracle", "zagreb", {"n": 3, "p": "1/2"},
                    "variance formula 1 != oracle 2")

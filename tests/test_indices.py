@@ -29,7 +29,6 @@ from spiderlab import (
     UniformLeaf,
     UnknownIndexError,
     degree_multiset,
-    direct_values,
     eval_direct,
     eval_reduced,
     grow,
@@ -319,10 +318,16 @@ GRID_L = np.concatenate([np.arange(3, n + 3) for n in range(1, 61)])
 # Integer terms: each direct value is exact until one rounding.
 INTEGER_SPECS = NAMED_INDICES + (GeneralizedZagreb(2), GeneralizedZagreb(3), GeneralizedZagreb(4),
                                  Generic(Identity(), 5), Generic(Affine(2, 1), 2))
-# Real powers or non-integer h: within direct_values' stated bound of the scalar path.
+# Real powers or non-integer h: within eval_direct's stated bound on columns of the scalar path.
 REAL_SPECS = (GeneralizedZagreb(2.5), GeneralizedZagreb(-1.5), GeneralizedZagreb(-2),
               Generic(Affine(0.5, 0.25), 3), Generic(Affine(0.3, 1.1), 1.7),
               Generic(Table.from_mapping({d: 1 + 0.37 * d ** 0.5 for d in range(1, 63)}), 2.5))
+
+
+def _on_columns(spec, n, Ls):
+    """``eval_direct`` in float64 on the degree columns of the trees with
+    leaf counts ``Ls`` at time ``n`` (one time, or one per leaf count)."""
+    return eval_direct(spider_degrees(n, Ls), n, spec)
 
 
 def _by_definition(spec, ns, Ls):
@@ -334,18 +339,18 @@ def _by_definition(spec, ns, Ls):
 @pytest.mark.parametrize("spec", INTEGER_SPECS, ids=index_name)
 def test_direct_values_equal_the_exact_definition_bit_for_bit(spec):
     expected = _by_definition(spec, GRID_N, GRID_L)
-    assert direct_values(spec, GRID_N, GRID_L).tobytes() == expected.tobytes()
+    assert _on_columns(spec, GRID_N, GRID_L).tobytes() == expected.tobytes()
     for n in (1, 2, 37, 60):  # a scalar time beside an array of leaf counts
-        got = direct_values(spec, n, np.arange(3, n + 3))
+        got = _on_columns(spec, n, np.arange(3, n + 3))
         assert got.tobytes() == expected[GRID_N == n].tobytes()
 
 
 @pytest.mark.parametrize("spec", REAL_SPECS, ids=index_name)
 def test_direct_values_of_a_real_power_sum_are_within_the_stated_bound(spec):
     expected = _by_definition(spec, GRID_N, GRID_L)
-    got = direct_values(spec, GRID_N, GRID_L)
+    got = _on_columns(spec, GRID_N, GRID_L)
     assert np.all(np.abs(got - expected) <= 10 * 2.0**-53 * expected)
-    assert direct_values(spec, 60, GRID_L[GRID_N == 60]).tobytes() == got[GRID_N == 60].tobytes()
+    assert _on_columns(spec, 60, GRID_L[GRID_N == 60]).tobytes() == got[GRID_N == 60].tobytes()
 
 
 def test_direct_values_reject_a_nonpositive_h_as_the_scalar_path_does():
@@ -354,11 +359,11 @@ def test_direct_values_reject_a_nonpositive_h_as_the_scalar_path_does():
     for spec, first_bad in ((Generic(Affine(1, -2), 2), r"h\(1\.0\) = -1\.0$"),
                             (Generic(Affine(-1, 6), 2), r"h\(6\) = 0\.0$")):
         with pytest.raises(UnknownIndexError, match=first_bad):
-            direct_values(spec, n, Ls)
+            _on_columns(spec, n, Ls)
         with pytest.raises(UnknownIndexError):
             eval_direct(spider_degrees(n, 6), n, spec)
     spec = Generic(Affine(-1, 6), 2)
-    assert direct_values(spec, n, Ls[:3]).tolist() == [
+    assert _on_columns(spec, n, Ls[:3]).tolist() == [
         float(eval_direct(spider_degrees(n, L), n, spec)) for L in (3, 4, 5)]
 
 

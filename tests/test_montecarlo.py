@@ -122,6 +122,20 @@ def test_audit_checks_the_values_that_are_merged(monkeypatch):
     assert shifted.stats["leaves"] == clean.stats["leaves"]
 
 
+def test_direct_mismatches_weigh_each_difference_against_the_tolerance_in_row_major_order():
+    reduced = np.array([[0.5, 1e6, 3.0], [-2e6, 0.25, 7.0]])
+    direct = reduced.copy()
+    direct[0, 0] += 0.9e-12          # within 1e-12 * max(1, |0.5|)
+    direct[0, 1] *= 1 + 0.9e-12      # within 1e-12 * 1e6
+    direct[1, 0] *= 1 + 1.1e-12      # beyond 1e-12 * 2e6
+    direct[1, 1] += 1.1e-12          # beyond 1e-12 * max(1, 0.25)
+    direct[0, 2] = np.nan            # compares false, as before the check
+    assert montecarlo.direct_mismatches(direct, reduced) == [[1, 0], [1, 1]]
+    # a transposed view reads in its own row-major order
+    assert montecarlo.direct_mismatches(direct.T, reduced.T) == [[0, 1], [1, 1]]
+    assert montecarlo.direct_mismatches(reduced, reduced.copy()) == []
+
+
 @pytest.mark.parametrize("p,flipped", [(0.5, 0), (0.4, 20), (0.4, -1)])
 def test_audit_rejects_a_flipped_step_in_the_audited_schedule(monkeypatch, p, flipped):
     # The audit recounts L from the audited row's schedule, which is read

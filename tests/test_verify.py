@@ -1,5 +1,7 @@
-"""The direct-vs-reduced suite: it reports planted faults with the right
-witness, and a trial's tree depends only on the seed and the trial."""
+"""The direct-vs-reduced suites: each reports planted faults with the right
+witness; the exhaustive suite reaches every reachable (n, L) whatever its
+block size, and a sampled trial's tree depends only on the seed and the
+trial."""
 
 from dataclasses import replace
 
@@ -7,8 +9,8 @@ import pytest
 
 from spiderlab import verify
 from spiderlab.indices import LEAVES, PLATT, ZAGREB, ReducedForm, eval_direct
-from spiderlab.tree import RngStream, UniformLeaf, degree_multiset, grow
-from spiderlab.verify import direct_reduced_suite
+from spiderlab.tree import RngStream, UniformLeaf, degree_multiset, grow, spider_degrees
+from spiderlab.verify import direct_reduced_suite, reachable_pairs_suite
 
 SEED = 4242
 
@@ -29,6 +31,18 @@ def _zagreb_plus_one(degrees, n):
 ZAGREB_DIRECT_PLUS_ONE = replace(ZAGREB, name="zagreb_direct_plus_one", direct=_zagreb_plus_one)
 
 
+def _zagreb_plus_one_on_all_legs(degrees, n):
+    """Zagreb's definition, off by one only on the all-legs tree, L = n + 2,
+    the one tree at each time with no degree-2 node."""
+    leaves = sum(c * (d == 1) for d, c in degrees.items())
+    return sum(c * d * d for d, c in degrees.items()) + (leaves == n + 2)
+
+
+# Reduced as Zagreb; its definition is off by one where the degree-2 count is 0.
+ZAGREB_ALL_LEGS_PLUS_ONE = replace(ZAGREB, name="zagreb_all_legs_plus_one",
+                                   direct=_zagreb_plus_one_on_all_legs)
+
+
 def _trees(trials, max_n, seed):
     """(n, tree, p) of each trial, read off the documented stream layout:
     (n, p) from stream 0, two uniforms per trial, and trial t's growth
@@ -42,6 +56,24 @@ def _trees(trials, max_n, seed):
         p = 0.05 + 0.9 * float(meta[2 * t + 1])
         out.append((n, grow(UniformLeaf(p), n, stream), p))
     return out
+
+
+def _count_calls(monkeypatch, *names):
+    """Rebind each of ``verify``'s ``names`` to a wrapper that counts its
+    calls, as ``bench/run.py --trace 1`` does; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        inner = getattr(verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(verify, name, counting(name))
+    return calls
 
 
 @pytest.fixture
@@ -98,19 +130,79 @@ def test_each_block_builds_its_columns_once_and_calls_eval_direct_through_verify
     specs = verify._trial_specs()[:10] + (ZAGREB_PLUS_ONE, ZAGREB_DIRECT_PLUS_ONE)
     monkeypatch.setattr(verify, "_trial_specs", lambda: specs)
     unwrapped = direct_reduced_suite(130, 60, SEED)  # blocks of 64, 64 and 2 trees
-    calls = {"eval_direct": 0, "spider_degrees": 0}
-
-    def counting(name):
-        inner = getattr(verify, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(verify, name, counting(name))
+    calls = _count_calls(monkeypatch, "eval_direct", "spider_degrees")
     failures = direct_reduced_suite(130, 60, SEED)
     assert calls == {"eval_direct": 3 * 12, "spider_degrees": 3}
+    assert [str(f) for f in failures] == [str(f) for f in unwrapped]
+    assert {f.index for f in failures} == {"zagreb_plus_one", "zagreb_direct_plus_one"}
+
+
+def _pairs(max_n):
+    """Every reachable (n, L) with n <= max_n, in (n, L) order."""
+    return [(n, L) for n in range(1, max_n + 1) for L in range(3, n + 3)]
+
+
+def test_reachable_pairs_report_planted_faults_at_every_pair_in_n_L_spec_order(planted):
+    max_n = 45  # 1035 pairs, one block
+    expected = []
+    for n, L in _pairs(max_n):
+        degrees = spider_degrees(n, L)
+        zagreb, platt = eval_direct(degrees, n, ZAGREB), eval_direct(degrees, n, PLATT)
+        expected.append(("zagreb_plus_one", {"n": n, "L": L},
+                         f"direct={float(zagreb)!r} reduced={float(zagreb + 1)!r}"))
+        expected.append(("platt_minus_one", {"n": n, "L": L},
+                         f"direct={float(platt)!r} reduced={float(platt - 1)!r}"))
+    failures = reachable_pairs_suite(max_n)
+    assert [(f.index, f.witness, f.detail) for f in failures] == expected
+    assert {f.suite for f in failures} == {"direct-reduced"}
+
+
+def test_reachable_pairs_report_a_planted_definition_fault_at_every_pair(monkeypatch):
+    monkeypatch.setattr(verify, "_trial_specs",
+                        lambda: (LEAVES, ZAGREB_DIRECT_PLUS_ONE, ZAGREB))
+    max_n = 70  # 2485 pairs: horizons 1-63 (2016 pairs), then 64-70
+    expected = []
+    for n, L in _pairs(max_n):
+        zagreb = eval_direct(spider_degrees(n, L), n, ZAGREB)
+        expected.append(("zagreb_direct_plus_one", {"n": n, "L": L},
+                         f"direct={float(zagreb + 1)!r} reduced={float(zagreb)!r}"))
+    assert [(f.index, f.witness, f.detail) for f in reachable_pairs_suite(max_n)] == expected
+
+
+def test_reachable_pairs_reach_the_all_legs_tree_at_every_horizon(monkeypatch):
+    # A tree grown at n = 500 has L = 502 with probability p**499, at most
+    # 0.95**499 < 1e-11 over the sampled suite's p range: only enumeration
+    # reaches that pair at large n.
+    monkeypatch.setattr(verify, "_trial_specs", lambda: (ZAGREB, ZAGREB_ALL_LEGS_PLUS_ONE))
+    max_n = 500
+    failures = reachable_pairs_suite(max_n)
+    assert [f.witness for f in failures] == [{"n": n, "L": n + 2} for n in range(1, max_n + 1)]
+    assert {f.index for f in failures} == {"zagreb_all_legs_plus_one"}
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+def test_reachable_pairs_do_not_depend_on_the_block_size(planted, monkeypatch, block):
+    max_n = 80
+    default = reachable_pairs_suite(max_n)
+    monkeypatch.setattr(verify, "PAIR_BLOCK", block)
+    assert [str(f) for f in reachable_pairs_suite(max_n)] == [str(f) for f in default]
+    assert len(default) == 2 * len(_pairs(max_n))
+
+
+@pytest.mark.parametrize("block, blocks", [(1, 30), (10**6, 1), (100, 6)])
+def test_each_pair_block_builds_its_columns_once_and_calls_through_verify(
+        monkeypatch, block, blocks):
+    # bench/run.py --trace 1 counts the direct pass by rebinding verify's
+    # names, so the suite must reach all three through them.  With max_n = 30,
+    # blocks of at most 100 pairs hold horizons 1-13, 14-19, 20-23, 24-26,
+    # 27-29 and 30; a block of 1 pair holds one horizon, a block of 10**6 all.
+    specs = verify._trial_specs()[:10] + (ZAGREB_PLUS_ONE, ZAGREB_DIRECT_PLUS_ONE)
+    monkeypatch.setattr(verify, "_trial_specs", lambda: specs)
+    monkeypatch.setattr(verify, "PAIR_BLOCK", block)
+    unwrapped = reachable_pairs_suite(30)
+    calls = _count_calls(monkeypatch, "eval_direct", "reduced_values", "spider_degrees")
+    failures = reachable_pairs_suite(30)
+    assert calls == {"eval_direct": 12 * blocks, "reduced_values": 12 * blocks,
+                     "spider_degrees": blocks}
     assert [str(f) for f in failures] == [str(f) for f in unwrapped]
     assert {f.index for f in failures} == {"zagreb_plus_one", "zagreb_direct_plus_one"}
