@@ -45,6 +45,7 @@ __all__ = [
     "support_pmf",
     "support_weights",
     "integer_scaled",
+    "scaled_moments",
     "exact_mean_variance",
     "leaf_mgf",
     "affine_mgf",
@@ -53,6 +54,7 @@ __all__ = [
     "leaf_raw_moment_asymptotic",
     "MomentExpansion",
     "leaf_moment_expansion",
+    "FormulaAt",
     "PolyNP",
     "RationalFormula",
     "LimitLaw",
@@ -163,21 +165,29 @@ def integer_scaled(values) -> tuple[list[int], int]:
     return [num * (d // den) for num, den in ratios], d
 
 
+def scaled_moments(weights: list[int], total: int, xs: list[int], squares: list[int],
+                   d: int) -> tuple[int, int, int]:
+    """(T, S1, V), ints, with mean S1 / T and population variance V / T**2
+    of the values ``xs[i] / d`` under the non-negative integer
+    ``weights[i]``, ``total = sum(weights)``: T = total d, S1 = sum w x
+    and V = total sum w x**2 - S1**2.  ``squares[i]`` is ``xs[i] ** 2``,
+    so a caller summing one row under many weightings squares it once."""
+    s1 = sum(map(operator.mul, weights, xs))
+    s2 = sum(map(operator.mul, weights, squares))
+    return total * d, s1, total * s2 - s1 * s1
+
+
 def exact_mean_variance(weights: list[int], xs: list[int], d: int) -> tuple[Fraction, Fraction]:
     """Exact mean and population variance of the values ``xs[i] / d`` under
-    the non-negative integer ``weights[i]``, W = sum(weights) in all.
+    the non-negative integer ``weights[i]``.
 
     ``(xs, d)`` is ``integer_scaled(values)``, so both sums stay in
-    integers: S1 = sum w x and S2 = sum w x**2 give the mean S1 / (W d) and
-    the variance (W S2 - S1**2) / (W d)**2.  A caller that reports floats
-    rounds each once, its only rounding.
+    integers (``scaled_moments``) and only the two results are
+    ``Fraction``s.  A caller that reports floats rounds each once, its
+    only rounding.
     """
-    total = sum(weights)
-    wx = list(map(operator.mul, weights, xs))
-    s1 = sum(wx)
-    s2 = sum(map(operator.mul, wx, xs))
-    scale = total * d
-    return Fraction(s1, scale), Fraction(total * s2 - s1 * s1, scale * scale)
+    scale, s1, v = scaled_moments(weights, sum(weights), xs, [x * x for x in xs], d)
+    return Fraction(s1, scale), Fraction(v, scale * scale)
 
 
 def leaf_mgf(law: LeafLaw, t: float) -> float:
@@ -298,6 +308,28 @@ def _coeff_json(c):
 
 
 @dataclass(frozen=True)
+class FormulaAt:
+    """A catalog formula at one time n, as a function of p alone.
+
+    ``values[j]``, j = 0, ..., D, is the coefficient of p**(D - j) at n,
+    times s (``PolyNP``'s integer columns), and ``den`` the integer the
+    whole formula is over at that n.  For p = a/c, ``scaled(p)`` is one
+    homogeneous Horner pass over (a, c), in integers only."""
+
+    values: tuple[int, ...]
+    den: int
+
+    def scaled(self, p) -> tuple[int, int]:
+        """(num, den c**D), whose ratio is the value at p = a/c."""
+        a, c = p.numerator, p.denominator
+        num, c_power = self.values[0], 1
+        for value in self.values[1:]:
+            c_power *= c
+            num = num * a + value * c_power
+        return num, self.den * c_power
+
+
+@dataclass(frozen=True)
 class PolyNP:
     """Polynomial in n with coefficients polynomial in p.
 
@@ -306,11 +338,11 @@ class PolyNP:
     runs in integers, at an integer n (every caller's time is one).  The
     columns, each the coefficient of one power of p as a polynomial in n
     (short rows padded with leading zeros), are scaled once to integers
-    over the lcm s of their coefficients' denominators.  For p = a/c, each
-    column is evaluated at n and one homogeneous Horner pass over (a, c)
-    sums col_j(n) a**(D - j) c**j, the value times s c**D, so the result
-    is one ``Fraction`` with one gcd.  A float p is lifted to its exact
-    binary value first and the result rounded once (``_exact_eval``).
+    over the lcm s of their coefficients' denominators.  ``at(n)``
+    evaluates each column at n, once for every p; for p = a/c its
+    ``scaled`` sums col_j(n) a**(D - j) c**j, the value times s c**D, so
+    a call is one ``Fraction`` with one gcd.  A float p is lifted to its
+    exact binary value first and the result rounded once (``_exact_eval``).
     """
 
     rows: tuple[tuple, ...]
@@ -319,14 +351,11 @@ class PolyNP:
         return _exact_eval(self._eval, n, p)
 
     @cached_property
-    def _columns(self) -> tuple[tuple, ...]:
-        width = max(map(len, self.rows))
-        return tuple(zip(*((0,) * (width - len(row)) + tuple(row) for row in self.rows)))
-
-    @cached_property
     def _integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The columns times s, as ints, and s."""
-        s = reduce(math.lcm, (Fraction(c).denominator for col in self._columns for c in col), 1)
+        width = max(map(len, self.rows))
+        columns = list(zip(*((0,) * (width - len(row)) + tuple(row) for row in self.rows)))
+        s = reduce(math.lcm, (Fraction(c).denominator for col in columns for c in col), 1)
 
         def to_int(c) -> int:
             x = Fraction(c) * s
@@ -334,20 +363,15 @@ class PolyNP:
                 raise ArithmeticError(f"coefficient {c!r} times {s} is not an integer")
             return x.numerator
 
-        return tuple(tuple(map(to_int, col)) for col in self._columns), s
+        return tuple(tuple(map(to_int, col)) for col in columns), s
 
-    def _scaled(self, n: int, p) -> tuple[int, int]:
-        """(num, s c**D) with num / (s c**D) the value at n and p = a/c."""
+    def at(self, n: int) -> FormulaAt:
+        """The polynomial at time n, over s."""
         columns, s = self._integer_columns
-        a, c = p.numerator, p.denominator
-        num, c_power = 0, 1
-        for column in columns:
-            num = num * a + horner(column, n) * c_power
-            c_power *= c
-        return num, s * (c_power // c)
+        return FormulaAt(tuple(horner(column, n) for column in columns), s)
 
     def _eval(self, n, p):
-        return Fraction(*self._scaled(n, p))
+        return Fraction(*self.at(n).scaled(p))
 
     def to_json(self):
         return [[_coeff_json(c) for c in row] for row in self.rows]
@@ -356,7 +380,8 @@ class PolyNP:
 @dataclass(frozen=True)
 class RationalFormula:
     """PolyNP numerator over a polynomial-in-n denominator (default 1),
-    evaluated as one ``Fraction``."""
+    evaluated as one ``Fraction``; ``at(n)`` binds it to one time, over
+    s den(n), for a caller that evaluates it at many p."""
 
     num: PolyNP
     den: tuple[int, ...] = (1,)
@@ -364,9 +389,12 @@ class RationalFormula:
     def __call__(self, n, p):
         return _exact_eval(self._eval, n, p)
 
+    def at(self, n: int) -> FormulaAt:
+        num = self.num.at(n)
+        return FormulaAt(num.values, num.den * horner(self.den, n))
+
     def _eval(self, n, p):
-        num, den = self.num._scaled(n, p)
-        return Fraction(num, den * horner(self.den, n))
+        return Fraction(*self.at(n).scaled(p))
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": list(self.den)}

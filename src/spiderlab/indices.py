@@ -383,25 +383,38 @@ def _evaluate(index: IndexSpec, n: int, L):
     real = isinstance(L, np.ndarray)
     # A float m rounds each coefficient once; n may be an array beside L.
     m = (n + 2.0 if isinstance(n, np.ndarray) else float(n + 2)) if real else n + 2
+    at_m = _float_horner if real else horner
     # Horner in L down to the L**1 term; a power sum's head joins before the
     # constant: (w1 L + h(L)**alpha) + w2 (m - L).
-    value = 0
-    for poly in form.coeffs[:-1]:
-        value = value * L + horner(poly, m)
+    value = at_m(form.coeffs[0], m)
+    for poly in form.coeffs[1:-1]:
+        value = value * L + at_m(poly, m)
     value = value * L
     if form.head is not None:
         h, alpha, c = form.head
         hL = h(L)
         if not ((hL > 0).all() if real else hL > 0):
             raise UnknownIndexError("degree function must be positive on occurring degrees")
-        value = value + _power(hL, alpha) + horner(c, m) * (m - L)
-    value = value + horner(form.coeffs[-1], m)
+        value = value + _power(hL, alpha) + at_m(c, m) * (m - L)
+    value = value + at_m(form.coeffs[-1], m)
     if form.den == (1,):
         return value
-    den = horner(form.den, m)
+    den = at_m(form.den, m)
     if real:
         return value / den
     return value // den if value % den == 0 else Fraction(value, den)
+
+
+def _float_horner(coeffs, m):
+    """``horner`` at a float m or float64 array m, with the leading
+    coefficient rounded to a float first: the same float64 operations, but
+    a constant polynomial stays one float instead of an array of m's shape,
+    an exact weight (an int past int64, a Fraction) never makes an object
+    array, and an int too large for a float raises ``OverflowError``."""
+    out = float(coeffs[0])
+    for c in coeffs[1:]:
+        out = out * m + c
+    return out
 
 
 def eval_reduced(n: int, leaf_count: int, index: IndexSpec):

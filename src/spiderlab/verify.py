@@ -6,9 +6,12 @@ that do not share code with what they test:
 * catalog formulas against the brute-force summation oracle, in exact
   arithmetic: the binomial masses and the reduced index values are summed
   as integers over one common denominator (``support_weights``,
-  ``integer_scaled`` once per (n, index), ``exact_mean_variance``), never
-  through a catalog polynomial (a mismatch is reported as a formula flag
-  with its (index, n, p) witness, never silently patched);
+  ``scaled_moments``), never through a catalog polynomial.  Whatever does
+  not depend on p is done once per n (each index's reduced row, scaled to
+  integers and squared; each formula's columns at n), and each equality
+  is decided by cross-multiplying integers, with no ``Fraction`` unless
+  it fails (a mismatch is reported as a formula flag with its (index, n,
+  p) witness, never silently patched);
 * direct degree-multiset evaluation against the reduced closed forms at
   every reachable (n, L), 1 <= n <= max_n and 3 <= L <= n + 2: every index
   is a function of (n, L) alone, so this covers every tree up to time
@@ -37,10 +40,11 @@ import numpy as np
 
 from .analytics import (
     LeafLaw,
+    RationalFormula,
     coefficient_triangle,
-    exact_mean_variance,
     integer_scaled,
     moment_catalog,
+    scaled_moments,
     support_weights,
 )
 from .analytics import support_pmf  # noqa: F401  unused, but bench/run.py --trace 1 rebinds it here
@@ -111,30 +115,48 @@ def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
     """Exact equality of every cataloged mean/variance with the summation
     oracle over the given (p, n) grid, reported in (n, p, key) order.
 
-    The reduced values of each (n, index) do not depend on p, so each row
-    is scaled to integers (``integer_scaled``) once per n and summed under
-    every p's ``support_weights``."""
+    What does not depend on p is done once per n: each index's reduced
+    values are scaled to integers (``integer_scaled``) and squared, and
+    each formula is bound to n (``RationalFormula.at``; any other callable
+    is called at each (n, p)).  Under each p's ``support_weights`` a key
+    then takes two integer sums (``scaled_moments``) and each formula one
+    homogeneous Horner pass, and a formula num / den equals the oracle's
+    S1 / T (mean) or V / T**2 (variance) iff the cross-products agree, in
+    integers.  ``Fraction``s are built only to print a failure."""
     if catalog is None:
         catalog = _default_catalog()
     failures = []
     for n in n_values:
-        scaled = {spec.name: integer_scaled([eval_reduced(n, k, spec) for k in range(3, n + 3)])
-                  for spec in NAMED_INDICES}
+        rows = {}
+        for spec in NAMED_INDICES:
+            xs, d = integer_scaled([eval_reduced(n, k, spec) for k in range(3, n + 3)])
+            rows[spec.name] = xs, [x * x for x in xs], d
+        bound = [(key, entry, rows[key], _at(entry.mean, n), _at(entry.variance, n))
+                 for key, entry in catalog.items()]
         for p in p_values:
-            weights, _ = support_weights(LeafLaw(n, p))
-            for key, entry in catalog.items():
-                m1, oracle_var = exact_mean_variance(weights, *scaled[key])
-                mean_formula = entry.mean(n, p)
-                var_formula = entry.variance(n, p)
-                if mean_formula != m1:
+            weights, total = support_weights(LeafLaw(n, p))
+            for key, entry, row, mean, variance in bound:
+                scale, s1, v = scaled_moments(weights, total, *row)
+                num, den = mean(p)
+                if num * scale != s1 * den:
                     failures.append(Failure(
                         "catalog-oracle", key, {"n": n, "p": p},
-                        f"mean formula {mean_formula} != oracle {m1}"))
-                if var_formula != oracle_var:
+                        f"mean formula {entry.mean(n, p)} != oracle {Fraction(s1, scale)}"))
+                num, den = variance(p)
+                if num * scale * scale != v * den:
                     failures.append(Failure(
                         "catalog-oracle", key, {"n": n, "p": p},
-                        f"variance formula {var_formula} != oracle {oracle_var}"))
+                        f"variance formula {entry.variance(n, p)} != oracle "
+                        f"{Fraction(v, scale * scale)}"))
     return failures
+
+
+def _at(formula, n: int):
+    """``formula`` at time n as p -> (num, den), ints: a catalog formula's
+    ``at(n).scaled``, or the exact ratio of any other callable's value."""
+    if isinstance(formula, RationalFormula):
+        return formula.at(n).scaled
+    return lambda p: formula(n, p).as_integer_ratio()
 
 
 def _trial_specs() -> tuple[IndexSpec, ...]:

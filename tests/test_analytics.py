@@ -39,7 +39,13 @@ from spiderlab import (
     step,
     support_pmf,
 )
-from spiderlab.analytics import PolyNP, exact_mean_variance, integer_scaled, support_weights
+from spiderlab.analytics import (
+    PolyNP,
+    RationalFormula,
+    exact_mean_variance,
+    integer_scaled,
+    support_weights,
+)
 from spiderlab.indices import eval_reduced, horner
 from spiderlab.verify import catalog_oracle_suite, stirling2
 
@@ -487,6 +493,56 @@ def test_catalog_oracle_suite_reports_a_tiny_perturbation(field, key):
     assert (failure.suite, failure.index, failure.witness) == (
         "catalog-oracle", key, {"n": n_bad, "p": p_bad})
     assert failure.detail.startswith(f"{field} formula ")
+
+
+# The oracle's exact value at (n, p) = (7, 3/10), as the suite prints it.
+ORACLE_AT_7_3_10 = {("zagreb", "mean"): "459/10", ("zagreb", "variance"): "32193/500",
+                    ("gini", "mean"): "163/600", ("gini", "variance"): "1939/600000"}
+
+
+@pytest.mark.parametrize("key, field", list(ORACLE_AT_7_3_10))
+def test_catalog_oracle_suite_prints_the_formula_and_the_reduced_oracle(key, field):
+    catalog = {spec.name: moment_catalog(spec) for spec in NAMED_INDICES}
+    formula = getattr(catalog[key], field)
+    off = Fraction(1, 10 ** 100)
+
+    def perturbed(n, p):
+        return formula(n, p) + off if (n, p) == (7, Fraction(3, 10)) else formula(n, p)
+
+    catalog[key] = dataclasses.replace(catalog[key], **{field: perturbed})
+    [failure] = catalog_oracle_suite(P_GRID, range(1, 11), catalog)
+    oracle = ORACLE_AT_7_3_10[key, field]
+    assert failure.detail == f"{field} formula {Fraction(oracle) + off} != oracle {oracle}"
+    assert str(failure) == f"[catalog-oracle] {key} (n=7, p=3/10): {failure.detail}"
+
+
+def _plus_p_minus_p2(row, e):
+    """A row of p-coefficients (decreasing powers) plus e (p - p**2)."""
+    row = (0,) * max(0, 3 - len(row)) + tuple(row)
+    return row[:-3] + (row[-3] - e, row[-2] + e, row[-1])
+
+
+@pytest.mark.parametrize("key, field", [("zagreb", "mean"), ("gini", "variance")])
+def test_catalog_oracle_suite_cross_multiplies_a_catalog_formula_bound_to_n(key, field):
+    # A RationalFormula goes through its own at(n), not a call: off by
+    # 1e-30 (n - 1) p (1 - p) / den(n), it must be flagged at every n >= 2
+    # and p, and print its value and the oracle's as Fractions.
+    catalog = {spec.name: moment_catalog(spec) for spec in NAMED_INDICES}
+    formula = getattr(catalog[key], field)
+    e = Fraction(1, 10 ** 30)
+    rows = formula.num.rows
+    wrong = RationalFormula(PolyNP(rows[:-2] + (_plus_p_minus_p2(rows[-2], e),
+                                                _plus_p_minus_p2(rows[-1], -e))), formula.den)
+    catalog[key] = dataclasses.replace(catalog[key], **{field: wrong})
+    failures = catalog_oracle_suite(P_GRID, range(1, 4), catalog)
+    assert [(f.index, f.witness) for f in failures] == [
+        (key, {"n": n, "p": p}) for n in (2, 3) for p in P_GRID]
+    spec = {spec.name: spec for spec in NAMED_INDICES}[key]
+    for failure in failures:
+        n, p = failure.witness["n"], failure.witness["p"]
+        assert wrong(n, p) - formula(n, p) == e * (n - 1) * p * (1 - p) / horner(formula.den, n)
+        oracle = oracle_mean_variance(spec, n, p)[field == "variance"]
+        assert failure.detail == f"{field} formula {wrong(n, p)} != oracle {oracle}"
 
 
 def test_oracle_rejects_bad_order():

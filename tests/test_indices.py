@@ -1,3 +1,4 @@
+import math
 import os
 import pickle
 import subprocess
@@ -309,6 +310,32 @@ def test_reduced_values_array_n_matches_scalar_n_bit_for_bit():
         vec = reduced_values(spec, ns, Ls)
         per = np.concatenate([reduced_values(spec, int(n), [L]) for n, L in zip(ns, Ls)])
         assert vec.tobytes() == per.tobytes(), index_name(spec)
+
+
+# Exact weights a float64 holds: the ints 2**400 and 6**200 (past int64) and,
+# for a negative integer exponent, Fractions.
+@pytest.mark.parametrize("spec", [GeneralizedZagreb(400), Generic(Affine(3, 0), 200),
+                                  GeneralizedZagreb(-2), Generic(Affine(3, 0), -3)],
+                         ids=index_name)
+def test_reduced_values_of_exact_weights_are_float64_at_a_scalar_or_an_array_time(spec):
+    n, Ls = 10, np.arange(3, 13)
+    with np.errstate(over="ignore"):  # h(L)**alpha is inf at the largest L for alpha >= 200
+        per = reduced_values(spec, n, Ls)
+        vec = reduced_values(spec, np.full(Ls.shape, n), Ls)
+    assert per.dtype == vec.dtype == np.float64
+    assert vec.tobytes() == per.tobytes()
+    for L, value in zip(Ls.tolist(), per.tolist()):
+        if math.isfinite(value):
+            exact = Fraction(eval_reduced(n, L, spec))
+            assert abs(Fraction(value) - exact) <= 5 * Fraction(1, 2**53) * exact, L
+
+
+def test_reduced_values_raise_overflow_for_an_int_weight_past_float64():
+    # w1 = 3**600 is finite in float64, w2 = 6**600 is not: montecarlo's
+    # _overflows turns the OverflowError into a config error.
+    for n in (10, np.full(10, 10)):
+        with pytest.raises(OverflowError), np.errstate(over="ignore"):
+            reduced_values(Generic(Affine(3, 0), 600), n, np.arange(3, 13))
 
 
 

@@ -1,7 +1,7 @@
 """The direct-vs-reduced suites: each reports planted faults with the right
 witness; the exhaustive suite reaches every reachable (n, L) whatever its
 block size, and a sampled trial's tree depends only on the seed and the
-trial."""
+trial.  The catalog suite evaluates each oracle row once per n."""
 
 from dataclasses import replace
 
@@ -10,7 +10,12 @@ import pytest
 from spiderlab import verify
 from spiderlab.indices import LEAVES, PLATT, ZAGREB, ReducedForm, eval_direct
 from spiderlab.tree import RngStream, UniformLeaf, degree_multiset, grow, spider_degrees
-from spiderlab.verify import direct_reduced_suite, reachable_pairs_suite
+from spiderlab.verify import (
+    FULL_N_VALUES,
+    catalog_oracle_suite,
+    direct_reduced_suite,
+    reachable_pairs_suite,
+)
 
 SEED = 4242
 
@@ -206,3 +211,11 @@ def test_each_pair_block_builds_its_columns_once_and_calls_through_verify(
                      "spider_degrees": blocks}
     assert [str(f) for f in failures] == [str(f) for f in unwrapped]
     assert {f.index for f in failures} == {"zagreb_plus_one", "zagreb_direct_plus_one"}
+
+
+def test_a_full_grid_catalog_suite_evaluates_each_n_index_L_once(monkeypatch):
+    # The oracle rows do not depend on p: one eval_reduced call per (n, index,
+    # L), 7 * (1 + ... + 50) = 8925, none per p, all through verify's name.
+    calls = _count_calls(monkeypatch, "eval_reduced")
+    assert catalog_oracle_suite() == []
+    assert calls == {"eval_reduced": 7 * sum(FULL_N_VALUES)} == {"eval_reduced": 8925}
