@@ -55,7 +55,6 @@ __all__ = [
     "MomentExpansion",
     "leaf_moment_expansion",
     "FormulaAt",
-    "PolyNP",
     "RationalFormula",
     "LimitLaw",
     "CltNormalizer",
@@ -312,9 +311,10 @@ class FormulaAt:
     """A catalog formula at one time n, as a function of p alone.
 
     ``values[j]``, j = 0, ..., D, is the coefficient of p**(D - j) at n,
-    times s (``PolyNP``'s integer columns), and ``den`` the integer the
-    whole formula is over at that n.  For p = a/c, ``scaled(p)`` is one
-    homogeneous Horner pass over (a, c), in integers only."""
+    times s (``RationalFormula``'s integer columns), and ``den`` the
+    integer s den(n) the whole formula is over at that n.  For p = a/c,
+    ``scaled(p)`` is one homogeneous Horner pass over (a, c), in integers
+    only."""
 
     values: tuple[int, ...]
     den: int
@@ -330,22 +330,26 @@ class FormulaAt:
 
 
 @dataclass(frozen=True)
-class PolyNP:
-    """Polynomial in n with coefficients polynomial in p.
+class RationalFormula:
+    """A catalog formula: a polynomial in n with coefficients polynomial in
+    p, over a polynomial in n (default 1).
 
     ``rows[i]`` holds the p-coefficients (decreasing powers of p) of
-    n**(deg - i); rows are listed in decreasing powers of n.  Evaluation
-    runs in integers, at an integer n (every caller's time is one).  The
-    columns, each the coefficient of one power of p as a polynomial in n
-    (short rows padded with leading zeros), are scaled once to integers
-    over the lcm s of their coefficients' denominators.  ``at(n)``
-    evaluates each column at n, once for every p; for p = a/c its
-    ``scaled`` sums col_j(n) a**(D - j) c**j, the value times s c**D, so
-    a call is one ``Fraction`` with one gcd.  A float p is lifted to its
-    exact binary value first and the result rounded once (``_exact_eval``).
+    n**(deg - i); rows are listed in decreasing powers of n.  ``den``
+    holds the denominator's coefficients in decreasing powers of n.
+    Evaluation runs in integers, at an integer n (every caller's time is
+    one).  The columns, each the coefficient of one power of p as a
+    polynomial in n (short rows padded with leading zeros), are scaled
+    once to integers over the lcm s of their coefficients' denominators.
+    ``at(n)`` evaluates each column at n, once for every p, over
+    s den(n); for p = a/c its ``scaled`` sums col_j(n) a**(D - j) c**j,
+    the numerator times s c**D, so a call is one ``Fraction`` with one
+    gcd.  A float p is lifted to its exact binary value first and the
+    result rounded once (``_exact_eval``).
     """
 
     rows: tuple[tuple, ...]
+    den: tuple[int, ...] = (1,)
 
     def __call__(self, n, p):
         return _exact_eval(self._eval, n, p)
@@ -366,38 +370,16 @@ class PolyNP:
         return tuple(tuple(map(to_int, col)) for col in columns), s
 
     def at(self, n: int) -> FormulaAt:
-        """The polynomial at time n, over s."""
+        """The formula at time n, over s den(n)."""
         columns, s = self._integer_columns
-        return FormulaAt(tuple(horner(column, n) for column in columns), s)
+        return FormulaAt(tuple(horner(column, n) for column in columns), s * horner(self.den, n))
 
     def _eval(self, n, p):
         return Fraction(*self.at(n).scaled(p))
 
     def to_json(self):
-        return [[_coeff_json(c) for c in row] for row in self.rows]
-
-
-@dataclass(frozen=True)
-class RationalFormula:
-    """PolyNP numerator over a polynomial-in-n denominator (default 1),
-    evaluated as one ``Fraction``; ``at(n)`` binds it to one time, over
-    s den(n), for a caller that evaluates it at many p."""
-
-    num: PolyNP
-    den: tuple[int, ...] = (1,)
-
-    def __call__(self, n, p):
-        return _exact_eval(self._eval, n, p)
-
-    def at(self, n: int) -> FormulaAt:
-        num = self.num.at(n)
-        return FormulaAt(num.values, num.den * horner(self.den, n))
-
-    def _eval(self, n, p):
-        return Fraction(*self.at(n).scaled(p))
-
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": list(self.den)}
+        return {"num": [[_coeff_json(c) for c in row] for row in self.rows],
+                "den": list(self.den)}
 
 
 @dataclass(frozen=True)
@@ -422,7 +404,7 @@ class CltNormalizer:
     """(x - center(n, p)) / scale(n, p, k) is asymptotically standard normal,
     for every real shift k; scale = coeff * sqrt(p**a (1-p) (n+k)**m)."""
 
-    center: PolyNP
+    center: RationalFormula
     coeff: int
     p_power: int
     nk_power: int
@@ -433,7 +415,7 @@ class CltNormalizer:
 
     def to_json(self):
         return {
-            "center": self.center.to_json(),
+            "center": self.center.to_json()["num"],
             "scale": {"coeff": self.coeff, "p_power": self.p_power, "nk_power": self.nk_power},
         }
 
@@ -476,96 +458,83 @@ class MomentCatalogEntry:
 
 H = Fraction(1, 2)
 
-_LEAVES_MEAN = PolyNP(((1, 0), (-1, 3)))
-_LEAVES_VAR = PolyNP(((-1, 1, 0), (1, -1, 0)))
-_ZAGREB_MEAN = PolyNP(((1, 0, 0), (-3, 4, 4), (2, -4, 8)))
-_ZAGREB_VAR = PolyNP((
+# 2(n+3)(n+2) and 4(n+3)^2(n+2)^2 expanded in n.
+_DEN_MEAN = (2, 10, 12)
+_DEN_VAR = (4, 40, 148, 240, 144)
+
+_LEAVES_MEAN = RationalFormula(((1, 0), (-1, 3)))
+_ZAGREB_VAR = RationalFormula((
     (-4, 4, 0, 0, 0),
     (22, -40, 18, 0, 0),
     (-38, 92, -70, 16, 0),
     (20, -56, 52, -16, 0),
 ))
-_GS_MEAN = PolyNP(((H, 0, 0), (-3 * H, 2, 1), (1, -2, 2)))
-_GS_VAR = PolyNP((
-    (-1, 1, 0, 0, 0),
-    (11 * H, -10, 9 * H, 0, 0),
-    (-19 * H, 23, -35 * H, 4, 0),
-    (5, -14, 13, -4, 0),
-))
-_PLATT_MEAN = PolyNP(((1, 0, 0), (-3, 4, 2), (2, -4, 4)))
-_FORGOTTEN_MEAN = PolyNP(((1, 0, 0, 0), (-6, 12, 0, 0), (11, -36, 30, 8), (-6, 24, -30, 22)))
-_FORGOTTEN_VAR = PolyNP((
-    (-9, 9, 0, 0, 0, 0, 0),
-    (117, -279, 162, 0, 0, 0, 0),
-    (-591, 2061, -2376, 906, 0, 0, 0),
-    (1431, -6201, 9918, -6876, 1728, 0, 0),
-    (-1632, 8082, -15552, 14286, -6084, 900, 0),
-    (684, -3672, 7848, -8316, 4356, -900, 0),
-))
-_GINI_MEAN_NUM = PolyNP(((-1, 2, 0), (3, -4, 4), (-2, 2, 2)))
-_GINI_VAR_NUM = PolyNP((
-    (-4, 12, -12, 4, 0),
-    (22, -56, 46, -12, 0),
-    (-38, 84, -58, 12, 0),
-    (20, -40, 24, -4, 0),
-))
-_HOOVER_MEAN_NUM = PolyNP(((1, 0), (0, 3), (-1, 3)))
-_HOOVER_VAR_NUM = PolyNP(((-1, 1, 0), (-1, 1, 0), (1, -1, 0), (1, -1, 0)))
-
-# 2(n+3)(n+2) and 4(n+3)^2(n+2)^2 expanded in n.
-_DEN_MEAN = (2, 10, 12)
-_DEN_VAR = (4, 40, 148, 240, 144)
-
-_LEAVES_CLT = CltNormalizer(center=_LEAVES_MEAN, coeff=1, p_power=1, nk_power=1)
-_ZAGREB_CLT = CltNormalizer(center=PolyNP(((1, 0, 0), (0,), (0,))), coeff=2, p_power=3, nk_power=3)
-_GS_CLT = CltNormalizer(center=PolyNP(((H, 0, 0), (0,), (0,))), coeff=1, p_power=3, nk_power=3)
-_PLATT_CLT = CltNormalizer(center=PolyNP(((1, 0, 0), (0,), (0,))), coeff=2, p_power=3, nk_power=3)
+# The paper's CLT centre n**2 p**2 of the Zagreb and Platt indices.
+_N2P2 = RationalFormula(((1, 0, 0), (0,), (0,)))
 
 
 _CATALOG: dict[str, MomentCatalogEntry] = {entry.key: entry for entry in (
     MomentCatalogEntry(
         key="leaves",
-        mean=RationalFormula(_LEAVES_MEAN),
-        variance=RationalFormula(_LEAVES_VAR),
-        clt=_LEAVES_CLT,
+        mean=_LEAVES_MEAN,
+        variance=RationalFormula(((-1, 1, 0), (1, -1, 0))),
+        clt=CltNormalizer(center=_LEAVES_MEAN, coeff=1, p_power=1, nk_power=1),
     ),
     MomentCatalogEntry(
         key="zagreb",
-        mean=RationalFormula(_ZAGREB_MEAN),
-        variance=RationalFormula(_ZAGREB_VAR),
+        mean=RationalFormula(((1, 0, 0), (-3, 4, 4), (2, -4, 8))),
+        variance=_ZAGREB_VAR,
         limit=LimitLaw(2, (1, 0, 0)),
-        clt=_ZAGREB_CLT,
+        clt=CltNormalizer(center=_N2P2, coeff=2, p_power=3, nk_power=3),
     ),
     MomentCatalogEntry(
         key="gordon_scantlebury",
-        mean=RationalFormula(_GS_MEAN),
-        variance=RationalFormula(_GS_VAR),
+        mean=RationalFormula(((H, 0, 0), (-3 * H, 2, 1), (1, -2, 2))),
+        variance=RationalFormula((
+            (-1, 1, 0, 0, 0),
+            (11 * H, -10, 9 * H, 0, 0),
+            (-19 * H, 23, -35 * H, 4, 0),
+            (5, -14, 13, -4, 0),
+        )),
         limit=LimitLaw(2, (H, 0, 0)),
-        clt=_GS_CLT,
+        clt=CltNormalizer(center=RationalFormula(((H, 0, 0), (0,), (0,))),
+                          coeff=1, p_power=3, nk_power=3),
     ),
     MomentCatalogEntry(
         key="platt",
-        mean=RationalFormula(_PLATT_MEAN),
-        variance=RationalFormula(_ZAGREB_VAR),
+        mean=RationalFormula(((1, 0, 0), (-3, 4, 2), (2, -4, 4))),
+        variance=_ZAGREB_VAR,
         limit=LimitLaw(2, (1, 0, 0)),
-        clt=_PLATT_CLT,
+        clt=CltNormalizer(center=_N2P2, coeff=2, p_power=3, nk_power=3),
     ),
     MomentCatalogEntry(
         key="forgotten",
-        mean=RationalFormula(_FORGOTTEN_MEAN),
-        variance=RationalFormula(_FORGOTTEN_VAR),
+        mean=RationalFormula(((1, 0, 0, 0), (-6, 12, 0, 0), (11, -36, 30, 8), (-6, 24, -30, 22))),
+        variance=RationalFormula((
+            (-9, 9, 0, 0, 0, 0, 0),
+            (117, -279, 162, 0, 0, 0, 0),
+            (-591, 2061, -2376, 906, 0, 0, 0),
+            (1431, -6201, 9918, -6876, 1728, 0, 0),
+            (-1632, 8082, -15552, 14286, -6084, 900, 0),
+            (684, -3672, 7848, -8316, 4356, -900, 0),
+        )),
         limit=LimitLaw(3, (1, 0, 0, 0)),
     ),
     MomentCatalogEntry(
         key="gini",
-        mean=RationalFormula(_GINI_MEAN_NUM, _DEN_MEAN),
-        variance=RationalFormula(_GINI_VAR_NUM, _DEN_VAR),
+        mean=RationalFormula(((-1, 2, 0), (3, -4, 4), (-2, 2, 2)), _DEN_MEAN),
+        variance=RationalFormula((
+            (-4, 12, -12, 4, 0),
+            (22, -56, 46, -12, 0),
+            (-38, 84, -58, 12, 0),
+            (20, -40, 24, -4, 0),
+        ), _DEN_VAR),
         limit=LimitLaw(0, (-H, 1, 0)),
     ),
     MomentCatalogEntry(
         key="hoover",
-        mean=RationalFormula(_HOOVER_MEAN_NUM, _DEN_MEAN),
-        variance=RationalFormula(_HOOVER_VAR_NUM, _DEN_VAR),
+        mean=RationalFormula(((1, 0), (0, 3), (-1, 3)), _DEN_MEAN),
+        variance=RationalFormula(((-1, 1, 0), (-1, 1, 0), (1, -1, 0), (1, -1, 0)), _DEN_VAR),
         limit=LimitLaw(0, (H, 0)),
     ),
 )}
@@ -595,8 +564,8 @@ def moment_catalog(index: IndexSpec) -> MomentCatalogEntry:
             # The power sum with exponent 1 is the degree sum 2(n + 2).
             return MomentCatalogEntry(
                 key=key,
-                mean=RationalFormula(PolyNP(((2,), (4,)))),
-                variance=RationalFormula(PolyNP(((0,),))),
+                mean=RationalFormula(((2,), (4,))),
+                variance=RationalFormula(((0,),)),
             )
         if a == 2:
             return replace(_CATALOG["zagreb"], key=key)
@@ -619,13 +588,14 @@ def catalog_entry_json(entry: MomentCatalogEntry) -> dict:
     polynomial in p in decreasing powers; non-integer rationals are encoded
     as "numerator/denominator" strings.
     """
+    clt = entry.clt.to_json() if entry.clt else {"center": None, "scale": None}
     return {
         "index": entry.key,
         "mean_coeffs": entry.mean.to_json() if entry.mean else None,
         "var_coeffs": entry.variance.to_json() if entry.variance else None,
         "limit": entry.limit.to_json() if entry.limit else None,
-        "clt_center": entry.clt.center.to_json() if entry.clt else None,
-        "clt_scale": entry.clt.to_json()["scale"] if entry.clt else None,
+        "clt_center": clt["center"],
+        "clt_scale": clt["scale"],
     }
 
 

@@ -48,7 +48,6 @@ from .montecarlo import (
     standardize,
 )
 from .tree import Preferential, UniformLeaf
-from .verify import run_level
 
 __all__ = ["main", "entrypoint"]
 
@@ -331,7 +330,9 @@ def _cmd_verify(args):
     resolved = {"command": "verify", "level": args.level, "master_seed": seed}
 
     def run() -> int:
-        failures, counts = run_level(args.level, master_seed=seed)
+        from .verify import run_level  # only this command loads the verification suites
+
+        failures, counts = run_level(args.level)
         lines = [f"verification level={args.level}"]
         lines += [f"  {key}: {value}" for key, value in counts.items() if key != "level"]
         if failures:

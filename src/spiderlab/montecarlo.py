@@ -60,7 +60,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -255,6 +254,8 @@ class Workers:
         """``_chunk_worker`` over ``tasks``, in order."""
         if self.threads > 1 and len(tasks) > 1 and _pool_pays(config, self.threads):
             if self._pool is None:
+                # Imported here: it loads multiprocessing, which a serial run never needs.
+                from concurrent.futures import ProcessPoolExecutor
                 self._pool = ProcessPoolExecutor(max_workers=self.threads)
             batch = -(-len(tasks) // self.threads)  # one batch per worker
             return list(self._pool.map(_chunk_worker, tasks, chunksize=batch))

@@ -297,12 +297,12 @@ def seed_degeneracy_suite(p_values=FULL_P_VALUES, catalog=None) -> list[Failure]
     return failures
 
 
-def run_level(level: str, master_seed: int = 20240917) -> tuple[list[Failure], dict]:
+def run_level(level: str) -> tuple[list[Failure], dict]:
     """Run every suite at the requested depth; returns (failures, counts).
 
-    No suite draws a random number, so the result does not depend on
-    ``master_seed``; it is accepted, as ``verify --seed`` and a config's
-    ``master_seed`` are, and shows only in the CLI's resolved config."""
+    No suite draws a random number, so the result takes no seed; ``verify
+    --seed`` and a config's ``master_seed`` are accepted and show only in
+    the CLI's resolved config."""
     if level == "quick":
         p_values, n_values = QUICK_P_VALUES, QUICK_N_VALUES
         max_n, max_order = 120, 12

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -40,7 +42,6 @@ from spiderlab import (
     support_pmf,
 )
 from spiderlab.analytics import (
-    PolyNP,
     RationalFormula,
     exact_mean_variance,
     integer_scaled,
@@ -416,20 +417,22 @@ def test_oracle_mean_variance_is_both_oracles_in_one_pass(p):
 
 
 def rowwise(poly, n, p):
-    """Reference evaluation: a Horner pass in p per row, then one in n, in
-    exact rationals (a float p lifted to its exact value, rounded once)."""
-    value = horner([horner(row, Fraction(p)) for row in poly.rows], n)
+    """Reference evaluation: a Horner pass in p per row, then one in n, over
+    the denominator's Horner pass in n, in exact rationals (a float p lifted
+    to its exact value, rounded once)."""
+    value = horner([horner(row, Fraction(p)) for row in poly.rows], n) / horner(poly.den, n)
     return float(value) if isinstance(p, float) else value
 
 
 def test_poly_np_matches_row_by_row_horner():
-    polys = [PolyNP(((1, 0), (3,))), PolyNP(((Fraction(1, 2), 0, 0), (2,), (-1, 5))),
+    polys = [RationalFormula(((1, 0), (3,))),
+             RationalFormula(((Fraction(1, 2), 0, 0), (2,), (-1, 5))),
              # Unlike denominators, within one column and across columns.
-             PolyNP(((Fraction(1, 3), Fraction(-5, 4), 0), (Fraction(1, 6),),
-                     (Fraction(-5, 4), Fraction(1, 3), Fraction(1, 6))))]
+             RationalFormula(((Fraction(1, 3), Fraction(-5, 4), 0), (Fraction(1, 6),),
+                              (Fraction(-5, 4), Fraction(1, 3), Fraction(1, 6))))]
     for spec in NAMED_INDICES:
         entry = moment_catalog(spec)
-        polys += [entry.mean.num, entry.variance.num] + ([entry.clt.center] if entry.clt else [])
+        polys += [entry.mean, entry.variance] + ([entry.clt.center] if entry.clt else [])
     # 0.1 lifts to a Fraction over 2**55; 1/3**40 has a 64-bit denominator.
     p_values = (Fraction(2, 5), Fraction(1, 3), Fraction(1, 3 ** 40), 0.3, 0.5, 0.1)
     for poly in polys:
@@ -447,7 +450,7 @@ def test_catalog_formulas_equal_the_row_wise_reference_over_their_denominator(sp
             for p in (Fraction(1, 10), Fraction(2, 7), Fraction(9, 10)):
                 value = formula(n, p)
                 assert type(value) is Fraction
-                assert value == rowwise(formula.num, n, p) / horner(formula.den, n)
+                assert value == rowwise(formula, n, p)
 
 
 @pytest.mark.parametrize("n", [1, 2, 13, 50])
@@ -530,9 +533,9 @@ def test_catalog_oracle_suite_cross_multiplies_a_catalog_formula_bound_to_n(key,
     catalog = {spec.name: moment_catalog(spec) for spec in NAMED_INDICES}
     formula = getattr(catalog[key], field)
     e = Fraction(1, 10 ** 30)
-    rows = formula.num.rows
-    wrong = RationalFormula(PolyNP(rows[:-2] + (_plus_p_minus_p2(rows[-2], e),
-                                                _plus_p_minus_p2(rows[-1], -e))), formula.den)
+    rows = formula.rows
+    wrong = RationalFormula(rows[:-2] + (_plus_p_minus_p2(rows[-2], e),
+                                         _plus_p_minus_p2(rows[-1], -e)), formula.den)
     catalog[key] = dataclasses.replace(catalog[key], **{field: wrong})
     failures = catalog_oracle_suite(P_GRID, range(1, 4), catalog)
     assert [(f.index, f.witness) for f in failures] == [
@@ -567,6 +570,22 @@ def test_catalog_json_schema():
     assert hoover["mean_coeffs"]["den"] == [2, 10, 12]
     assert hoover["var_coeffs"]["den"] == [4, 40, 148, 240, 144]
     assert entries["gini"]["clt_center"] is None
+
+
+# The sha256 of each JSON dump.  A pin changes only with a change to a
+# catalog formula or to the JSON form, which is then a contract change.
+CATALOG_JSON_SHA256 = "2e26db63fa0dd0d8783e206a227545c27c5573f69e2352cab19a279979c84e28"
+GENERALIZED_JSON_SHA256 = "1efb4b51ddfb46e68ac24b991c006963e117495e67de9879faa7f773da26a898"
+
+
+def _sha256_of_json(payload) -> str:
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def test_catalog_json_is_pinned():
+    assert _sha256_of_json(export_catalog_json()) == CATALOG_JSON_SHA256
+    entries = [catalog_entry_json(moment_catalog(GeneralizedZagreb(k))) for k in (1, 2, 3, 6)]
+    assert _sha256_of_json(entries) == GENERALIZED_JSON_SHA256
 
 
 def test_catalog_json_for_generalized_entry():

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -14,6 +15,7 @@ import pytest
 import spiderlab.analytics as analytics
 import spiderlab.cli as cli
 import spiderlab.montecarlo as montecarlo
+import spiderlab.verify as verify
 from spiderlab import (NAMED_INDICES, ZAGREB, SimConfig, UniformLeaf, reduced_values,
                        run_experiment, standardize)
 from spiderlab.verify import Failure
@@ -232,7 +234,7 @@ def test_verify_report_does_not_depend_on_the_seed(capsys):
 def test_verify_reports_failures_with_witness(capsys, monkeypatch):
     fake = Failure("catalog-oracle", "zagreb", {"n": 3, "p": "1/2"},
                    "variance formula 1 != oracle 2")
-    monkeypatch.setattr(cli, "run_level", lambda level, master_seed: ([fake], {"level": level}))
+    monkeypatch.setattr(verify, "run_level", lambda level: ([fake], {"level": level}))
     code, out, _ = run_cli(capsys, "verify", "--level", "quick")
     assert code == 3
     assert "zagreb" in out and "n=3" in out and "p=1/2" in out
@@ -298,7 +300,7 @@ def test_converge_table(capsys):
 
 def spy_on_pools(monkeypatch, events):
     """Record every process pool a run starts and shuts down in ``events``."""
-    real = montecarlo.ProcessPoolExecutor
+    real = concurrent.futures.ProcessPoolExecutor
 
     class Spy(real):
         def __init__(self, max_workers):
@@ -309,7 +311,7 @@ def spy_on_pools(monkeypatch, events):
             events.append(("shutdown",))
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
 
 
 @pytest.mark.parametrize("argv", [
@@ -389,6 +391,18 @@ def test_python_dash_m_runs_the_cli():
     assert "{simulate,exact,verify,clt,converge}" in done.stderr
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # A serial run never starts a pool, so neither the package nor the CLI
+    # loads concurrent.futures or multiprocessing at import; the first pool does.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    probe = ("import sys, spiderlab, spiderlab.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith(('concurrent', 'multiprocessing'))))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_main_builds_its_parser_at_most_once(capsys, monkeypatch):
     built = []
     real = argparse.ArgumentParser.__init__
@@ -462,7 +476,7 @@ def test_config_file_takes_only_the_fields_its_subcommand_reads(capsys, tmp_path
     assert_rejected_before_work(code, err)
     assert f"field {unread!r}" in err and out == ""
     # every field the subcommand reads is accepted
-    monkeypatch.setattr(cli, "run_level", lambda *a, **k: ([], {}))
+    monkeypatch.setattr(verify, "run_level", lambda *a, **k: ([], {}))
     path.write_text(json.dumps(fields))
     code, _, err = run_cli(capsys, *argv, "--config", str(path))
     assert code == 0, err

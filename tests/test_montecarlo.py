@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from fractions import Fraction
 from statistics import NormalDist
@@ -363,7 +364,7 @@ def test_first_replicates_do_not_depend_on_the_replicate_count():
 
 def test_pool_starts_only_above_the_work_threshold(monkeypatch):
     started = []
-    real = montecarlo.ProcessPoolExecutor
+    real = concurrent.futures.ProcessPoolExecutor
 
     def spy(max_workers):
         started.append(max_workers)
@@ -373,7 +374,7 @@ def test_pool_starts_only_above_the_work_threshold(monkeypatch):
         return SimConfig(model=UniformLeaf(p), horizon=n, replicates=replicates,
                          master_seed=11, indices=(LEAVES, GINI))
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     # the clt example's shape: counted serially under the bit rule, pooled at p = 0.4
     assert not montecarlo._pool_pays(shape(5000, 20_000, 0.5), 2)
     assert montecarlo._pool_pays(shape(5000, 20_000), 2)
