@@ -105,24 +105,20 @@ def leaf_pmf(law: LeafLaw, k: int):
 def support_pmf(law: LeafLaw) -> list:
     """pmf over the whole support, in order k = 3, ..., n + 2.
 
-    Exact for Fraction p (multiplicative binomial recurrence).  For float p
-    the masses are built by the same ratio recurrence run outward from the
-    mode, starting at 1 there, and normalized by their ``math.fsum``, so a
-    mass carries only the roundings of the steps between it and the mode.
+    Exact for Fraction p: ``support_weights``' numerators over their total.
+    For float p the masses are built by the binomial ratio recurrence run
+    outward from the mode, starting at 1 there, and normalized by their
+    ``math.fsum``, so a mass carries only the roundings of the steps
+    between it and the mode.
     Against the exact masses at n = 1000, p = 0.3, every mass above 1e-6 of
     the modal one is within 7e-15 relative and every mass within 3e-17
     absolute; masses far in the tails underflow to 0.
     """
+    if isinstance(law.p, Fraction):
+        weights, total = support_weights(law)
+        return [Fraction(w, total) for w in weights]
     m = law.n - 1
     p = law.p
-    if isinstance(p, Fraction):
-        q = 1 - p
-        w = q ** m
-        out = [w]
-        for j in range(m):
-            w = w * (m - j) * p / ((j + 1) * q)
-            out.append(w)
-        return out
     q = 1 - p
     mode = min(m, int((m + 1) * p))
     out = [0.0] * (m + 1)
@@ -191,12 +187,11 @@ def exact_mean_variance(weights: list[int], xs: list[int], d: int) -> tuple[Frac
 
 def leaf_mgf(law: LeafLaw, t: float) -> float:
     """Moment generating function of the leaf count at t."""
-    p = float(law.p)
-    return (1 - p + p * math.exp(t)) ** (law.n - 1) * math.exp(3 * t)
+    return affine_mgf(law, 1, 0, t)
 
 
 def affine_mgf(law: LeafLaw, a: float, b: float, t: float) -> float:
-    """MGF of a*leaf_count + b; reduces to ``leaf_mgf`` at (a, b) = (1, 0)."""
+    """MGF of a*leaf_count + b; ``leaf_mgf`` is the case (a, b) = (1, 0)."""
     p = float(law.p)
     return (1 - p + p * math.exp(a * t)) ** (law.n - 1) * math.exp((3 * a + b) * t)
 
@@ -356,18 +351,12 @@ class RationalFormula:
 
     @cached_property
     def _integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The columns times s, as ints, and s."""
+        """The columns times s, as ints, and s (``integer_scaled``)."""
         width = max(map(len, self.rows))
         columns = list(zip(*((0,) * (width - len(row)) + tuple(row) for row in self.rows)))
-        s = reduce(math.lcm, (Fraction(c).denominator for col in columns for c in col), 1)
-
-        def to_int(c) -> int:
-            x = Fraction(c) * s
-            if x.denominator != 1:
-                raise ArithmeticError(f"coefficient {c!r} times {s} is not an integer")
-            return x.numerator
-
-        return tuple(tuple(map(to_int, col)) for col in columns), s
+        flat, s = integer_scaled([c for column in columns for c in column])
+        height = len(self.rows)
+        return tuple(tuple(flat[j:j + height]) for j in range(0, len(flat), height)), s
 
     def at(self, n: int) -> FormulaAt:
         """The formula at time n, over s den(n)."""

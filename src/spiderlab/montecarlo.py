@@ -405,7 +405,9 @@ def convergence_probe(
     the limit constant c(p): the exceedance P(|scaled - c| > epsilon) and
     the r-mean error E|scaled - c|**r are estimated from ``replicates``
     grown trees, as ``atom_stats`` means and a count over R of the run's
-    atoms.  Both sequences should shrink along the grid.
+    atoms.  Both sequences should shrink along the grid.  A power
+    |scaled - c|**r past the float64 range raises ``OverflowError``, which
+    names n and r.
     """
     entry = moment_catalog(index)
     if entry.limit is None:
@@ -424,6 +426,11 @@ def convergence_probe(
             counts = summary.atom_counts
             scaled = summary.atom_values[0] / float(n) ** exponent
             err = np.abs(scaled - c)
+            with np.errstate(over="ignore"):
+                powered = err ** r
+            if not np.isfinite(powered).all():
+                raise OverflowError(f"r-mean error E|scaled - c|**r overflows float64 at "
+                                    f"n={n}, r={r}: |scaled - c| reaches {err.max():.6g}")
             stats = atom_stats(counts, scaled)
             rows.append(ProbeRow(
                 index=index.name,
@@ -432,7 +439,7 @@ def convergence_probe(
                 mean=stats.mean,
                 variance=stats.variance,
                 exceedance=sum(compress(counts, err > epsilon)) / replicates,
-                r_mean_error=atom_stats(counts, err ** r).mean,
+                r_mean_error=atom_stats(counts, powered).mean,
                 limit=c,
             ))
     return rows

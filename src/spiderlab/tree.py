@@ -16,14 +16,13 @@ equals the leaf count, the centroid is picked with probability exactly 1/2
 at every step, so the rule coincides with ``UniformLeaf(1/2)`` and shares
 its code path.
 
-Growth is written once, over a block of trees laid end to end:
-``grow_legs(centroid, picks, steps)`` applies one step per (decision, pick)
-pair, tree k taking ``steps[k]`` of them, in one pass over the block.
-``grow`` calls it on a block of one tree and
-``verify.direct_reduced_suite`` on 64 trees at a time.  ``grow`` and
-``step`` draw their uniforms from an ``RngStream`` interleaved, (decision,
-pick) per step, and a step recruits at the centroid when its decision
-uniform is below p, so a grown tree equals a stepped one bit for bit.
+Growth is written once: ``grow_legs(centroid, picks)`` applies one step
+per (decision, pick) pair to a tree from the seed, in one vectorised pass.
+``grow`` calls it, and ``verify.direct_reduced_suite`` once per sampled
+tree.  ``grow`` and ``step`` draw their uniforms from an ``RngStream``
+interleaved, (decision, pick) per step, and a step recruits at the
+centroid when its decision uniform is below p, so a grown tree equals a
+stepped one bit for bit.
 
 Everything the indices need is the leaf count, 3 plus the centroid recruits,
 and the Monte Carlo engine draws only that, with fewer random bits.  A
@@ -125,10 +124,10 @@ class TreeState:
     ``time + 3`` nodes in total).
 
     ``legs`` may be any sequence of integers, or an int64 array such as
-    ``grow_legs`` returns for a block of one tree; an array is checked in
-    numpy, several times faster than a pass over Python ints.  Either way
-    ``legs`` is stored as a tuple of Python ints, and an invalid input
-    raises the same ``ValueError``, the one ``grow_legs`` raises.
+    ``grow_legs`` returns; an array is checked in numpy, several times
+    faster than a pass over Python ints.  Either way ``legs`` is stored as
+    a tuple of Python ints, and an invalid input raises the same
+    ``ValueError``, the one ``grow_legs`` raises.
     """
 
     time: int
@@ -249,44 +248,27 @@ def step(state: TreeState, model: GrowthModel, rng: RngStream) -> TreeState:
     return TreeState(time=state.time + 1, legs=legs)
 
 
-def grow_legs(centroid: np.ndarray, picks: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
-    """Leg lengths and leaf counts, as int64 arrays, of a block of trees
-    grown from the seed and laid end to end: tree k takes ``steps[k]`` >= 0
-    growth steps, one per entry of the boolean centroid schedule and of
-    ``picks``, after the entries of trees 0..k-1.
+def grow_legs(centroid: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Leg lengths, as an int64 array, of the tree grown from the seed by
+    one growth step per entry of the boolean centroid schedule and of
+    ``picks``.
 
-    Step j of a tree recruits at the centroid when ``centroid[j]``;
-    otherwise the leaf of its tree's leg ``floor(picks[j] * leaves)``
-    recruits, ``leaves`` being that tree's leaf count before step j.  This
-    is the rule ``step`` applies to its two uniforms, vectorised over the
-    block.  Tree k's ``leaves[k]`` legs follow those of trees 0..k-1 in the
-    returned legs.  Every tree meets ``TreeState``'s invariants: at least
-    three legs and every leg positive by construction, and its leg sum
-    checked, failing with ``TreeState``'s ``ValueError``; a pick that lands
-    in a neighbouring tree's legs breaks both trees' sums.
+    Step j recruits at the centroid when ``centroid[j]``; otherwise the leaf
+    of leg ``floor(picks[j] * leaves)`` recruits, ``leaves`` being the leaf
+    count before step j.  This is the rule ``step`` applies to its two
+    uniforms, vectorised over the steps.  The tree meets ``TreeState``'s
+    invariants: at least three legs and every leg positive by construction,
+    and its leg sum checked, failing with ``TreeState``'s ``ValueError``; a
+    pick of 1 or more lands past the last leg and breaks the sum.
     """
-    steps = np.asarray(steps, dtype=np.int64)
-    ends = np.cumsum(steps)
-    recruits = np.zeros(len(centroid) + 1, dtype=np.int64)  # before each step, block-wide
-    np.cumsum(centroid, out=recruits[1:])
-    before = recruits[ends - steps]  # each tree's recruits before its first step
-    leaves = 3 + recruits[ends] - before
-    first_leg = np.cumsum(leaves) - leaves
-    leaf = np.flatnonzero(~centroid)  # indices gather faster than a random boolean mask
-    owner = np.repeat(np.arange(len(steps)), steps)[leaf]
-    # A leaf step sees 3 plus its tree's recruits before it; the product is
-    # non-negative, so truncation floors it.
-    seen = 3 + recruits[leaf] - before[owner]
-    chosen = (picks[leaf] * seen).astype(np.int64) + first_leg[owner]
-    legs = 1 + np.bincount(chosen, minlength=int(leaves.sum()))
-    # Every tree has leaves >= 3 legs, as recruits never fall, each leg 1 plus
-    # a count; only a leg sum can break, as a misplaced pick breaks it.
-    total = np.add.reduceat(legs, first_leg)
-    bad = np.flatnonzero(total != steps + 3)
-    if bad.size:
-        k = bad[0]
-        _check_spider(int(steps[k]) + 1, int(leaves[k]), 1, int(total[k]))
-    return legs, leaves
+    recruits = centroid.cumsum(dtype=np.int64)  # through each step
+    (leaf,) = (~centroid).nonzero()  # indices gather faster than a random boolean mask
+    # A leaf step recruits nothing, so it sees 3 plus the recruits through
+    # it; the product is non-negative, so truncation floors it.
+    chosen = (picks[leaf] * (3 + recruits[leaf])).astype(np.int64)
+    legs = 1 + np.bincount(chosen, minlength=3 + len(centroid) - len(leaf))  # 3 + recruits
+    _check_spider(len(centroid) + 1, len(legs), 1, int(legs.sum()))
+    return legs
 
 
 DRAW_PIECE = 1 << 14      # most decision words held at once, unless one row is longer
@@ -408,7 +390,7 @@ def grow(model: GrowthModel, horizon_n: int, rng: RngStream) -> TreeState:
     if horizon_n < 1:
         raise ValueError(f"horizon_n must be >= 1, got {horizon_n}")
     draws = rng.doubles(2 * (horizon_n - 1)).reshape(horizon_n - 1, 2)
-    legs, _ = grow_legs(draws[:, 0] < model.centroid_probability, draws[:, 1], [horizon_n - 1])
+    legs = grow_legs(draws[:, 0] < model.centroid_probability, draws[:, 1])
     return TreeState(time=horizon_n, legs=legs)
 
 

@@ -182,9 +182,9 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
     (decision, pick) uniforms of each of its trials in trial order, as
     ``tree.grow`` consumes them.  So a trial's tree depends only on
     (master_seed, t, max_n), not on the trial count.  A block draws all its
-    uniforms in one ``doubles`` call and grows all its trees in one
-    ``grow_legs`` pass, which checks every tree against ``TreeState``'s
-    invariants.
+    uniforms in one ``doubles`` call and grows each trial's tree with one
+    ``grow_legs`` call on the trial's slice of that draw, which checks the
+    tree against ``TreeState``'s invariants; L is its leg count.
 
     Each block's (n, L) are checked as ``reachable_pairs_suite`` checks
     its pairs (``_mismatches``); failures are listed in (trial, spec) order
@@ -198,11 +198,11 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
     ps = 0.05 + 0.9 * meta[:, 1]
     for first in range(0, trials, TRIAL_BLOCK):
         n_block = ns[first:first + TRIAL_BLOCK]
-        steps = n_block - 1
         stream = RngStream(master_seed, 1 + first // TRIAL_BLOCK)
-        u = stream.doubles(2 * int(steps.sum())).reshape(-1, 2)
-        centroid = u[:, 0] < np.repeat(ps[first:first + TRIAL_BLOCK], steps)
-        _, L_block = grow_legs(centroid, u[:, 1], steps)
+        u = stream.doubles(2 * int((n_block - 1).sum())).reshape(-1, 2)
+        draws = np.split(u, np.cumsum(n_block - 1)[:-1])  # one (decision, pick) slice per trial
+        L_block = np.array([len(grow_legs(d[:, 0] < p, d[:, 1]))
+                            for d, p in zip(draws, ps[first:first + TRIAL_BLOCK])], dtype=np.int64)
         for k, name, detail in _mismatches(specs, n_block, L_block):  # (trial, spec) order
             failures.append(Failure(
                 "direct-reduced", name,

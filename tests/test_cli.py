@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -373,6 +374,18 @@ def test_exact_oracle_takes_one_pass_per_row(capsys, monkeypatch):
         _, rows = csv_rows(out)
         assert [row["match"] for row in rows] == ["True"] * 5  # n = 1..5
         assert passes == [route] * 5
+
+
+def test_converge_reports_an_overflowing_r_mean_error_without_a_warning(capsys):
+    # |scaled - c| is 11.75 at n = 1, and 11.75**400 is past the float64 range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "converge", "--index", "zagreb", "--p", "0.5",
+                                 "--n-grid", "1,2", "--r", "400", "--replicates", "20",
+                                 "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.splitlines()[1:] == ["runtime error: r-mean error E|scaled - c|**r overflows "
+                                    "float64 at n=1, r=400.0: |scaled - c| reaches 11.75"]
 
 
 def test_converge_requires_limit(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from spiderlab import (
     InvalidProbabilityError,
@@ -143,16 +143,16 @@ def test_grow_legs_applies_the_floor_rule(n, seed, p):
     before = 3 + np.cumsum(centroid) - centroid
     chosen = np.floor(picks[~centroid] * before[~centroid]).astype(np.int64)
     want = 1 + np.bincount(chosen, minlength=3 + int(centroid.sum()))
-    got, leaves = grow_legs(centroid, picks, [n - 1])
+    got = grow_legs(centroid, picks)
     assert got.dtype == np.int64 and np.array_equal(got, want)
-    assert leaves.tolist() == [len(want)]
+    assert [len(got)] == [len(want)]
 
 
 @given(st.integers(1, 300), st.integers(0, 10**6), st.floats(0.05, 0.95))
 def test_counts_follow_the_legs_on_grown_trees(n, seed, p):
     model = UniformLeaf(p)
     draws = RngStream(seed).doubles(2 * (n - 1)).reshape(n - 1, 2)
-    grown = TreeState(time=n, legs=grow_legs(draws[:, 0] < p, draws[:, 1], [n - 1])[0])
+    grown = TreeState(time=n, legs=grow_legs(draws[:, 0] < p, draws[:, 1]))
     stepped = new_seed()
     rng = RngStream(seed)
     for _ in range(min(n, 60) - 1):
@@ -167,63 +167,24 @@ def test_counts_follow_the_legs_on_grown_trees(n, seed, p):
         assert degree_multiset(state) == expected
 
 
-def block_of_trees(trees, stream):
-    """The block kernel's legs and leaf counts for the ``(n, p)`` trees,
-    grown from one draw of their interleaved (decision, pick) uniforms."""
-    steps = np.array([n - 1 for n, _ in trees], dtype=np.int64)
-    u = stream.doubles(2 * int(steps.sum())).reshape(-1, 2)
-    centroid = u[:, 0] < np.repeat([p for _, p in trees], steps)
-    return grow_legs(centroid, u[:, 1], steps)
-
-
-@given(st.lists(st.tuples(st.integers(1, 80), st.floats(0.05, 0.95)), min_size=1, max_size=70),
-       st.integers(0, 10**6))
-@example([(1, 0.05), (2, 0.95), (1, 0.95), (2, 0.05), (40, 0.05), (40, 0.9499999)], 7)
-def test_a_block_holds_the_trees_grow_grows_one_at_a_time(trees, seed):
-    legs, leaves = block_of_trees(trees, RngStream(seed, 1))
-    stream, at = RngStream(seed, 1), 0
-    for (n, p), L in zip(trees, leaves.tolist()):
-        assert legs[at:at + L].tolist() == list(grow(UniformLeaf(p), n, stream).legs)
-        at += L
-    assert at == len(legs) and legs.dtype == leaves.dtype == np.int64
-
-
-@pytest.mark.parametrize("p", [0.05, 0.5, 0.9499])
-def test_blocks_of_64_with_a_partial_last_block_equal_per_tree_growth(p):
-    # verify's layout: block b of 64 trials from stream 1 + b; 87 trials, so the
-    # last block holds 23, and n = 1 and n = 2 trees sit among the others
-    ns = np.random.default_rng(3).integers(1, 300, 87).tolist()
-    ns[:6] = [1, 2, 1, 2, 2, 1]
-    ns[64:66] = [2, 1]
-    for first in range(0, len(ns), 64):
-        trees = [(n, p) for n in ns[first:first + 64]]
-        legs, leaves = block_of_trees(trees, RngStream(9, 1 + first // 64))
-        stream = RngStream(9, 1 + first // 64)
-        grown = [grow(UniformLeaf(p), n, stream) for n, _ in trees]
-        assert leaves.tolist() == [tree.leaf_count for tree in grown]
-        assert legs.tolist() == [leg for tree in grown for leg in tree.legs]
-
-
-def test_a_pick_in_a_neighbouring_trees_legs_breaks_the_invariant():
-    # three trees of 4, 5 and 6 steps; tree 1 recruits no leg, so it holds
-    # three legs throughout, and a pick shifted by one lands three legs on,
-    # in tree 2's legs (or, from tree 2, past the block)
-    steps = [4, 5, 6]
-    rng = np.random.default_rng(5)
-    centroid = rng.random(15) < 0.5
-    centroid[4:9] = False
-    picks = rng.random(15)
-    legs, leaves = grow_legs(centroid, picks, steps)
-    assert [sum(legs[a:a + L]) for a, L in zip(np.cumsum(leaves) - leaves, leaves)] == [7, 8, 9]
-    shifted = picks.copy()
-    shifted[4:9] += 1  # tree 1's picks, offset by its three legs
-    with pytest.raises(ValueError, match="^leg lengths sum to 3, expected time \\+ 2 = 8$"):
-        grow_legs(centroid, shifted, steps)
-    shifted = picks.copy()
-    shifted[9:][~centroid[9:]] += 1  # tree 2's leaf steps, past the last leg
-    assert (~centroid[9:]).any()
-    with pytest.raises(ValueError, match="^leg lengths sum to \\d+, expected time \\+ 2 = 9$"):
-        grow_legs(centroid, shifted, steps)
+def test_leaf_picks_past_the_last_leg_fail_with_tree_states_error():
+    # 15 steps, 6 at the centroid: the tree ends with 9 legs.  Shifted by
+    # one, each leaf pick names a leg past those its step sees, the last
+    # step's past all 9.
+    centroid = np.zeros(15, dtype=bool)
+    centroid[[0, 2, 5, 7, 10, 12]] = True
+    picks = np.random.default_rng(5).random(15)
+    legs = grow_legs(centroid, picks)
+    assert len(legs) == 9 and legs.sum() == 18
+    shifted = picks + ~centroid
+    seen = 3 + np.cumsum(centroid)
+    chosen = np.floor(shifted[~centroid] * seen[~centroid]).astype(np.int64)
+    assert chosen.max() >= 9
+    with pytest.raises(ValueError) as want:
+        TreeState(time=16, legs=1 + np.bincount(chosen, minlength=9))
+    with pytest.raises(ValueError, match="^leg lengths sum to \\d+, expected time \\+ 2 = 18$") as got:
+        grow_legs(centroid, shifted)
+    assert str(got.value) == str(want.value)
 
 
 def test_boundary_probabilities_rejected():
@@ -345,7 +306,7 @@ def test_leaf_count_equals_grown_leg_count(model, rows, steps, master_seed, stre
                                                  steps, model.centroid_probability)
     assert counts.tolist() == want_counts.tolist()
     assert np.array_equal(centroid, want_centroid[audit_row])
-    legs, _ = grow_legs(centroid, stream.doubles(steps), [steps])
+    legs = grow_legs(centroid, stream.doubles(steps))
     assert len(legs) == counts[audit_row]
     assert legs.sum() == steps + 3
 
@@ -356,7 +317,7 @@ def test_leaf_count_at_seed_is_three_and_draws_nothing():
     counts, (centroid,) = block_leaf_counts(model, stream, 4, 0, [1], 4)
     assert counts.tolist() == [3, 3, 3, 3] and centroid.tolist() == []
     assert np.array_equal(stream.words(3), RngStream(4, 2).words(3))
-    assert grow_legs(np.zeros(0, dtype=bool), np.empty(0), [0])[0].tolist() == [1, 1, 1]
+    assert grow_legs(np.zeros(0, dtype=bool), np.empty(0)).tolist() == [1, 1, 1]
     rng = RngStream(4, 2)
     assert grow(model, 1, rng) == new_seed()
     assert np.array_equal(rng.doubles(3), RngStream(4, 2).doubles(3))
