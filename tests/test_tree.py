@@ -167,6 +167,26 @@ def test_counts_follow_the_legs_on_grown_trees(n, seed, p):
         assert degree_multiset(state) == expected
 
 
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.9499])
+def test_blocks_of_64_with_a_partial_last_block_equal_per_tree_growth(p):
+    # verify's layout: block b of 64 trials draws all its uniforms from stream
+    # 1 + b in one call, and each trial's tree grows from its slice of that
+    # draw; 87 trials, so the last block holds 23, and n = 1 and n = 2 trees
+    # sit among the others
+    ns = np.random.default_rng(3).integers(1, 300, 87)
+    ns[:6] = [1, 2, 1, 2, 2, 1]
+    ns[64:66] = [2, 1]
+    for first in range(0, len(ns), 64):
+        n_block = ns[first:first + 64]
+        u = RngStream(9, 1 + first // 64).doubles(2 * int((n_block - 1).sum())).reshape(-1, 2)
+        legs = [grow_legs(d[:, 0] < p, d[:, 1]) for d in np.split(u, np.cumsum(n_block - 1)[:-1])]
+        stream = RngStream(9, 1 + first // 64)
+        grown = [grow(UniformLeaf(p), int(n), stream) for n in n_block]
+        assert [len(x) for x in legs] == [t.leaf_count for t in grown]
+        assert [x.tolist() for x in legs] == [list(t.legs) for t in grown]
+        assert all(x.dtype == np.int64 for x in legs)
+
+
 def test_leaf_picks_past_the_last_leg_fail_with_tree_states_error():
     # 15 steps, 6 at the centroid: the tree ends with 9 legs.  Shifted by
     # one, each leaf pick names a leg past those its step sees, the last
