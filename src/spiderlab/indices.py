@@ -354,11 +354,11 @@ def check_positive(h: DegreeFunction, degrees) -> None:
 
 def eval_direct(degrees: Mapping[int, int], n: int, index: IndexSpec):
     """Evaluate ``index`` by its definition on a tree's degree multiset
-    {degree: count} at time ``n`` (``tree.degree_multiset``), exactly where
-    the index is, or in float64 on the degree columns of a block of trees
-    (``tree.spider_degrees`` of an array of leaf counts, at one time ``n``
-    or at an integer ndarray of times, one per leaf count), the twin of
-    ``reduced_values``.
+    {degree: count} at time ``n`` (``tree.spider_degrees(n, L)`` of a tree
+    with L leaves), exactly where the index is, or in float64 on the
+    degree columns of a block of trees (``tree.spider_degrees`` of an
+    array of leaf counts, at one time ``n`` or at an integer ndarray of
+    times, one per leaf count), the twin of ``reduced_values``.
 
     On columns, a named index, or a power sum whose h is integer-valued on
     the degrees and whose exponent is a nonnegative integer, sums integer

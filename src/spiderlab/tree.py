@@ -64,7 +64,6 @@ __all__ = [
     "block_leaf_counts",
     "DegreeColumns",
     "spider_degrees",
-    "degree_multiset",
 ]
 
 
@@ -430,8 +429,3 @@ def spider_degrees(n: int | np.ndarray,
     if leaves < n + 2:
         counts[2] = n + 2 - leaves
     return counts
-
-
-def degree_multiset(state: TreeState) -> dict[int, int]:
-    """Map degree -> node count for a tree (``spider_degrees``)."""
-    return spider_degrees(state.time, state.leaf_count)

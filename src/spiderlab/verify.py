@@ -59,7 +59,7 @@ from .indices import (
     reduced_values,
 )
 from .montecarlo import direct_mismatches
-from .tree import RngStream, degree_multiset, grow_legs, new_seed, spider_degrees
+from .tree import RngStream, grow_legs, new_seed, spider_degrees
 
 __all__ = [
     "Failure",
@@ -282,7 +282,7 @@ def seed_degeneracy_suite(p_values=FULL_P_VALUES, catalog=None) -> list[Failure]
     specs = {spec.name: spec for spec in NAMED_INDICES}
     failures = []
     for key, entry in catalog.items():
-        seed_value = eval_direct(degree_multiset(seed), seed.time, specs[key])
+        seed_value = eval_direct(spider_degrees(seed.time, seed.leaf_count), seed.time, specs[key])
         for p in p_values:
             mean = entry.mean(1, p)
             var = entry.variance(1, p)

@@ -25,18 +25,18 @@ from spiderlab import (
     SimConfig,
     UniformLeaf,
     coefficient_triangle,
-    degree_multiset,
     eval_direct,
     ks_normal,
     leaf_atoms,
+    leaf_moment_expansion,
     leaf_pmf,
-    leaf_raw_moment_asymptotic,
     leaf_raw_moment_exact,
     moment_catalog,
     new_seed,
     oracle_moment,
     reduced_values,
     run_experiment,
+    spider_degrees,
     standardize,
     support_pmf,
 )
@@ -86,7 +86,7 @@ def test_c2_seed_degeneracy():
     }
     for spec in NAMED_INDICES:
         entry = moment_catalog(spec)
-        seed_value = eval_direct(degree_multiset(seed), 1, spec)
+        seed_value = eval_direct(spider_degrees(seed.time, seed.leaf_count), 1, spec)
         assert seed_value == expected[entry.key]
         for p in FULL_P_VALUES:
             assert entry.mean(1, p) == seed_value, entry.key
@@ -242,7 +242,7 @@ def test_c8_expansion_remainder_is_bounded():
             tail = []
             for n in range(100, 2001):
                 exact = leaf_raw_moment_exact(LeafLaw(n, p), order)
-                approx = leaf_raw_moment_asymptotic(n, p, order)
+                approx = leaf_moment_expansion(order)(n, p)
                 scaled = abs(float(exact - approx)) / n ** (order - 2)
                 assert math.isfinite(scaled)
                 if n >= 500:
@@ -257,7 +257,7 @@ def test_c8_expansion_remainder_is_bounded():
 def test_c8_expansion_exact_at_order_one():
     for p in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
         for n in (1, 7, 100, 1234):
-            assert leaf_raw_moment_asymptotic(n, p, 1) == leaf_raw_moment_exact(LeafLaw(n, p), 1)
+            assert leaf_moment_expansion(1)(n, p) == leaf_raw_moment_exact(LeafLaw(n, p), 1)
     report(8, "order-1 expansion equals the exact moment identically", True)
 
 

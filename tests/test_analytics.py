@@ -31,7 +31,6 @@ from spiderlab import (
     leaf_mgf,
     leaf_moment_expansion,
     leaf_pmf,
-    leaf_raw_moment_asymptotic,
     leaf_raw_moment_exact,
     moment_catalog,
     new_seed,
@@ -102,6 +101,23 @@ def test_pmf_normalizes():
     assert sum(support_pmf(LeafLaw(40, 2 / 7))) == pytest.approx(1.0, abs=1e-12)
     # float path survives horizons where the tail masses underflow
     assert sum(support_pmf(LeafLaw(5000, 0.5))) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [2000, 5000])
+def test_float_pmf_where_the_binomial_coefficient_leaves_the_float_range(n):
+    # C(n - 1, j) passes the float range near n = 1030; leaf_pmf reads
+    # support_pmf's mass, with the accuracy support_pmf states.
+    law = LeafLaw(n, 0.3)
+    masses = support_pmf(law)
+    a, c = (0.3).as_integer_ratio()
+    for k in (3, 600, 3 * n // 10 - 100, 3 * n // 10 + 2, 3 * n // 10 + 60, n + 2):
+        j = k - 3
+        exact = math.comb(n - 1, j) * a ** j * (c - a) ** (n - 1 - j) / c ** (n - 1)
+        assert leaf_pmf(law, k) == masses[j]
+        assert abs(leaf_pmf(law, k) - exact) <= 3e-17
+        if exact > 1e-6 * max(masses):
+            assert leaf_pmf(law, k) == pytest.approx(exact, rel=2e-14)
+    assert leaf_pmf(law, 2) == leaf_pmf(law, n + 3) == 0
 
 
 def test_support_pmf_matches_pointwise():
@@ -239,19 +255,46 @@ def test_moment_order_bounds():
 def test_asymptotic_order_one_is_exact():
     for n in (1, 10, 1000):
         for p in (Fraction(1, 4), Fraction(9, 10)):
-            assert leaf_raw_moment_asymptotic(n, p, 1) == leaf_raw_moment_exact(LeafLaw(n, p), 1)
+            assert leaf_moment_expansion(1)(n, p) == leaf_raw_moment_exact(LeafLaw(n, p), 1)
 
 
 def test_asymptotic_second_moment_accuracy():
     exact = float(leaf_raw_moment_exact(LeafLaw(1000, Fraction(1, 2)), 2))
-    approx = leaf_raw_moment_asymptotic(1000, 0.5, 2)
+    approx = leaf_moment_expansion(2)(1000, 0.5)
     assert abs(approx - exact) / exact < 1e-4
 
 
 def test_expansion_leading_coefficient():
     for order in range(1, 8):
-        expansion = leaf_moment_expansion(Fraction(2, 5), order)
-        assert expansion.leading == Fraction(2, 5) ** order
+        expansion = leaf_moment_expansion(order)
+        assert horner(expansion.rows[0], Fraction(2, 5)) == Fraction(2, 5) ** order
+
+
+EXPANSION_N = (1, 2, 7, 100, 12345)
+
+
+@pytest.mark.parametrize("a", range(1, 11))
+def test_expansion_and_leading_variance_are_their_closed_forms(a):
+    expansion = leaf_moment_expansion(a)
+    asymptotic = moment_catalog(GeneralizedZagreb(a)).asymptotic if a >= 3 else None
+    for n, p in product(EXPANSION_N, P_GRID + (Fraction(2, 7), Fraction(1, 3 ** 20))):
+        closed = p ** a * n ** a + Fraction(a, 2) * (a * (1 - p) - p + 5) * p ** (a - 1) * n ** (a - 1)
+        assert expansion(n, p) == closed
+        if asymptotic:
+            assert asymptotic.mean(n, p) == closed
+            assert asymptotic.variance_leading(n, p) == a * a * (1 - p) * p ** (2 * a - 1) * n ** (2 * a - 1)
+
+
+def test_every_p_polynomial_of_the_catalog_is_a_rational_formula():
+    assert leaf_moment_expansion(1).rows == moment_catalog(LEAVES).mean.rows == ((1, 0), (-1, 3))
+    for a in range(3, 11):
+        entry = moment_catalog(GeneralizedZagreb(a))
+        assert isinstance(entry.asymptotic.mean, RationalFormula)
+        assert isinstance(entry.asymptotic.variance_leading, RationalFormula)
+        assert isinstance(entry.limit.constant, RationalFormula)
+    for spec in NAMED_INDICES:
+        limit = moment_catalog(spec).limit
+        assert limit is None or isinstance(limit.constant, RationalFormula)
 
 
 # -- catalog -------------------------------------------------------------------
@@ -338,7 +381,7 @@ def test_generalized_zagreb_asymptotic_entries():
     assert entry.mean is None and entry.variance is None
     assert entry.limit.exponent == 5
     p = Fraction(1, 2)
-    assert entry.asymptotic.mean(100, p) == leaf_raw_moment_asymptotic(100, p, 5)
+    assert entry.asymptotic.mean(100, p) == leaf_moment_expansion(5)(100, p)
     # leading variance term agrees with the closed forms where those exist
     assert moment_catalog(GeneralizedZagreb(3)).asymptotic.variance_leading(1, p) \
         == 9 * p**5 * (1 - p)
@@ -551,6 +594,13 @@ def test_catalog_oracle_suite_cross_multiplies_a_catalog_formula_bound_to_n(key,
 def test_oracle_rejects_bad_order():
     with pytest.raises(ValueError):
         oracle_moment(ZAGREB, 5, 0.5, 0)
+
+
+@pytest.mark.parametrize("order", [-1, 0, 1.5, True])
+def test_oracle_mean_variance_takes_only_an_int_order_of_at_least_one(order):
+    for oracle in (oracle_mean_variance, oracle_moment):
+        with pytest.raises(ValueError, match="order must be an int >= 1"):
+            oracle(ZAGREB, 5, Fraction(1, 2), order)
 
 
 # -- JSON export ---------------------------------------------------------------

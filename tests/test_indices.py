@@ -29,7 +29,6 @@ from spiderlab import (
     Table,
     UniformLeaf,
     UnknownIndexError,
-    degree_multiset,
     eval_direct,
     eval_reduced,
     grow,
@@ -47,7 +46,7 @@ SEED = new_seed()
 
 def direct_on(state, spec):
     """``eval_direct`` on a tree's degree multiset."""
-    return eval_direct(degree_multiset(state), state.time, spec)
+    return eval_direct(spider_degrees(state.time, state.leaf_count), state.time, spec)
 
 
 def test_seed_values_from_definitions():

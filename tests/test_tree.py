@@ -11,7 +11,6 @@ from spiderlab import (
     TreeState,
     UniformLeaf,
     block_leaf_counts,
-    degree_multiset,
     grow,
     grow_legs,
     new_seed,
@@ -38,18 +37,19 @@ def test_seed_structure():
 
 
 def test_seed_degree_multiset():
-    assert degree_multiset(new_seed()) == {3: 1, 1: 3}
+    seed = new_seed()
+    assert spider_degrees(seed.time, seed.leaf_count) == {3: 1, 1: 3}
 
 
 def test_degree_multiset_mixed_tree():
     state = TreeState(time=4, legs=(1, 1, 1, 1, 2))
-    assert degree_multiset(state) == {5: 1, 1: 5, 2: 1}
+    assert spider_degrees(state.time, state.leaf_count) == {5: 1, 1: 5, 2: 1}
 
 
 @given(st.integers(1, 40), st.integers(0, 10**6))
 def test_degree_multiset_handshake(n, seed):
     state = grow(UniformLeaf(0.4), n, RngStream(seed))
-    counts = degree_multiset(state)
+    counts = spider_degrees(state.time, state.leaf_count)
     assert sum(counts.values()) == n + 3
     assert sum(d * c for d, c in counts.items()) == 2 * (n + 2)
 
@@ -87,7 +87,8 @@ def test_tree_state_invariants_enforced():
 
 
 def test_spider_degrees_is_the_multiset_at_every_reachable_leaf_count():
-    assert spider_degrees(1, 3) == degree_multiset(new_seed()) == {3: 1, 1: 3}
+    seed = new_seed()
+    assert spider_degrees(1, 3) == spider_degrees(seed.time, seed.leaf_count) == {3: 1, 1: 3}
     assert spider_degrees(4, 6) == {6: 1, 1: 6}  # every leg of length one
     assert spider_degrees(4, 5) == {5: 1, 1: 5, 2: 1}
     for n, L in ((1, 2), (1, 4), (5, 8), (0, 3)):
@@ -164,7 +165,7 @@ def test_counts_follow_the_legs_on_grown_trees(n, seed, p):
         expected = {len(legs): 1, 1: len(legs)}
         if sum(legs) > len(legs):
             expected[2] = sum(legs) - len(legs)
-        assert degree_multiset(state) == expected
+        assert spider_degrees(state.time, state.leaf_count) == expected
 
 
 @pytest.mark.parametrize("p", [0.05, 0.5, 0.9499])

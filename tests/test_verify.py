@@ -9,7 +9,7 @@ import pytest
 
 from spiderlab import verify
 from spiderlab.indices import LEAVES, PLATT, ZAGREB, ReducedForm, eval_direct
-from spiderlab.tree import RngStream, UniformLeaf, degree_multiset, grow, spider_degrees
+from spiderlab.tree import RngStream, UniformLeaf, grow, spider_degrees
 from spiderlab.verify import (
     FULL_N_VALUES,
     catalog_oracle_suite,
@@ -93,7 +93,7 @@ def test_planted_faults_reported_with_witnesses_in_trial_spec_order(planted):
     expected = []
     for n, tree, p in _trees(trials, max_n, SEED):
         witness = {"n": n, "L": tree.leaf_count, "p": round(p, 6)}
-        degrees = degree_multiset(tree)
+        degrees = spider_degrees(tree.time, tree.leaf_count)
         zagreb, platt = eval_direct(degrees, n, ZAGREB), eval_direct(degrees, n, PLATT)
         expected.append(("zagreb_plus_one", witness,
                          f"direct={float(zagreb)!r} reduced={float(zagreb + 1)!r}"))
@@ -111,7 +111,7 @@ def test_a_planted_fault_in_a_definition_is_reported_like_one_in_a_reduced_form(
     expected = []
     for n, tree, p in _trees(trials, max_n, SEED):
         witness = {"n": n, "L": tree.leaf_count, "p": round(p, 6)}
-        degrees = degree_multiset(tree)
+        degrees = spider_degrees(tree.time, tree.leaf_count)
         zagreb, platt = eval_direct(degrees, n, ZAGREB), eval_direct(degrees, n, PLATT)
         expected.append(("zagreb_direct_plus_one", witness,
                          f"direct={float(zagreb + 1)!r} reduced={float(zagreb)!r}"))
