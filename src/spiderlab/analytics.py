@@ -28,15 +28,16 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from typing import Optional, Union
 
 from .indices import (
     GeneralizedZagreb,
     IndexSpec,
     UnknownIndexError,
-    eval_reduced,
     horner,
+    integer_scaled,
+    reduced_row,
 )
 from .tree import InvalidProbabilityError
 
@@ -139,23 +140,19 @@ def support_weights(law: LeafLaw) -> tuple[list[int], int]:
     With p = a/c in lowest terms and m = n - 1, the mass of k = 3 + j is
     C(m, j) a**j (c - a)**(m - j) / c**m.  Returns those numerators, in
     order j = 0, ..., m, and c**m; the numerators sum to c**m.
+
+    They are running products: from (c - a)**m, each numerator is the one
+    before times (m - j) a / ((j + 1) (c - a)), a division that is exact,
+    so no power or binomial coefficient is computed twice.
     """
     a, c = law.p.numerator, law.p.denominator
-    m = law.n - 1
-    return [math.comb(m, j) * a ** j * (c - a) ** (m - j) for j in range(m + 1)], c ** m
-
-
-def integer_scaled(values) -> tuple[list[int], int]:
-    """The values, ints, Fractions or floats, as integers x over the lcm d
-    of their exact denominators: returns (x, d) with x[i] / d == values[i].
-
-    Scaling depends on the values alone, so a caller that sums one list of
-    values under many weightings (the catalog suite's reduced values of one
-    (n, index) under each p) scales it once."""
-    ratios = [v.as_integer_ratio() for v in values]
-    # Pairwise: math.lcm(*denominators) grew RSS on every call under CPython 3.11.
-    d = reduce(math.lcm, (den for _, den in ratios), 1)
-    return [num * (d // den) for num, den in ratios], d
+    b, m = c - a, law.n - 1
+    w = b ** m
+    weights = [w]
+    for j in range(m):
+        w = w * (m - j) * a // ((j + 1) * b)
+        weights.append(w)
+    return weights, c ** m
 
 
 def scaled_moments(weights: list[int], total: int, xs: list[int], squares: list[int],
@@ -324,12 +321,15 @@ class RationalFormula:
 
     @cached_property
     def _integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The columns times s, as ints, and s (``integer_scaled``)."""
+        """The columns times s, as ints, and s (``integer_scaled``).  Only
+        the given coefficients are scaled; the padding zeros join after."""
+        flat, s = integer_scaled([c for row in self.rows for c in row])
         width = max(map(len, self.rows))
-        columns = list(zip(*((0,) * (width - len(row)) + tuple(row) for row in self.rows)))
-        flat, s = integer_scaled([c for column in columns for c in column])
-        height = len(self.rows)
-        return tuple(tuple(flat[j:j + height]) for j in range(0, len(flat), height)), s
+        padded, start = [], 0
+        for row in self.rows:
+            padded.append((0,) * (width - len(row)) + tuple(flat[start:start + len(row)]))
+            start += len(row)
+        return tuple(zip(*padded)), s
 
     def at(self, n: int) -> FormulaAt:
         """The formula at time n, over s den(n)."""
@@ -565,15 +565,16 @@ def export_catalog_json() -> list[dict]:
 
 def oracle_mean_variance(index: IndexSpec, n: int, p, order: int = 1) -> tuple:
     """Mean and variance of index**order by direct summation over the
-    leaf-count support, from one pass: exact atom sums under
-    ``support_weights``, or under the float ``support_pmf`` masses (scaled
-    exactly to integers) rounded once, with the accuracy ``oracle_moment``
-    states.  ``order`` is an int >= 1 (a bool is not)."""
+    leaf-count support, from one pass: the index's exact row
+    (``reduced_row``), each value raised to ``order`` exactly, summed in
+    integers under ``support_weights``, or under the float ``support_pmf``
+    masses (scaled exactly to integers) and rounded once, with the accuracy
+    ``oracle_moment`` states.  ``order`` is an int >= 1 (a bool is not)."""
     if type(order) is not int or order < 1:
         raise ValueError(f"order must be an int >= 1, got {order!r}")
     law = LeafLaw(n, p)
-    values = [eval_reduced(n, k, index) ** order for k in law.support]
-    scaled = integer_scaled(values)
+    xs, d = reduced_row(index, n)
+    scaled = [x ** order for x in xs], d ** order
     if isinstance(p, Fraction):
         return exact_mean_variance(support_weights(law)[0], *scaled)
     weights, _ = integer_scaled(support_pmf(law))

@@ -15,7 +15,9 @@ carries its index once as a ``ReducedForm`` in (n, L).  One Horner routine
 evaluates it, exactly for an integer L (``eval_reduced``: named indices and
 integer exponents give ints/Fractions, real exponents floats) and in
 float64 over an array of leaf counts (``reduced_values``, the engine's
-path).  Each spec also carries its definition, ``direct(degrees, n)``,
+path); ``reduced_row`` runs its steps exactly over a time's whole support,
+the coefficients evaluated once, as integers over one denominator (the
+oracle's rows).  Each spec also carries its definition, ``direct(degrees, n)``,
 which reads only ``degrees.items()``, a tree's (degree, count) pairs, and
 never the reduced form; ``eval_direct`` calls it, and it is the independent
 oracle the table is checked against.  The one body runs the same two ways:
@@ -29,9 +31,10 @@ definition; the power sums compute both from their exponent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
@@ -58,6 +61,7 @@ __all__ = [
     "index_name",
     "eval_direct",
     "eval_reduced",
+    "reduced_row",
     "reduced_values",
 ]
 
@@ -375,11 +379,19 @@ def eval_direct(degrees: Mapping[int, int], n: int, index: IndexSpec):
     return direct(degrees, n)
 
 
-def _evaluate(index: IndexSpec, n: int, L):
-    """The one Horner routine: exact for an integer L, float64 for an array."""
+_NOT_POSITIVE = "degree function must be positive on occurring degrees"
+
+
+def _reduced_form(index: IndexSpec) -> ReducedForm:
     form = getattr(index, "reduced_form", None)
     if form is None:
         raise UnknownIndexError(f"cannot evaluate index spec {index!r}")
+    return form
+
+
+def _evaluate(index: IndexSpec, n: int, L):
+    """The one Horner routine: exact for an integer L, float64 for an array."""
+    form = _reduced_form(index)
     real = isinstance(L, np.ndarray)
     # A float m rounds each coefficient once; n may be an array beside L.
     m = (n + 2.0 if isinstance(n, np.ndarray) else float(n + 2)) if real else n + 2
@@ -394,7 +406,7 @@ def _evaluate(index: IndexSpec, n: int, L):
         h, alpha, c = form.head
         hL = h(L)
         if not ((hL > 0).all() if real else hL > 0):
-            raise UnknownIndexError("degree function must be positive on occurring degrees")
+            raise UnknownIndexError(_NOT_POSITIVE)
         value = value + _power(hL, alpha) + at_m(c, m) * (m - L)
     value = value + at_m(form.coeffs[-1], m)
     if form.den == (1,):
@@ -403,6 +415,54 @@ def _evaluate(index: IndexSpec, n: int, L):
     if real:
         return value / den
     return value // den if value % den == 0 else Fraction(value, den)
+
+
+def reduced_row(index: IndexSpec, n: int) -> tuple[list[int], int]:
+    """The closed form at time n over the whole support L = 3, ..., n + 2,
+    exactly, in one pass: integers xs over one denominator d, the shape
+    ``integer_scaled`` gives, with xs[L - 3] / d equal to ``eval_reduced(n,
+    L, index)`` (d need not be in lowest terms).
+
+    The coefficient polynomials are evaluated once, at m = n + 2, and
+    Horner in L then runs over the whole support with ``_evaluate``'s
+    operations in its order, so a float entry (a real exponent) is the
+    same float.  A named index's numerators are ints over d = den(m), with
+    no ``Fraction``; any other row is scaled by ``integer_scaled``."""
+    if n < 1:
+        raise ValueError(f"time must be >= 1, got {n}")
+    form = _reduced_form(index)
+    m = n + 2
+    support = range(3, m + 1)
+    cs = [horner(poly, m) for poly in form.coeffs]
+    row = [cs[0]] * n
+    for c in cs[1:-1]:
+        row = [v * L + c for v, L in zip(row, support)]
+    row = [v * L for v, L in zip(row, support)]
+    if form.head is not None:
+        h, alpha, c = form.head
+        hs = [h(L) for L in support]
+        if not all(hL > 0 for hL in hs):
+            raise UnknownIndexError(_NOT_POSITIVE)
+        w = horner(c, m)
+        row = [v + _power(hL, alpha) + w * (m - L) for v, hL, L in zip(row, hs, support)]
+    row = [v + cs[-1] for v in row]
+    den = horner(form.den, m)
+    if form.head is None and all(type(c) is int for c in cs):
+        return row, den
+    xs, d = integer_scaled(row)
+    return xs, d * den
+
+
+def integer_scaled(values) -> tuple[list[int], int]:
+    """The values, ints, Fractions or floats, as integers x over the lcm d
+    of their exact denominators: returns (x, d) with x[i] / d == values[i].
+
+    Scaling depends on the values alone, so a caller that sums one list of
+    values under many weightings scales it once."""
+    ratios = [v.as_integer_ratio() for v in values]
+    # Pairwise: math.lcm(*denominators) grew RSS on every call under CPython 3.11.
+    d = reduce(math.lcm, (den for _, den in ratios), 1)
+    return [num * (d // den) for num, den in ratios], d
 
 
 def _float_horner(coeffs, m):

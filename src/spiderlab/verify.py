@@ -7,20 +7,23 @@ that do not share code with what they test:
   arithmetic: the binomial masses and the reduced index values are summed
   as integers over one common denominator (``support_weights``,
   ``scaled_moments``), never through a catalog polynomial.  Whatever does
-  not depend on p is done once per n (each index's reduced row, scaled to
-  integers and squared; each formula's columns at n), and each equality
-  is decided by cross-multiplying integers, with no ``Fraction`` unless
-  it fails (a mismatch is reported as a formula flag with its (index, n,
-  p) witness, never silently patched);
+  not depend on p is done once per n: each index's reduced row, in one
+  exact pass over the support (``reduced_row``: integers over den(m)),
+  and its squares; each formula's columns at n.  Each equality is decided
+  by cross-multiplying integers, with no ``Fraction`` unless it fails (a
+  mismatch is reported as a formula flag with its (index, n, p) witness,
+  never silently patched);
 * direct degree-multiset evaluation against the reduced closed forms at
   every reachable (n, L), 1 <= n <= max_n and 3 <= L <= n + 2: every index
   is a function of (n, L) alone, so this covers every tree up to time
   max_n.  The pairs are taken in blocks of whole horizons of at most
-  PAIR_BLOCK = 2048 pairs, each side in one float64 pass per index and
+  PAIR_BLOCK = 8192 pairs, each side in one float64 pass per index and
   block: ``eval_direct`` runs the index's definition on the block's degree
   columns, built once per block (``spider_degrees``), ``reduced_values``
-  its closed form (``reachable_pairs_suite``; ``direct_reduced_suite``
-  samples the same check on randomly grown trees);
+  its closed form, and the engine audit's check weighs only an index
+  whose two sides differ somewhere (``reachable_pairs_suite``;
+  ``direct_reduced_suite`` samples the same check on randomly grown
+  trees);
 * the coefficient triangle against Stirling numbers of the second kind
   computed by inclusion-exclusion;
 * degeneracy at time 1, where the tree is deterministic, so every catalog
@@ -42,7 +45,6 @@ from .analytics import (
     LeafLaw,
     RationalFormula,
     coefficient_triangle,
-    integer_scaled,
     moment_catalog,
     scaled_moments,
     support_weights,
@@ -55,9 +57,10 @@ from .indices import (
     Generic,
     IndexSpec,
     eval_direct,
-    eval_reduced,
+    reduced_row,
     reduced_values,
 )
+from .indices import eval_reduced  # noqa: F401  unused, but bench/run.py --trace 1 rebinds it here
 from .montecarlo import direct_mismatches
 from .tree import RngStream, grow_legs, new_seed, spider_degrees
 
@@ -79,7 +82,7 @@ FULL_N_VALUES = tuple(range(1, 51))
 QUICK_P_VALUES = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
 QUICK_N_VALUES = tuple(range(1, 16))
 TRIAL_BLOCK = 64  # random trees per stream in direct_reduced_suite
-PAIR_BLOCK = 2048  # most (n, L) pairs per block in reachable_pairs_suite
+PAIR_BLOCK = 8192  # most (n, L) pairs per block in reachable_pairs_suite
 
 
 @dataclass
@@ -116,7 +119,7 @@ def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
     oracle over the given (p, n) grid, reported in (n, p, key) order.
 
     What does not depend on p is done once per n: each index's reduced
-    values are scaled to integers (``integer_scaled``) and squared, and
+    row is taken in one exact pass (``reduced_row``) and squared, and
     each formula is bound to n (``RationalFormula.at``; any other callable
     is called at each (n, p)).  Under each p's ``support_weights`` a key
     then takes two integer sums (``scaled_moments``) and each formula one
@@ -129,7 +132,7 @@ def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
     for n in n_values:
         rows = {}
         for spec in NAMED_INDICES:
-            xs, d = integer_scaled([eval_reduced(n, k, spec) for k in range(3, n + 3)])
+            xs, d = reduced_row(spec, n)
             rows[spec.name] = xs, [x * x for x in xs], d
         bound = [(key, entry, rows[key], _at(entry.mean, n), _at(entry.variance, n))
                  for key, entry in catalog.items()]
@@ -248,13 +251,19 @@ def _mismatches(specs, n_col: np.ndarray, L_col: np.ndarray) -> list[tuple[int, 
     are float64, one pass per spec: its own definition run through
     ``eval_direct`` on the rows' degree columns (``spider_degrees``, built
     once; the same body runs exactly on one tree's multiset), and its
-    reduced form (``reduced_values``, the engine's path)."""
-    columns = spider_degrees(n_col, L_col)
-    # One contiguous row per spec, read as columns: (row, spec) order.
-    direct = np.array([eval_direct(columns, n_col, spec) for spec in specs]).T
-    reduced = np.array([reduced_values(spec, n_col, L_col) for spec in specs]).T
-    return [(k, specs[j].name, f"direct={float(direct[k, j])!r} reduced={float(reduced[k, j])!r}")
-            for k, j in direct_mismatches(direct, reduced)]
+    reduced form (``reduced_values``, the engine's path), both on the one
+    float64 copy of L.  A spec is weighed by the check only where its two
+    sides differ at all, which on working code is nowhere."""
+    L = L_col.astype(np.float64)
+    columns = spider_degrees(n_col, L)
+    found = []
+    for j, spec in enumerate(specs):
+        direct = eval_direct(columns, n_col, spec)
+        reduced = reduced_values(spec, n_col, L)
+        if (direct != reduced).any():
+            found += [(k, j, f"direct={float(direct[k])!r} reduced={float(reduced[k])!r}")
+                      for k, _ in direct_mismatches(direct[:, None], reduced[:, None])]
+    return [(k, specs[j].name, detail) for k, j, detail in sorted(found)]
 
 
 def triangle_suite(max_order: int = 20) -> list[Failure]:

@@ -140,11 +140,15 @@ def test_c5_ks_of_standardized_indices(clt_samples, spec):
     atoms, counts = leaf_atoms(clt_samples.leaf_counts)
     z = standardize(reduced_values(spec, n, atoms), spec, n, p, k)
     d = ks_normal(z, counts)
+    # This index's own drift: (exact mean - catalog centre) / scale, in sigma.
+    entry, exact_p = moment_catalog(spec), Fraction(p)
+    drift = (float(entry.mean(n, exact_p) - entry.clt.center(n, exact_p))
+             / entry.clt.scale_value(n, p, k))
     ok = report(5, f"KS of standardized {spec.name} at n=5000, R=2e4: D={d:.4f} < 0.02", d < 0.02)
     assert ok, (
         f"KS statistic {d:.4f} exceeds the 0.02 threshold for {spec.name}: the cataloged "
         f"center differs from the exact mean by a Theta(n) term, leaving a "
-        f"Theta(n^-1/2) drift (~0.149 sigma at n=5000) that dominates the KS distance; "
+        f"Theta(n^-1/2) drift (~{drift:.3f} sigma at n=5000) that dominates the KS distance; "
         f"see the decisions ledger entry on this criterion"
     )
 

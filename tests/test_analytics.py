@@ -40,6 +40,7 @@ from spiderlab import (
     step,
     support_pmf,
 )
+import spiderlab.analytics as analytics
 from spiderlab.analytics import (
     RationalFormula,
     exact_mean_variance,
@@ -485,6 +486,51 @@ def test_poly_np_matches_row_by_row_horner():
                 assert value == rowwise(poly, n, p) and type(value) is type(rowwise(poly, n, p))
 
 
+def _catalog_formulas():
+    """Every RationalFormula the catalog holds, for the named indices and
+    generalized Zagreb exponents 1-12."""
+    entries = [moment_catalog(spec) for spec in NAMED_INDICES]
+    entries += [moment_catalog(GeneralizedZagreb(a)) for a in range(1, 13)]
+    for entry in entries:
+        yield from (f for f in (entry.mean, entry.variance) if f is not None)
+        if entry.limit:
+            yield entry.limit.constant
+        if entry.clt:
+            yield entry.clt.center
+        if entry.asymptotic:
+            yield from (entry.asymptotic.mean, entry.asymptotic.variance_leading)
+
+
+def test_integer_columns_equal_the_pad_then_scale_reference():
+    count = 0
+    for formula in _catalog_formulas():
+        width = max(map(len, formula.rows))
+        columns = list(zip(*((0,) * (width - len(row)) + tuple(row) for row in formula.rows)))
+        flat, s = integer_scaled([c for column in columns for c in column])
+        height = len(formula.rows)
+        reference = tuple(tuple(flat[j:j + height]) for j in range(0, len(flat), height)), s
+        assert formula._integer_columns == reference, formula.rows
+        count += 1
+    assert count > 50
+
+
+def test_integer_columns_scale_only_the_given_coefficients(monkeypatch):
+    # The leading variance at a = 300 has 600 rows over 601 powers of p, but
+    # only 601 + 599 given coefficients: the padding is not scaled.
+    seen = []
+
+    def counting(values):
+        seen.append(len(values))
+        return integer_scaled(values)
+
+    monkeypatch.setattr(analytics, "integer_scaled", counting)
+    leading = moment_catalog(GeneralizedZagreb(300)).asymptotic.variance_leading
+    formula = RationalFormula(leading.rows, leading.den)  # a fresh, unscaled copy
+    columns, s = formula._integer_columns
+    assert seen == [sum(map(len, formula.rows))] == [1200]
+    assert (len(columns), len(columns[0]), s) == (601, 600, 1)
+
+
 @pytest.mark.parametrize("spec", NAMED_INDICES + (GeneralizedZagreb(1),), ids=lambda s: s.name)
 def test_catalog_formulas_equal_the_row_wise_reference_over_their_denominator(spec):
     entry = moment_catalog(spec)
@@ -502,6 +548,8 @@ def test_support_weights_are_the_exact_masses(n, p):
     law = LeafLaw(n, p)
     weights, total = support_weights(law)
     assert all(isinstance(w, int) for w in weights)
+    a, c, m = p.numerator, p.denominator, n - 1
+    assert weights == [math.comb(m, j) * a ** j * (c - a) ** (m - j) for j in range(m + 1)]
     assert total == p.denominator ** (n - 1)
     assert sum(weights) == total
     assert [Fraction(w, total) for w in weights] == support_pmf(law)

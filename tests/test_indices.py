@@ -35,6 +35,7 @@ from spiderlab import (
     index_name,
     new_seed,
     parse_index,
+    reduced_row,
     reduced_values,
     spider_degrees,
 )
@@ -241,6 +242,19 @@ def test_generic_rejects_nonpositive_h():
         direct_on(SEED, bad)
     with pytest.raises(UnknownIndexError):
         eval_reduced(5, 4, bad)
+
+
+def test_a_reduced_row_rejects_what_eval_reduced_rejects():
+    # h is positive on degrees 1 and 2, so only the centroid's degree 4 fails.
+    spec = Generic(Table.from_mapping({1: 1.0, 2: 1.0, 3: 2.0, 4: -1.0}), 2)
+    assert reduced_row(spec, 1) == ([7], 1)  # h(3)**2 + h(1)**2 * 3, no degree-2 node
+    for call in (lambda: eval_reduced(2, 4, spec), lambda: reduced_row(spec, 2)):
+        with pytest.raises(UnknownIndexError, match="must be positive on occurring degrees"):
+            call()
+    with pytest.raises(ValueError, match="time must be >= 1"):
+        reduced_row(ZAGREB, 0)
+    with pytest.raises(UnknownIndexError, match="cannot evaluate"):
+        reduced_row("zagreb", 1)
 
 
 def test_generic_identity_matches_generalized_zagreb():

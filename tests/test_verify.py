@@ -1,14 +1,24 @@
 """The direct-vs-reduced suites: each reports planted faults with the right
 witness; the exhaustive suite reaches every reachable (n, L) whatever its
 block size, and a sampled trial's tree depends only on the seed and the
-trial.  The catalog suite evaluates each oracle row once per n."""
+trial.  The catalog suite evaluates each oracle row once per (n, index),
+in one exact pass that equals the scalar closed form value for value."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from spiderlab import verify
-from spiderlab.indices import LEAVES, PLATT, ZAGREB, ReducedForm, eval_direct
+from spiderlab.indices import (
+    LEAVES,
+    PLATT,
+    ZAGREB,
+    ReducedForm,
+    eval_direct,
+    eval_reduced,
+    reduced_row,
+)
 from spiderlab.tree import RngStream, UniformLeaf, grow, spider_degrees
 from spiderlab.verify import (
     FULL_N_VALUES,
@@ -165,7 +175,7 @@ def test_reachable_pairs_report_planted_faults_at_every_pair_in_n_L_spec_order(p
 def test_reachable_pairs_report_a_planted_definition_fault_at_every_pair(monkeypatch):
     monkeypatch.setattr(verify, "_trial_specs",
                         lambda: (LEAVES, ZAGREB_DIRECT_PLUS_ONE, ZAGREB))
-    max_n = 70  # 2485 pairs: horizons 1-63 (2016 pairs), then 64-70
+    max_n = 130  # 8515 pairs: horizons 1-127 (8128 pairs), then 128-130
     expected = []
     for n, L in _pairs(max_n):
         zagreb = eval_direct(spider_degrees(n, L), n, ZAGREB)
@@ -214,8 +224,21 @@ def test_each_pair_block_builds_its_columns_once_and_calls_through_verify(
 
 
 def test_a_full_grid_catalog_suite_evaluates_each_n_index_L_once(monkeypatch):
-    # The oracle rows do not depend on p: one eval_reduced call per (n, index,
-    # L), 7 * (1 + ... + 50) = 8925, none per p, all through verify's name.
-    calls = _count_calls(monkeypatch, "eval_reduced")
+    # The oracle rows do not depend on p: one reduced_row call per (n, index),
+    # which evaluates each L of the support once, 7 * 50 = 350 calls, none per
+    # p and no scalar eval_reduced call, all through verify's names.
+    calls = _count_calls(monkeypatch, "reduced_row", "eval_reduced")
     assert catalog_oracle_suite() == []
-    assert calls == {"eval_reduced": 7 * sum(FULL_N_VALUES)} == {"eval_reduced": 8925}
+    assert calls == {"reduced_row": 7 * len(FULL_N_VALUES), "eval_reduced": 0}
+    assert calls["reduced_row"] == 350
+
+
+def test_a_reduced_row_equals_the_scalar_closed_form_value_for_value():
+    # Every spec the suites check, exact and real exponents alike: ints over
+    # one int denominator, equal to eval_reduced at each L of the support.
+    for spec in verify._trial_specs():
+        for n in range(1, 61):
+            xs, d = reduced_row(spec, n)
+            assert {type(x) for x in xs} | {type(d)} == {int}
+            assert [Fraction(x, d) for x in xs] == [eval_reduced(n, L, spec)
+                                                    for L in range(3, n + 3)], (spec.name, n)
