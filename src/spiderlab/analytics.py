@@ -301,8 +301,9 @@ class RationalFormula:
     holds the denominator's coefficients in decreasing powers of n.
     Evaluation runs in integers, at an integer n (every caller's time is
     one).  The columns, each the coefficient of one power of p as a
-    polynomial in n (short rows padded with leading zeros), are scaled
-    once to integers over the lcm s of their coefficients' denominators.
+    polynomial in n (a short row's missing leading coefficients are
+    zeros), are scaled once to integers over the lcm s of their
+    coefficients' denominators, each kept from its first non-zero entry.
     ``at(n)`` evaluates each column at n, once for every p, over
     s den(n); for p = a/c its ``scaled`` sums col_j(n) a**(D - j) c**j,
     the numerator times s c**D, so a call is one ``Fraction`` with one
@@ -322,14 +323,20 @@ class RationalFormula:
     @cached_property
     def _integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The columns times s, as ints, and s (``integer_scaled``).  Only
-        the given coefficients are scaled; the padding zeros join after."""
+        the given coefficients are scaled, and each column starts at its
+        first non-zero entry: its leading zeros, padding or given, add
+        nothing to its value at n, and an all-zero column is ()."""
         flat, s = integer_scaled([c for row in self.rows for c in row])
         width = max(map(len, self.rows))
-        padded, start = [], 0
-        for row in self.rows:
-            padded.append((0,) * (width - len(row)) + tuple(flat[start:start + len(row)]))
+        rows, first, start = [], {}, 0  # each row's non-zero entries by column
+        for i, row in enumerate(self.rows):
+            pad = width - len(row)
+            rows.append({j: c for j, c in enumerate(flat[start:start + len(row)], pad) if c})
             start += len(row)
-        return tuple(zip(*padded)), s
+            for j in rows[-1]:
+                first.setdefault(j, i)
+        return tuple(tuple(row.get(j, 0) for row in rows[first[j]:]) if j in first else ()
+                     for j in range(width)), s
 
     def at(self, n: int) -> FormulaAt:
         """The formula at time n, over s den(n)."""

@@ -361,8 +361,9 @@ def eval_direct(degrees: Mapping[int, int], n: int, index: IndexSpec):
     {degree: count} at time ``n`` (``tree.spider_degrees(n, L)`` of a tree
     with L leaves), exactly where the index is, or in float64 on the
     degree columns of a block of trees (``tree.spider_degrees`` of an
-    array of leaf counts, at one time ``n`` or at an integer ndarray of
-    times, one per leaf count), the twin of ``reduced_values``.
+    array of leaf counts, at one time ``n`` or at an ndarray of
+    integer-valued times, one per leaf count, int64 or float64, with the
+    same values either way), the twin of ``reduced_values``.
 
     On columns, a named index, or a power sum whose h is integer-valued on
     the degrees and whose exponent is a nonnegative integer, sums integer
@@ -491,8 +492,9 @@ def eval_reduced(n: int, leaf_count: int, index: IndexSpec):
 
 def reduced_values(index: IndexSpec, n: int | np.ndarray, leaf_counts) -> np.ndarray:
     """Vectorised float64 closed-form evaluation over an array of leaf counts,
-    at one time ``n`` or at an integer ndarray of times, one per leaf count;
-    an entry equals, bit for bit, its value at that scalar time.
+    at one time ``n`` or at an ndarray of integer-valued times, one per leaf
+    count, int64 or float64 (float64 spares a conversion per call); an
+    entry equals, bit for bit, its value at that scalar time.
 
     Named indices are exact (Gini and Hoover rounded once) while numerators
     stay below 2**53, i.e. to n of about 2e5 for the forgotten index.  A

@@ -412,16 +412,18 @@ def spider_degrees(n: int | np.ndarray,
     ``leaves`` legs: {leaves: 1, 1: leaves, 2: n + 2 - leaves}, the centroid's
     degree (>= 3) never colliding with the others; zero counts are omitted.
 
-    Given an ndarray of leaf counts, at one time ``n`` or at an integer
-    ndarray of times, one per leaf count, it returns the same pairs as
-    float64 columns (``DegreeColumns``), a zero count kept."""
+    Given an ndarray of leaf counts, at one time ``n`` or at an ndarray of
+    integer-valued times, one per leaf count, int64 or float64, it returns
+    the same pairs as float64 columns (``DegreeColumns``), a zero count
+    kept.  An unreachable leaf count is named with its range in integers
+    whatever the dtype."""
     if isinstance(leaves, np.ndarray):
         L = leaves.astype(np.float64, copy=False)
         bad = (L < 3) | (L > n + 2)
         if bad.any():
             k = bad.argmax()
             raise ValueError(f"leaf count {L[k]:.0f} outside the reachable range "
-                             f"[3, {np.broadcast_to(n + 2, L.shape)[k]}]")
+                             f"[3, {np.broadcast_to(n + 2, L.shape)[k]:.0f}]")
         return DegreeColumns(((L, 1), (1.0, L), (2.0, n + 2 - L)))
     if not 3 <= leaves <= n + 2:
         raise ValueError(f"leaf count {leaves} outside the reachable range [3, {n + 2}]")

@@ -5,12 +5,14 @@ that do not share code with what they test:
 
 * catalog formulas against the brute-force summation oracle, in exact
   arithmetic: the binomial masses and the reduced index values are summed
-  as integers over one common denominator (``support_weights``,
-  ``scaled_moments``), never through a catalog polynomial.  Whatever does
-  not depend on p is done once per n: each index's reduced row, in one
-  exact pass over the support (``reduced_row``: integers over den(m)),
-  and its squares; each formula's columns at n.  Each equality is decided
-  by cross-multiplying integers, with no ``Fraction`` unless it fails (a
+  as integers over one common denominator (``support_weights``), never
+  through a catalog polynomial.  Whatever does not depend on p is done
+  once per n: each index's reduced row, in one exact pass over the support
+  (``reduced_row``: integers over den(m)), and its squares; each formula's
+  columns at n.  Every p's masses are packed into lanes of one integer per
+  support point, so each distinct row takes one sum, and its squares one
+  more, for all p at once (``_lane_sums``).  Each equality is decided by
+  cross-multiplying integers, with no ``Fraction`` unless it fails (a
   mismatch is reported as a formula flag with its (index, n, p) witness,
   never silently patched);
 * direct degree-multiset evaluation against the reduced closed forms at
@@ -36,6 +38,7 @@ not depend on the seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +49,6 @@ from .analytics import (
     RationalFormula,
     coefficient_triangle,
     moment_catalog,
-    scaled_moments,
     support_weights,
 )
 from .analytics import support_pmf  # noqa: F401  unused, but bench/run.py --trace 1 rebinds it here
@@ -118,33 +120,36 @@ def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
     """Exact equality of every cataloged mean/variance with the summation
     oracle over the given (p, n) grid, reported in (n, p, key) order.
 
-    What does not depend on p is done once per n: each index's reduced
-    row is taken in one exact pass (``reduced_row``) and squared, and
-    each formula is bound to n (``RationalFormula.at``; any other callable
-    is called at each (n, p)).  Under each p's ``support_weights`` a key
-    then takes two integer sums (``scaled_moments``) and each formula one
-    homogeneous Horner pass, and a formula num / den equals the oracle's
-    S1 / T (mean) or V / T**2 (variance) iff the cross-products agree, in
-    integers.  ``Fraction``s are built only to print a failure."""
+    Each n is one pass: each index's reduced row is taken exactly
+    (``reduced_row``), each formula is bound to n (``RationalFormula.at``;
+    any other callable is called at each (n, p)), and every p's
+    ``support_weights`` are packed into lanes, so that one integer sum per
+    distinct row gives S1 = sum w x under every p at once, and one more
+    over its squares gives S2 (``_lane_sums``).  Under each p a formula
+    num / den then takes one homogeneous Horner pass and equals the
+    oracle's S1 / T (mean) or V / T**2 (variance), T = total d and V =
+    total S2 - S1**2, iff the cross-products agree, in integers.
+    ``Fraction``s are built only to print a failure."""
+    if not p_values:  # nothing to check, and no lanes to pack
+        return []
     if catalog is None:
         catalog = _default_catalog()
     failures = []
     for n in n_values:
-        rows = {}
-        for spec in NAMED_INDICES:
-            xs, d = reduced_row(spec, n)
-            rows[spec.name] = xs, [x * x for x in xs], d
-        bound = [(key, entry, rows[key], _at(entry.mean, n), _at(entry.variance, n))
+        weights, totals = zip(*(support_weights(LeafLaw(n, p)) for p in p_values))
+        rows = {spec.name: reduced_row(spec, n) for spec in NAMED_INDICES}
+        sums = dict(zip(rows, _lane_sums(weights, totals, [xs for xs, _ in rows.values()])))
+        bound = [(key, entry, sums[key], rows[key][1], _at(entry.mean, n), _at(entry.variance, n))
                  for key, entry in catalog.items()]
-        for p in p_values:
-            weights, total = support_weights(LeafLaw(n, p))
-            for key, entry, row, mean, variance in bound:
-                scale, s1, v = scaled_moments(weights, total, *row)
+        for i, (p, total) in enumerate(zip(p_values, totals)):
+            for key, entry, (s1s, s2s), d, mean, variance in bound:
+                scale, s1 = total * d, s1s[i]
                 num, den = mean(p)
                 if num * scale != s1 * den:
                     failures.append(Failure(
                         "catalog-oracle", key, {"n": n, "p": p},
                         f"mean formula {entry.mean(n, p)} != oracle {Fraction(s1, scale)}"))
+                v = total * s2s[i] - s1 * s1
                 num, den = variance(p)
                 if num * scale * scale != v * den:
                     failures.append(Failure(
@@ -152,6 +157,39 @@ def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
                         f"variance formula {entry.variance(n, p)} != oracle "
                         f"{Fraction(v, scale * scale)}"))
     return failures
+
+
+def _lane_sums(weight_lists, totals, rows) -> list[tuple[list[int], list[int]]]:
+    """For each row xs of ints, the lists [sum_j w[j] xs[j]] and [sum_j
+    w[j] xs[j]**2] over ``weight_lists``, each list of non-negative int
+    weights w summing to its ``totals`` entry and as long as every row.
+
+    Kronecker substitution: weight j of list i is put in lane i, bits
+    [i B, (i + 1) B), of one int per support point j, B = bits(max total)
+    + bits(max x**2) + 1, so each lane's sum, at most total * max x**2 in
+    size, stays within B - 1 bits and its sign bit.  One sum of those ints
+    against a row then holds every list's sum, read back with a shift and
+    a mask after adding 2**(B - 1) to each lane; a row that equals an
+    earlier one is summed once, its lists shared."""
+    squares = {xs: [x * x for x in xs] for xs in dict.fromkeys(map(tuple, rows))}
+    width = max(totals).bit_length() + max(map(max, squares.values())).bit_length() + 1
+    packed = []
+    for column in zip(*weight_lists):
+        lanes = 0
+        for w in reversed(column):
+            lanes = lanes << width | w
+        packed.append(lanes)
+    shifts = range(0, width * len(weight_lists), width)
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    bias = sum(half << shift for shift in shifts)
+
+    def unpack(value):
+        value += bias
+        return [(value >> shift & mask) - half for shift in shifts]
+
+    sums = {xs: (unpack(sum(map(operator.mul, packed, xs))),
+                 unpack(sum(map(operator.mul, packed, x2)))) for xs, x2 in squares.items()}
+    return [sums[tuple(xs)] for xs in rows]
 
 
 def _at(formula, n: int):
@@ -252,14 +290,15 @@ def _mismatches(specs, n_col: np.ndarray, L_col: np.ndarray) -> list[tuple[int, 
     ``eval_direct`` on the rows' degree columns (``spider_degrees``, built
     once; the same body runs exactly on one tree's multiset), and its
     reduced form (``reduced_values``, the engine's path), both on the one
-    float64 copy of L.  A spec is weighed by the check only where its two
+    float64 copy of n and of L, integers well below 2**53, so no call
+    converts them again.  A spec is weighed by the check only where its two
     sides differ at all, which on working code is nowhere."""
-    L = L_col.astype(np.float64)
-    columns = spider_degrees(n_col, L)
+    n, L = n_col.astype(np.float64), L_col.astype(np.float64)
+    columns = spider_degrees(n, L)
     found = []
     for j, spec in enumerate(specs):
-        direct = eval_direct(columns, n_col, spec)
-        reduced = reduced_values(spec, n_col, L)
+        direct = eval_direct(columns, n, spec)
+        reduced = reduced_values(spec, n, L)
         if (direct != reduced).any():
             found += [(k, j, f"direct={float(direct[k])!r} reduced={float(reduced[k])!r}")
                       for k, _ in direct_mismatches(direct[:, None], reduced[:, None])]

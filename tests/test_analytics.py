@@ -502,16 +502,38 @@ def _catalog_formulas():
 
 
 def test_integer_columns_equal_the_pad_then_scale_reference():
+    # The reference pads every row to full width, scales all of it and runs
+    # Horner down every column; the formula keeps each column from its first
+    # non-zero entry, so an all-zero column is () and evaluates to 0.
     count = 0
-    for formula in _catalog_formulas():
+    leading = moment_catalog(GeneralizedZagreb(300)).asymptotic
+    for formula in (*_catalog_formulas(), leading.mean, leading.variance_leading):
         width = max(map(len, formula.rows))
         columns = list(zip(*((0,) * (width - len(row)) + tuple(row) for row in formula.rows)))
         flat, s = integer_scaled([c for column in columns for c in column])
         height = len(formula.rows)
-        reference = tuple(tuple(flat[j:j + height]) for j in range(0, len(flat), height)), s
-        assert formula._integer_columns == reference, formula.rows
+        padded = [tuple(flat[j:j + height]) for j in range(0, len(flat), height)]
+        stripped = tuple(column[next((i for i, c in enumerate(column) if c), height):]
+                         for column in padded)
+        assert formula._integer_columns == (stripped, s), formula.rows
+        for n in (0, 1, 2, 17, 5000):
+            at = formula.at(n)
+            assert at.values == tuple(horner(column, n) for column in padded), (formula.rows, n)
+            assert at.den == s * horner(formula.den, n)
         count += 1
     assert count > 50
+
+
+def test_integer_columns_keep_only_the_non_zero_columns_of_a_sparse_formula():
+    # The leading variance at a = 1022 has 2044 rows over 2045 powers of p
+    # but two non-zero coefficients, both in its top row: two columns of
+    # 2044 entries are kept, and the other 2043 are empty.
+    leading = moment_catalog(GeneralizedZagreb(1022)).asymptotic.variance_leading
+    columns, s = leading._integer_columns
+    assert (len(columns), s) == (2045, 1)
+    assert [len(column) for column in columns if column] == [2044, 2044]
+    assert (columns[0][0], columns[1][0]) == (-1022 ** 2, 1022 ** 2)
+    assert leading(2, Fraction(1, 3)) == Fraction(1022 ** 2 * 2 ** 2044, 3 ** 2044)
 
 
 def test_integer_columns_scale_only_the_given_coefficients(monkeypatch):

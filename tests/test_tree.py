@@ -91,12 +91,14 @@ def test_spider_degrees_is_the_multiset_at_every_reachable_leaf_count():
     assert spider_degrees(1, 3) == spider_degrees(seed.time, seed.leaf_count) == {3: 1, 1: 3}
     assert spider_degrees(4, 6) == {6: 1, 1: 6}  # every leg of length one
     assert spider_degrees(4, 5) == {5: 1, 1: 5, 2: 1}
-    for n, L in ((1, 2), (1, 4), (5, 8), (0, 3)):
+    for n, L in ((1, 2), (1, 4), (5, 8), (0, 3), (500, 503)):
         with pytest.raises(ValueError, match="outside the reachable range"):
             spider_degrees(n, L)
         range_error = rf"count {L} outside the reachable range \[3, {n + 2}\]"
-        with pytest.raises(ValueError, match=range_error):
-            spider_degrees(np.array([n, 1]), np.array([L, 3]))  # one tree per entry
+        # One tree per entry; the range is named in integers whatever the times' dtype.
+        for dtype in (np.int64, np.float64):
+            with pytest.raises(ValueError, match=range_error):
+                spider_degrees(np.array([n, 1], dtype=dtype), np.array([L, 3]))
 
 
 def test_spider_degrees_of_a_block_are_its_trees_multisets_as_columns():

@@ -2,14 +2,17 @@
 witness; the exhaustive suite reaches every reachable (n, L) whatever its
 block size, and a sampled trial's tree depends only on the seed and the
 trial.  The catalog suite evaluates each oracle row once per (n, index),
-in one exact pass that equals the scalar closed form value for value."""
+in one exact pass that equals the scalar closed form value for value, and
+sums it once under every p's packed weights, each lane that p's sums."""
 
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spiderlab import verify
+from spiderlab.analytics import LeafLaw, scaled_moments, support_weights
 from spiderlab.indices import (
     LEAVES,
     PLATT,
@@ -22,6 +25,7 @@ from spiderlab.indices import (
 from spiderlab.tree import RngStream, UniformLeaf, grow, spider_degrees
 from spiderlab.verify import (
     FULL_N_VALUES,
+    FULL_P_VALUES,
     catalog_oracle_suite,
     direct_reduced_suite,
     reachable_pairs_suite,
@@ -226,11 +230,46 @@ def test_each_pair_block_builds_its_columns_once_and_calls_through_verify(
 def test_a_full_grid_catalog_suite_evaluates_each_n_index_L_once(monkeypatch):
     # The oracle rows do not depend on p: one reduced_row call per (n, index),
     # which evaluates each L of the support once, 7 * 50 = 350 calls, none per
-    # p and no scalar eval_reduced call, all through verify's names.
-    calls = _count_calls(monkeypatch, "reduced_row", "eval_reduced")
+    # p and no scalar eval_reduced call, all through verify's names.  The
+    # weights are made once per (n, p), 9 * 50 = 450 calls, and packed.
+    calls = _count_calls(monkeypatch, "reduced_row", "eval_reduced", "support_weights")
     assert catalog_oracle_suite() == []
-    assert calls == {"reduced_row": 7 * len(FULL_N_VALUES), "eval_reduced": 0}
-    assert calls["reduced_row"] == 350
+    assert calls == {"reduced_row": 7 * len(FULL_N_VALUES), "eval_reduced": 0,
+                     "support_weights": len(FULL_P_VALUES) * len(FULL_N_VALUES)}
+    assert (calls["reduced_row"], calls["support_weights"]) == (350, 450)
+
+
+def test_an_empty_p_grid_checks_nothing():
+    assert catalog_oracle_suite((), FULL_N_VALUES) == []
+
+
+P_EDGES = (Fraction(1, 1000), Fraction(999, 1000), Fraction(2, 7), Fraction(1, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_packed_lanes_hold_every_p_s_moments(data):
+    # Each lane of the packed sums is that p's S1 and S2, as scaled_moments
+    # takes them one p at a time, for rows with zeros and negative entries
+    # (an all-zero row and a negated row always among them), an equal row
+    # shared, not summed again.  A constant row of the largest magnitude,
+    # either sign, brings a lane's sum nearest the lane's bound.
+    n = data.draw(st.integers(1, 300), label="n")
+    drawn = st.fractions(0, 1, max_denominator=10**4).filter(lambda p: 0 < p < 1)
+    p_values = data.draw(st.lists(st.sampled_from(P_EDGES) | drawn, min_size=1, max_size=9),
+                         label="p")
+    entries = st.integers(-2**70, 2**70) | st.integers(-3, 3)
+    rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3),
+                     label="rows")
+    rows += [[0] * n, [-x for x in rows[0]], [2**71 - 1] * n, [1 - 2**71] * n, list(rows[0])]
+    weights, totals = zip(*(support_weights(LeafLaw(n, p)) for p in p_values))
+    sums = verify._lane_sums(weights, totals, rows)
+    assert len(sums) == len(rows) and sums[-1] is sums[0]
+    for xs, (s1s, s2s) in zip(rows, sums):
+        squares = [x * x for x in xs]
+        for w, total, s1, s2 in zip(weights, totals, s1s, s2s):
+            assert s1 == sum(a * x for a, x in zip(w, xs))
+            assert (total, s1, total * s2 - s1 * s1) == scaled_moments(w, total, xs, squares, 1)
 
 
 def test_a_reduced_row_equals_the_scalar_closed_form_value_for_value():
