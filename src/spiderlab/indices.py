@@ -178,8 +178,11 @@ def _zagreb(degrees, n):
 
 
 def _gordon_scantlebury(degrees, n):
-    """Number of paths of length two: sum of C(deg, 2) over nodes."""
-    return sum(c * d * (d - 1) for d, c in degrees.items()) // 2
+    """Number of paths of length two: sum of C(deg, 2) over nodes.  The
+    sum of deg*(deg - 1) is even, so on columns a float64 true division
+    halves it exactly; a scalar sum is floor-divided, to stay an int."""
+    total = sum(c * d * (d - 1) for d, c in degrees.items())
+    return total / 2 if isinstance(total, np.ndarray) else total // 2
 
 
 def _platt(degrees, n):

@@ -32,13 +32,19 @@ that do not share code with what they test:
   variance must vanish and every mean must equal the seed value.
 
 None of the four draws a random number, so ``run_level``'s report does
-not depend on the seed.
+not depend on the seed.  The reachable-pairs check is float64 numpy work
+and shares no data with the three exact suites, pure-Python integer work
+of about the same cost, so at ``--level full``, on 2 CPUs or more,
+``run_level`` runs it in a forked child meanwhile; the report is the
+same either way.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -121,8 +127,10 @@ def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
     oracle over the given (p, n) grid, reported in (n, p, key) order.
 
     Each n is one pass: each index's reduced row is taken exactly
-    (``reduced_row``), each formula is bound to n (``RationalFormula.at``;
-    any other callable is called at each (n, p)), and every p's
+    (``reduced_row``), each distinct formula object is bound to n once
+    (``RationalFormula.at``; any other callable is called at each (n, p))
+    and evaluated once per p, however many entries share it (zagreb and
+    platt share one variance), and every p's
     ``support_weights`` are packed into lanes, so that one integer sum per
     distinct row gives S1 = sum w x under every p at once, and one more
     over its squares gives S2 (``_lane_sums``).  Under each p a formula
@@ -134,23 +142,25 @@ def catalog_oracle_suite(p_values=FULL_P_VALUES, n_values=FULL_N_VALUES,
         return []
     if catalog is None:
         catalog = _default_catalog()
+    formulas = {id(f): f for entry in catalog.values() for f in (entry.mean, entry.variance)}
     failures = []
     for n in n_values:
         weights, totals = zip(*(support_weights(LeafLaw(n, p)) for p in p_values))
         rows = {spec.name: reduced_row(spec, n) for spec in NAMED_INDICES}
         sums = dict(zip(rows, _lane_sums(weights, totals, [xs for xs, _ in rows.values()])))
-        bound = [(key, entry, sums[key], rows[key][1], _at(entry.mean, n), _at(entry.variance, n))
-                 for key, entry in catalog.items()]
+        bound = {key: _at(formula, n) for key, formula in formulas.items()}
         for i, (p, total) in enumerate(zip(p_values, totals)):
-            for key, entry, (s1s, s2s), d, mean, variance in bound:
+            values = {key: scaled(p) for key, scaled in bound.items()}
+            for key, entry in catalog.items():
+                (s1s, s2s), d = sums[key], rows[key][1]
                 scale, s1 = total * d, s1s[i]
-                num, den = mean(p)
+                num, den = values[id(entry.mean)]
                 if num * scale != s1 * den:
                     failures.append(Failure(
                         "catalog-oracle", key, {"n": n, "p": p},
                         f"mean formula {entry.mean(n, p)} != oracle {Fraction(s1, scale)}"))
                 v = total * s2s[i] - s1 * s1
-                num, den = variance(p)
+                num, den = values[id(entry.variance)]
                 if num * scale * scale != v * den:
                     failures.append(Failure(
                         "catalog-oracle", key, {"n": n, "p": p},
@@ -345,8 +355,96 @@ def seed_degeneracy_suite(p_values=FULL_P_VALUES, catalog=None) -> list[Failure]
     return failures
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forks(pairs: int) -> bool:
+    """Whether ``run_level`` checks its reachable pairs in a forked child:
+    only where ``os.fork`` exists, where this process may run on 2 CPUs or
+    more, and where the pairs fill more than one PAIR_BLOCK.  On one CPU
+    the two halves would only take turns, and a one-block check costs
+    less than the fork and its pipe."""
+    return hasattr(os, "fork") and pairs > PAIR_BLOCK and _cpus() >= 2
+
+
+class _Forked:
+    """``suite(arg)`` running in a child made by ``os.fork``.
+
+    The child sends back the suite's result, or the exception it raised,
+    pickled through a pipe, and always leaves by ``os._exit``: it never
+    returns into the caller's stack and runs no atexit hook or stdio
+    flush.  ``result`` reaps it; ``close`` kills and reaps it if it has not
+    been reaped, and closes the pipe."""
+
+    def __init__(self, suite, arg):
+        self._read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self._read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            status = 1  # no result, unless the whole pickle is written
+            try:
+                os.close(self._read)
+                try:
+                    outcome = (True, suite(arg))
+                except Exception as exc:
+                    outcome = (False, exc)
+                data = pickle.dumps(outcome)
+                with open(write, "wb") as pipe:
+                    pipe.write(data)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+
+    def result(self):
+        """The suite's result once the child has exited; re-raises the
+        suite's exception, and raises ``RuntimeError`` for a child that
+        ended without a result."""
+        with open(self._read, "rb", closefd=False) as pipe:
+            data = pipe.read()  # to EOF: the child may block on a full pipe until read
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code or not data:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"the reachable-pairs child process {how} without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        if self.pid is not None:
+            from signal import SIGKILL  # only on an error path
+            os.kill(self.pid, SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        os.close(self._read)
+
+
 def run_level(level: str) -> tuple[list[Failure], dict]:
     """Run every suite at the requested depth; returns (failures, counts).
+
+    The failures are listed suite by suite: catalog, seed degeneracy,
+    triangle, reachable pairs.  Where ``_forks`` allows (``--level full``
+    on 2 CPUs or more, not ``--level quick``), the reachable-pairs suite
+    runs in a child made by ``os.fork`` while this process runs the other
+    three, and its failures are appended last as if it had run here.  An
+    exception in the child is raised here unchanged, a child that ends
+    without a result raises ``RuntimeError``, and on any exception here
+    the child is killed; it is reaped on every path.  The fork is safe
+    although numpy's OpenBLAS may have started threads (Python 3.12 and
+    later warn of a fork in a threaded process): the child does float64
+    elementwise work only, makes no BLAS call, and takes no lock that
+    those threads hold.
 
     No suite draws a random number, so the result takes no seed; ``verify
     --seed`` and a config's ``master_seed`` are accepted and show only in
@@ -359,15 +457,21 @@ def run_level(level: str) -> tuple[list[Failure], dict]:
         max_n, max_order = 500, 20
     else:
         raise ValueError(f"unknown verification level {level!r}")
+    pairs = max_n * (max_n + 1) // 2
+    child = _Forked(reachable_pairs_suite, max_n) if _forks(pairs) else None
     failures = []
-    failures += catalog_oracle_suite(p_values, n_values)
-    failures += seed_degeneracy_suite(p_values)
-    failures += triangle_suite(max_order)
-    failures += reachable_pairs_suite(max_n)
+    try:
+        failures += catalog_oracle_suite(p_values, n_values)
+        failures += seed_degeneracy_suite(p_values)
+        failures += triangle_suite(max_order)
+        failures += child.result() if child else reachable_pairs_suite(max_n)
+    finally:
+        if child:
+            child.close()
     counts = {
         "level": level,
         "catalog_grid": f"{len(p_values)} p-values x {len(n_values)} horizons",
-        "reachable_pairs": max_n * (max_n + 1) // 2,
+        "reachable_pairs": pairs,
         "triangle_order": max_order,
     }
     return failures, counts

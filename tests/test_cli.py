@@ -221,6 +221,28 @@ def test_verify_quick_passes(capsys):
     assert "all suites passed" in out
 
 
+def test_verify_full_passes_with_its_counts(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--level", "full")
+    assert code == 0
+    assert out == ("verification level=full\n"
+                   "  catalog_grid: 9 p-values x 50 horizons\n"
+                   "  reachable_pairs: 125250\n"
+                   "  triangle_order: 20\n"
+                   "all suites passed\n")
+
+
+def test_verify_full_reports_a_fault_in_the_forked_check_as_a_runtime_error(capsys,
+                                                                          monkeypatch):
+    def raising(max_n):
+        raise ValueError(f"planted fault at max_n={max_n}")
+
+    monkeypatch.setattr(verify, "_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "reachable_pairs_suite", raising)
+    code, out, err = run_cli(capsys, "verify", "--level", "full")
+    assert code == 1 and out == ""
+    assert "runtime error: planted fault at max_n=500" in err
+
+
 def test_verify_report_does_not_depend_on_the_seed(capsys):
     # No suite draws a random number; the seed shows only in the resolved config.
     code, out4, err4 = run_cli(capsys, "verify", "--level", "quick", "--seed", "4")

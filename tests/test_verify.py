@@ -3,8 +3,14 @@ witness; the exhaustive suite reaches every reachable (n, L) whatever its
 block size, and a sampled trial's tree depends only on the seed and the
 trial.  The catalog suite evaluates each oracle row once per (n, index),
 in one exact pass that equals the scalar closed form value for value, and
-sums it once under every p's packed weights, each lane that p's sums."""
+sums it once under every p's packed weights, each lane that p's sums;
+a formula shared by two entries is evaluated once for both.  run_level
+gives the same report whether its reachable-pairs suite runs in a forked
+child or here, and leaves no child behind on any path."""
 
+import os
+import pickle
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,6 +32,7 @@ from spiderlab.tree import RngStream, UniformLeaf, grow, spider_degrees
 from spiderlab.verify import (
     FULL_N_VALUES,
     FULL_P_VALUES,
+    Failure,
     catalog_oracle_suite,
     direct_reduced_suite,
     reachable_pairs_suite,
@@ -281,3 +288,153 @@ def test_a_reduced_row_equals_the_scalar_closed_form_value_for_value():
             assert {type(x) for x in xs} | {type(d)} == {int}
             assert [Fraction(x, d) for x in xs] == [eval_reduced(n, L, spec)
                                                     for L in range(3, n + 3)], (spec.name, n)
+
+
+def _bumped(formula):
+    """``formula`` plus 1 at every n = 3 mod 7."""
+    return lambda n, p: formula(n, p) + (n % 7 == 3)
+
+
+def test_a_shared_formula_is_bound_once_per_n_and_evaluated_once_per_p(monkeypatch):
+    # zagreb and platt share one variance object: 7 means and 6 distinct
+    # variances, each bound once per n and evaluated once per (n, p).
+    catalog = verify._default_catalog()
+    assert catalog["zagreb"].variance is catalog["platt"].variance
+    calls = {"at": 0, "scaled": 0}
+    inner = verify._at
+
+    def counting_at(formula, n):
+        calls["at"] += 1
+        scaled = inner(formula, n)
+
+        def counted(p):
+            calls["scaled"] += 1
+            return scaled(p)
+        return counted
+
+    monkeypatch.setattr(verify, "_at", counting_at)
+    assert catalog_oracle_suite(catalog=catalog) == []
+    n_count, p_count = len(FULL_N_VALUES), len(FULL_P_VALUES)
+    assert calls == {"at": 13 * n_count, "scaled": 13 * n_count * p_count}
+
+
+def test_a_wrong_shared_formula_is_reported_for_each_entry_that_shares_it():
+    catalog = verify._default_catalog()
+    wrong = _bumped(catalog["zagreb"].variance)
+    for key in ("zagreb", "platt"):
+        catalog[key] = replace(catalog[key], variance=wrong)
+    p_values, n_values = (Fraction(1, 2), Fraction(1, 3)), range(1, 12)
+    failures = catalog_oracle_suite(p_values, n_values, catalog)
+    assert [(f.index, f.witness) for f in failures] == [
+        (key, {"n": n, "p": p}) for n in (3, 10) for p in p_values for key in ("zagreb", "platt")]
+    assert all(f.detail.startswith("variance formula ") for f in failures)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Spy on ``os.fork``: the pids of the children forked during the test,
+    each checked to be reaped (gone) when the test ends."""
+    pids = []
+    real_fork = os.fork
+
+    def spy():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(verify, "_cpus", lambda: count)
+
+
+def test_full_level_gives_the_same_report_forked_or_not(monkeypatch, forks):
+    # Faults on both sides of the fork: a catalog mean wrong at n = 3 mod 7
+    # (parent) and a definition wrong on every all-legs tree (child).
+    real_catalog = verify._default_catalog
+
+    def perturbed():
+        catalog = real_catalog()
+        catalog["zagreb"] = replace(catalog["zagreb"], mean=_bumped(catalog["zagreb"].mean))
+        return catalog
+
+    monkeypatch.setattr(verify, "_default_catalog", perturbed)
+    monkeypatch.setattr(verify, "_trial_specs", lambda: (ZAGREB, ZAGREB_ALL_LEGS_PLUS_ONE))
+    _cpus(monkeypatch, 1)
+    here, counts = verify.run_level("full")
+    assert forks == []
+    _cpus(monkeypatch, 2)
+    forked, forked_counts = verify.run_level("full")
+    assert len(forks) == 1
+    assert [str(f) for f in forked] == [str(f) for f in here]
+    assert forked_counts == counts
+    suites = [f.suite for f in here]
+    assert suites == sorted(suites, key=["catalog-oracle", "direct-reduced"].index)
+    assert suites.count("catalog-oracle") == 7 * len(FULL_P_VALUES)   # n = 3, 10, ..., 45
+    assert [(f.witness["n"], f.witness["L"]) for f in here if f.suite == "direct-reduced"] == [
+        (n, n + 2) for n in range(1, 501)]
+
+
+def test_the_child_s_result_comes_back_whole_past_the_pipe_s_buffer(monkeypatch, forks):
+    big = [Failure("direct-reduced", "zagreb", {"n": k, "L": 3}, f"planted {k}") for k in range(5000)]
+    assert len(pickle.dumps(big)) > 2**16   # more than a Linux pipe holds
+    monkeypatch.setattr(verify, "reachable_pairs_suite", lambda max_n: big)
+    _cpus(monkeypatch, 2)
+    failures, _ = verify.run_level("full")
+    assert len(forks) == 1
+    assert [str(f) for f in failures] == [str(f) for f in big]
+
+
+def test_an_exception_in_the_child_is_raised_unchanged(monkeypatch, forks):
+    def raising(max_n):
+        raise ValueError(f"planted fault at max_n={max_n}")
+
+    monkeypatch.setattr(verify, "reachable_pairs_suite", raising)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ValueError) as caught:
+        verify.run_level("full")
+    assert caught.type is ValueError and str(caught.value) == "planted fault at max_n=500"
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("end, status", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os._exit(0), "exited with status 0"),
+    (lambda: os.kill(os.getpid(), 9), "was killed by signal 9"),
+])
+def test_a_child_that_ends_without_a_result_raises_with_its_status(monkeypatch, forks,
+                                                                   end, status):
+    monkeypatch.setattr(verify, "reachable_pairs_suite", lambda max_n: end())
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=f"child process {status} without a result"):
+        verify.run_level("full")
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("fault", [KeyboardInterrupt, ArithmeticError])
+def test_an_exception_in_the_parent_kills_and_reaps_the_child(monkeypatch, forks, fault):
+    def triangle(max_order):
+        raise fault("planted")
+
+    monkeypatch.setattr(verify, "reachable_pairs_suite", lambda max_n: time.sleep(60) or [])
+    monkeypatch.setattr(verify, "triangle_suite", triangle)
+    _cpus(monkeypatch, 2)
+    start = time.perf_counter()
+    with pytest.raises(fault, match="planted"):
+        verify.run_level("full")
+    assert time.perf_counter() - start < 30   # killed, not waited for
+    assert len(forks) == 1
+
+
+def test_only_the_full_level_on_two_cpus_forks(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    assert verify.run_level("quick")[0] == []
+    assert forks == []
+    assert verify.run_level("full")[0] == []
+    assert len(forks) == 1
