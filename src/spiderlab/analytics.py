@@ -519,12 +519,11 @@ def moment_catalog(index: IndexSpec) -> MomentCatalogEntry:
     """
     if isinstance(index, GeneralizedZagreb):
         a = index.alpha
-        if not (isinstance(a, int) or (isinstance(a, float) and a.is_integer())) or a < 1:
+        if not isinstance(a, int) or a < 1:
             raise UnknownIndexError(
                 f"no catalog entry for generalized Zagreb exponent {a!r} "
                 "(integer exponents >= 1 only)"
             )
-        a = int(a)
         key = f"generalized_zagreb:{a}"
         if a == 1:
             # The power sum with exponent 1 is the degree sum 2(n + 2).

@@ -16,10 +16,10 @@ exits 2 with "config error" before any replicate runs; any error raised
 after the echo exits 1 with "runtime error".
 
 Every run prints its fully resolved configuration, including the effective
-seed where it takes one, as one JSON line on stderr; re-running with that
-configuration reproduces the output byte for byte.  Data goes to --out
-when given, stdout otherwise.  CSV column sets are fixed per subcommand
-and never vary with flags.
+seed (verify draws none: it echoes a given seed, or null), as one JSON line
+on stderr; re-running with that configuration reproduces the output byte
+for byte.  Data goes to --out when given, stdout otherwise.  CSV column
+sets are fixed per subcommand and never vary with flags.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .indices import NAMED_INDICES, parse_index
 from .montecarlo import (
     KS_MIN_SAMPLES,
     SimConfig,
-    Workers,
     atom_stats,
     convergence_probe,
     ks_normal,
@@ -194,13 +193,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _effective_seed(args, file_config: dict) -> int:
+def _given_seed(args, file_config: dict) -> int | None:
     seed = _resolve_int(args, file_config, "seed", "master_seed")
-    if seed is None:
-        return secrets.randbits(63)
-    if seed < 0:
+    if seed is not None and seed < 0:
         raise ConfigError(f"field 'master_seed' must be non-negative, got {seed}")
     return seed
+
+
+def _effective_seed(args, file_config: dict) -> int:
+    seed = _given_seed(args, file_config)
+    return secrets.randbits(63) if seed is None else seed
 
 
 def _echo_config(resolved: dict) -> None:
@@ -326,7 +328,8 @@ def _cmd_exact(args):
 
 def _cmd_verify(args):
     file_config = _load_config_file(args)
-    seed = _effective_seed(args, file_config)
+    # No suite reads a seed: one given is echoed, and none is drawn.
+    seed = _given_seed(args, file_config)
     resolved = {"command": "verify", "level": args.level, "master_seed": seed}
 
     def run() -> int:
@@ -387,14 +390,13 @@ def _cmd_clt(args):
 
     def run() -> int:
         rows = []
-        with Workers(args.threads) as workers:
-            for config in configs:
-                n = config.horizon
-                summary = run_experiment(config, workers=workers)
-                z = standardize(summary.atom_values[0], index, n, p, k)
-                stats = atom_stats(summary.atom_counts, z)
-                rows.append([entry.key, n, p, stats.mean, stats.variance,
-                             ks_normal(z, summary.atom_counts), None, None, None])
+        for config in configs:
+            n = config.horizon
+            summary = run_experiment(config, args.threads)
+            z = standardize(summary.atom_values[0], index, n, p, k)
+            stats = atom_stats(summary.atom_counts, z)
+            rows.append([entry.key, n, p, stats.mean, stats.variance,
+                         ks_normal(z, summary.atom_counts), None, None, None])
         _table_output(args, DIAG_HEADER, rows)
         return EXIT_OK
 
@@ -484,7 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     exact.add_argument("--oracle", action="store_true",
                        help="also compute the summation oracle and a match column")
 
-    ver = sub.add_parser("verify", parents=[seed, out, config], help="run the verification suites",
+    verify_seed = flag("--seed", type=int, default=None,
+                       help="master seed, only echoed (null when omitted: none is drawn)")
+    ver = sub.add_parser("verify", parents=[verify_seed, out, config],
+                         help="run the verification suites",
                          description="Run the verification suites.  No suite draws a random "
                                      "number, so the report does not depend on --seed, which "
                                      "is only echoed in the resolved config.")

@@ -32,6 +32,7 @@ definition; the power sums compute both from their exponent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -160,7 +161,8 @@ class NamedIndex:
     through ``items()`` only, so it runs on degree columns as well.
 
     ``direct`` is a module-level function, so a spec pickles by reference
-    when a config crosses the process pool; it is left out of the repr."""
+    (a forked run inherits its config, so no spec crosses a process
+    pickled); it is left out of the repr."""
 
     name: str
     reduced_form: ReducedForm
@@ -248,17 +250,20 @@ class Generic:
     alpha: float
 
     def __post_init__(self):
-        if not abs(self.alpha) <= MAX_ABS_ALPHA:
+        alpha = self.alpha
+        if not abs(alpha) <= MAX_ABS_ALPHA:
             # A long int is shown by its size: past 4300 digits it has no decimal repr.
-            alpha = self.alpha
             got = (f"an integer of {alpha.bit_length()} bits"
                    if isinstance(alpha, int) and abs(alpha) >= 10**20 else repr(alpha))
             raise UnknownIndexError(f"exponent must be finite and |alpha| <= {MAX_ABS_ALPHA}, "
                                     f"got {got}")
+        if isinstance(alpha, numbers.Integral) or (isinstance(alpha, float) and alpha.is_integer()):
+            # One spec per exponent: 2.0 is 2, named, evaluated and cataloged as the int.
+            object.__setattr__(self, "alpha", int(alpha))
 
     @property
     def name(self) -> str:
-        return f"generic:{self.h.tag}:{_format_alpha(self.alpha)}"
+        return f"generic:{self.h.tag}:{self.alpha}"
 
     @cached_property
     def reduced_form(self) -> ReducedForm:
@@ -289,18 +294,12 @@ class GeneralizedZagreb(Generic):
 
     @property
     def name(self) -> str:
-        return f"generalized_zagreb:{_format_alpha(self.alpha)}"
+        return f"generalized_zagreb:{self.alpha}"
 
 
 IndexSpec = Union[NamedIndex, GeneralizedZagreb, Generic]
 
 _BY_NAME = {spec.name: spec for spec in NAMED_INDICES}
-
-
-def _format_alpha(alpha) -> str:
-    if isinstance(alpha, float) and alpha.is_integer():
-        return str(int(alpha))
-    return str(alpha)
 
 
 def index_name(spec: IndexSpec) -> str:
@@ -336,13 +335,12 @@ def parse_index(text: str) -> IndexSpec:
 
 def _power(base, alpha):
     """base**alpha, exact for integer alpha when base is exact."""
-    if isinstance(alpha, int) or (isinstance(alpha, float) and alpha.is_integer()):
-        a = int(alpha)
-        if a >= 0:
-            return base ** a
+    if isinstance(alpha, int):
+        if alpha >= 0:
+            return base ** alpha
         if isinstance(base, (int, Fraction)):
-            return Fraction(base) ** a
-        return base ** a
+            return Fraction(base) ** alpha
+        return base ** alpha
     return base ** float(alpha)
 
 

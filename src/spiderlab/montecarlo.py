@@ -20,7 +20,7 @@ the replicate count: under the byte rule its stream skips the other rows'
 decision words (``RngStream.advance``) before the counted rows' tail
 words, which come first.  A replicate's L and
 its audit therefore depend only on (master_seed, i, n, model): not on the
-replicate count, the worker count or the order workers finish in.  Keying
+replicate count, the process count or the order processes finish in.  Keying
 a stream costs 12-20 us on a 2-core x86-64 host, so one key per chunk
 keeps it a small share of any run.
 
@@ -44,15 +44,17 @@ nothing of a tree but its degree multiset.
 Work.  A chunk is one ``_chunk_worker`` call: ``block_leaf_counts`` counts
 its rows from its one stream in pieces of about ``tree.DRAW_PIECE`` words, so
 small-n rows are not each bound by numpy call overhead; the piece size
-bounds memory and is not part of the contract.  Chunks go to a process
-pool, one batch per worker, only when that takes at least POOL_MIN_WORK
-off the busiest worker, a replicate counting as REPLICATE_WORK plus its
-n - 1 steps, each weighed by what it costs a serial run under its rule
-(one unit under the byte rule, BIT_STEP_WORK under the bit rule); below
-that, starting the pool costs more than it saves.  The result is the same
-either way.  A command that runs several horizons shares one
-``Workers``: its pool starts at the first run that pays for it and shuts
-down when the command ends, so the command pays the start at most once.
+bounds memory and is not part of the contract.  With ``threads`` > 1 the
+chunks are cut, in order, into batches of ceil(chunks / threads), and each
+batch after the first runs in a child forked for it (``_Forked``) while
+this process runs the first; the children's results are appended in chunk
+order.  A run forks only where ``os.fork`` exists, and only when that takes
+at least POOL_MIN_WORK off the busiest process, a replicate counting as
+REPLICATE_WORK plus its n - 1 steps, each weighed by what it costs a
+serial run under its rule (one unit under the byte rule, BIT_STEP_WORK
+under the bit rule); below that, the split costs more than it saves.  The
+result is the same either way.  A child takes about 2 ms to fork and reap
+(2-core x86-64), so no process is kept beyond the run that forked it.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import pickle
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -77,7 +81,6 @@ __all__ = [
     "SimConfig",
     "IndexStats",
     "SampleSummary",
-    "Workers",
     "run_experiment",
     "leaf_atoms",
     "atom_stats",
@@ -88,7 +91,7 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1024          # replicates per _chunk_worker call, and per random stream
-POOL_MIN_WORK = 30_000_000  # work the pool must take off the busiest worker to pay for itself
+POOL_MIN_WORK = 30_000_000  # work a split must take off the busiest process to pay for itself
 REPLICATE_WORK = 260       # a replicate's work besides its n - 1 steps, in byte-rule steps
 BIT_STEP_WORK = 0.08       # a bit-rule step's work, in byte-rule steps
 SPOT_CHECK_STRIDE = 100    # deterministic 1% direct-evaluation audit
@@ -222,12 +225,13 @@ def _chunk_worker(args) -> tuple:
 
 
 def _pool_pays(config: SimConfig, threads: int) -> bool:
-    """Whether ``threads`` workers take at least POOL_MIN_WORK off the one
+    """Whether ``threads`` processes take at least POOL_MIN_WORK off the one
     that runs the most chunks, ceil(chunks / threads) of them.  A replicate
     counts as REPLICATE_WORK plus its n - 1 growth steps, each one unit
     under the byte rule and BIT_STEP_WORK under the bit rule (p = 1/2), the
     serial costs of a run (BENCH_chunk_streams.json's fit); POOL_MIN_WORK
-    is fitted to its forced-pool table."""
+    is fitted to its forced-pool table, whose pool cost more to start than
+    a fork does."""
     R = config.replicates
     chunks = -(-R // CHUNK_SIZE)
     busiest = min(R, -(-chunks // threads) * CHUNK_SIZE)
@@ -235,59 +239,115 @@ def _pool_pays(config: SimConfig, threads: int) -> bool:
     return (R - busiest) * ((config.horizon - 1) * step + REPLICATE_WORK) >= POOL_MIN_WORK
 
 
-class Workers:
-    """The ``threads`` worker processes of one command, shared by its runs.
-
-    The process pool starts at the first run it pays for (``_pool_pays``),
-    not before, and every later run of the command reuses it; leaving the
-    ``with`` block shuts it down.  A run the pool does not pay for is
-    counted in this process.
-    """
-
-    def __init__(self, threads: int):
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        self.threads = threads
-        self._pool = None
-
-    def map_chunks(self, config: SimConfig, tasks: list) -> list:
-        """``_chunk_worker`` over ``tasks``, in order."""
-        if self.threads > 1 and len(tasks) > 1 and _pool_pays(config, self.threads):
-            if self._pool is None:
-                # Imported here: it loads multiprocessing, which a serial run never needs.
-                from concurrent.futures import ProcessPoolExecutor
-                self._pool = ProcessPoolExecutor(max_workers=self.threads)
-            batch = -(-len(tasks) // self.threads)  # one batch per worker
-            return list(self._pool.map(_chunk_worker, tasks, chunksize=batch))
-        return [_chunk_worker(t) for t in tasks]
-
-    def __enter__(self) -> Workers:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def run_experiment(config: SimConfig, threads: int = 1,
-                   workers: Workers | None = None) -> SampleSummary:
+class _Forked:
+    """``fn(arg)`` running in a child made by ``os.fork``.
+
+    The child sends back ``fn``'s result, or the exception it raised,
+    pickled through a pipe, and always leaves by ``os._exit``: it never
+    returns into the caller's stack and runs no atexit hook or stdio
+    flush.  ``result`` reaps it; ``close`` kills and reaps it if it has not
+    been reaped, and closes the pipe.  The fork is safe although numpy's
+    OpenBLAS may have started threads (Python 3.12 and later warn of a fork
+    in a threaded process): each ``fn`` the package forks, a batch of
+    chunks or ``verify``'s reachable-pairs suite, does elementwise numpy and
+    integer work only, makes no BLAS call, and takes no lock that those
+    threads hold."""
+
+    def __init__(self, fn, arg):
+        self._name = fn.__name__
+        self._read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self._read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            status = 1  # no result, unless the whole pickle is written
+            try:
+                os.close(self._read)
+                try:
+                    outcome = (True, fn(arg))
+                except Exception as exc:
+                    outcome = (False, exc)
+                data = pickle.dumps(outcome)
+                with open(write, "wb") as pipe:
+                    pipe.write(data)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+
+    def result(self):
+        """``fn``'s result once the child has exited; re-raises ``fn``'s
+        exception, and raises ``RuntimeError`` for a child that ended
+        without a result."""
+        with open(self._read, "rb", closefd=False) as pipe:
+            data = pipe.read()  # to EOF: the child may block on a full pipe until read
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code or not data:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"the {self._name} child process {how} without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        if self.pid is not None:
+            from signal import SIGKILL  # only on an error path
+            os.kill(self.pid, SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        os.close(self._read)
+
+
+def _count_chunks(tasks: list) -> list:
+    """``_chunk_worker`` over ``tasks``, in order: one process's batch."""
+    return [_chunk_worker(task) for task in tasks]
+
+
+def run_experiment(config: SimConfig, threads: int = 1) -> SampleSummary:
     """Run the experiment described by ``config``.
 
-    ``threads`` > 1 distributes replicate chunks over worker processes
-    when that takes at least POOL_MIN_WORK off the busiest worker; the
-    result is identical either way.  A command that runs several
-    experiments passes its ``Workers`` instead, so they share one pool.
+    ``threads`` > 1 cuts the replicate chunks, in order, into batches of
+    ceil(chunks / threads) when that takes at least POOL_MIN_WORK off the
+    busiest process (``_pool_pays``) and ``os.fork`` exists: each batch
+    after the first is counted in a child forked for it (``_Forked``) while
+    this process counts the first, and the results are appended in chunk
+    order, so the result is identical either way.  A child's exception is
+    raised here unchanged; on any exception here, a failed fork included,
+    every child forked so far is killed, and each is reaped on every path.
 
     Each index is evaluated once per distinct leaf count, and its
     statistics are ``atom_stats`` over those float64 atom values.
     """
-    if workers is None:
-        with Workers(threads) as workers:
-            return run_experiment(config, workers=workers)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     R, n = config.replicates, config.horizon
     tasks = [(config, start, min(start + CHUNK_SIZE, R)) for start in range(0, R, CHUNK_SIZE)]
-    results = workers.map_chunks(config, tasks)
+    size = len(tasks)  # one batch, counted here, unless a split pays
+    if threads > 1 and size > 1 and _pool_pays(config, threads) and hasattr(os, "fork"):
+        size = -(-size // threads)
+    children = []
+    try:
+        for first in range(size, len(tasks), size):
+            children.append(_Forked(_count_chunks, tasks[first:first + size]))
+        results = _count_chunks(tasks[:size])
+        for child in children:
+            results += child.result()
+    finally:
+        for child in children:
+            child.close()
     leaf_counts = np.concatenate([counts for counts, _ in results])
     audits = [audit for _, chunk in results for audit in chunk]
 
@@ -418,28 +478,27 @@ def convergence_probe(
     c = float(entry.limit.constant_value(p))
     exponent = entry.limit.exponent
     rows = []
-    with Workers(threads) as workers:
-        for n in n_grid:
-            config = SimConfig(model=model, horizon=n, replicates=replicates,
-                               master_seed=master_seed, indices=(index,))
-            summary = run_experiment(config, workers=workers)
-            counts = summary.atom_counts
-            scaled = summary.atom_values[0] / float(n) ** exponent
-            err = np.abs(scaled - c)
-            with np.errstate(over="ignore"):
-                powered = err ** r
-            if not np.isfinite(powered).all():
-                raise OverflowError(f"r-mean error E|scaled - c|**r overflows float64 at "
-                                    f"n={n}, r={r}: |scaled - c| reaches {err.max():.6g}")
-            stats = atom_stats(counts, scaled)
-            rows.append(ProbeRow(
-                index=index.name,
-                n=n,
-                p=p,
-                mean=stats.mean,
-                variance=stats.variance,
-                exceedance=sum(compress(counts, err > epsilon)) / replicates,
-                r_mean_error=atom_stats(counts, powered).mean,
-                limit=c,
-            ))
+    for n in n_grid:
+        config = SimConfig(model=model, horizon=n, replicates=replicates,
+                           master_seed=master_seed, indices=(index,))
+        summary = run_experiment(config, threads)
+        counts = summary.atom_counts
+        scaled = summary.atom_values[0] / float(n) ** exponent
+        err = np.abs(scaled - c)
+        with np.errstate(over="ignore"):
+            powered = err ** r
+        if not np.isfinite(powered).all():
+            raise OverflowError(f"r-mean error E|scaled - c|**r overflows float64 at "
+                                f"n={n}, r={r}: |scaled - c| reaches {err.max():.6g}")
+        stats = atom_stats(counts, scaled)
+        rows.append(ProbeRow(
+            index=index.name,
+            n=n,
+            p=p,
+            mean=stats.mean,
+            variance=stats.variance,
+            exceedance=sum(compress(counts, err > epsilon)) / replicates,
+            r_mean_error=atom_stats(counts, powered).mean,
+            limit=c,
+        ))
     return rows

@@ -35,8 +35,8 @@ None of the four draws a random number, so ``run_level``'s report does
 not depend on the seed.  The reachable-pairs check is float64 numpy work
 and shares no data with the three exact suites, pure-Python integer work
 of about the same cost, so at ``--level full``, on 2 CPUs or more,
-``run_level`` runs it in a forked child meanwhile; the report is the
-same either way.
+``run_level`` runs it meanwhile in a child forked by the Monte Carlo
+engine's ``montecarlo._Forked``; the report is the same either way.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,7 +68,7 @@ from .indices import (
     reduced_values,
 )
 from .indices import eval_reduced  # noqa: F401  unused, but bench/run.py --trace 1 rebinds it here
-from .montecarlo import direct_mismatches
+from .montecarlo import _cpus, _Forked, direct_mismatches
 from .tree import RngStream, grow_legs, new_seed, spider_degrees
 
 __all__ = [
@@ -355,13 +354,6 @@ def seed_degeneracy_suite(p_values=FULL_P_VALUES, catalog=None) -> list[Failure]
     return failures
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _forks(pairs: int) -> bool:
     """Whether ``run_level`` checks its reachable pairs in a forked child:
     only where ``os.fork`` exists, where this process may run on 2 CPUs or
@@ -371,80 +363,19 @@ def _forks(pairs: int) -> bool:
     return hasattr(os, "fork") and pairs > PAIR_BLOCK and _cpus() >= 2
 
 
-class _Forked:
-    """``suite(arg)`` running in a child made by ``os.fork``.
-
-    The child sends back the suite's result, or the exception it raised,
-    pickled through a pipe, and always leaves by ``os._exit``: it never
-    returns into the caller's stack and runs no atexit hook or stdio
-    flush.  ``result`` reaps it; ``close`` kills and reaps it if it has not
-    been reaped, and closes the pipe."""
-
-    def __init__(self, suite, arg):
-        self._read, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(self._read)
-            os.close(write)
-            raise
-        if self.pid == 0:
-            status = 1  # no result, unless the whole pickle is written
-            try:
-                os.close(self._read)
-                try:
-                    outcome = (True, suite(arg))
-                except Exception as exc:
-                    outcome = (False, exc)
-                data = pickle.dumps(outcome)
-                with open(write, "wb") as pipe:
-                    pipe.write(data)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write)
-
-    def result(self):
-        """The suite's result once the child has exited; re-raises the
-        suite's exception, and raises ``RuntimeError`` for a child that
-        ended without a result."""
-        with open(self._read, "rb", closefd=False) as pipe:
-            data = pipe.read()  # to EOF: the child may block on a full pipe until read
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code or not data:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise RuntimeError(f"the reachable-pairs child process {how} without a result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    def close(self) -> None:
-        if self.pid is not None:
-            from signal import SIGKILL  # only on an error path
-            os.kill(self.pid, SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        os.close(self._read)
-
-
 def run_level(level: str) -> tuple[list[Failure], dict]:
     """Run every suite at the requested depth; returns (failures, counts).
 
     The failures are listed suite by suite: catalog, seed degeneracy,
     triangle, reachable pairs.  Where ``_forks`` allows (``--level full``
     on 2 CPUs or more, not ``--level quick``), the reachable-pairs suite
-    runs in a child made by ``os.fork`` while this process runs the other
-    three, and its failures are appended last as if it had run here.  An
-    exception in the child is raised here unchanged, a child that ends
-    without a result raises ``RuntimeError``, and on any exception here
-    the child is killed; it is reaped on every path.  The fork is safe
-    although numpy's OpenBLAS may have started threads (Python 3.12 and
-    later warn of a fork in a threaded process): the child does float64
-    elementwise work only, makes no BLAS call, and takes no lock that
-    those threads hold.
+    runs in a child forked by ``montecarlo._Forked`` while this process
+    runs the other three, and its failures are appended last as if it had
+    run here.  An exception in the child is raised here unchanged, a child
+    that ends without a result raises ``RuntimeError``, and on any
+    exception here the child is killed; it is reaped on every path.  The
+    child does float64 elementwise work only, which ``_Forked`` requires
+    of what it forks.
 
     No suite draws a random number, so the result takes no seed; ``verify
     --seed`` and a config's ``master_seed`` are accepted and show only in

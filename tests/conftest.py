@@ -1,10 +1,32 @@
 import math
+import os
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 settings.register_profile("ci", deadline=None, max_examples=50)
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Spy on ``os.fork``: the pids of the children forked during the test,
+    each checked to be reaped (gone) when the test ends."""
+    pids = []
+    real_fork = os.fork
+
+    def spy():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 class ScriptedStream:

@@ -1,5 +1,4 @@
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -254,6 +253,15 @@ def test_verify_report_does_not_depend_on_the_seed(capsys):
     assert '"master_seed": 4' in err4 and '"master_seed": 9' in err9
 
 
+def test_a_seedless_verify_draws_no_seed(capsys, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(cli.secrets, "randbits", lambda bits: drawn.append(bits) or 5)
+    code, out, err = run_cli(capsys, "verify", "--level", "quick")
+    assert code == 0 and "all suites passed" in out
+    assert drawn == []
+    assert '"master_seed": null' in err
+
+
 def test_verify_reports_failures_with_witness(capsys, monkeypatch):
     fake = Failure("catalog-oracle", "zagreb", {"n": 3, "p": "1/2"},
                    "variance formula 1 != oracle 2")
@@ -321,64 +329,42 @@ def test_converge_table(capsys):
     assert all(row["p"] == "0.5" for row in rows)
 
 
-def spy_on_pools(monkeypatch, events):
-    """Record every process pool a run starts and shuts down in ``events``."""
-    real = concurrent.futures.ProcessPoolExecutor
-
-    class Spy(real):
-        def __init__(self, max_workers):
-            events.append(("start", max_workers))
-            super().__init__(max_workers=max_workers)
-
-        def shutdown(self, *args, **kwargs):
-            events.append(("shutdown",))
-            super().shutdown(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
-
-
 @pytest.mark.parametrize("argv", [
     ["clt", "--index", "zagreb", "--p", "0.5", "--n", "40,50,60"],
     ["converge", "--index", "gini", "--p", "0.4", "--n-grid", "40,50,60"],
 ])
-def test_a_command_starts_at_most_one_pool(capsys, monkeypatch, argv):
+def test_a_command_forks_once_per_run_that_pays(capsys, monkeypatch, forks, argv):
+    # 2100 replicates are 3 chunks: at --threads 2, batches of 2 and 1, one child
     argv = argv + ["--replicates", "2100", "--seed", "4", "--format", "csv"]
     code, serial, _ = run_cli(capsys, *argv, "--threads", "1")
     assert code == 0
-    events = []
-    spy_on_pools(monkeypatch, events)
+    runs = []
     real_pays = montecarlo._pool_pays
 
     def pays_from_50(config, threads):  # the first horizon runs serially
-        events.append(("run", config.horizon))
+        runs.append((config.horizon, len(forks)))
         return config.horizon >= 50 and real_pays(config, threads)
 
     monkeypatch.setattr(montecarlo, "_pool_pays", pays_from_50)
     monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
-    for _ in range(2):  # each command starts its own pool and shuts it down
-        events.clear()
-        code, pooled, _ = run_cli(capsys, *argv, "--threads", "2")
-        assert code == 0 and pooled == serial
-        assert events == [("run", 40), ("run", 50), ("start", 2), ("run", 60), ("shutdown",)]
+    code, pooled, _ = run_cli(capsys, *argv, "--threads", "2")
+    assert code == 0 and pooled == serial
+    assert runs == [(40, 0), (50, 0), (60, 1)] and len(forks) == 2
 
 
-def test_a_command_no_run_pays_for_starts_no_pool(capsys, monkeypatch):
-    events = []
-    spy_on_pools(monkeypatch, events)
+def test_a_command_no_run_pays_for_starts_no_pool(capsys, forks):
     code, _, _ = run_cli(capsys, "clt", "--index", "zagreb", "--p", "0.5", "--n", "40,50",
                          "--replicates", "2100", "--threads", "2", "--seed", "4")
-    assert code == 0 and events == []
+    assert code == 0 and forks == []
 
 
-def test_threads_do_not_change_the_output_at_a_pooled_shape(capsys, monkeypatch):
+def test_threads_do_not_change_the_output_at_a_pooled_shape(capsys, forks):
     argv = ["simulate", "--model", "uniform:0.4", "--n", "5000", "--replicates", "20000",
             "--indices", "zagreb,gini", "--seed", "6"]
     code, serial, _ = run_cli(capsys, *argv, "--threads", "1")
-    assert code == 0
-    events = []
-    spy_on_pools(monkeypatch, events)
+    assert code == 0 and forks == []
     code, pooled, _ = run_cli(capsys, *argv, "--threads", "2")
-    assert code == 0 and events == [("start", 2), ("shutdown",)]
+    assert code == 0 and len(forks) == 1  # forked once
     assert pooled == serial
 
 
@@ -427,10 +413,19 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # A serial run never starts a pool, so neither the package nor the CLI
-    # loads concurrent.futures or multiprocessing at import; the first pool does.
+    # Neither the package nor the CLI loads concurrent.futures or
+    # multiprocessing, at import or in a run that forks (os.fork and a pipe).
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    probe = ("import sys, spiderlab, spiderlab.cli; print(sorted(m for m in sys.modules "
+    probe = ("import os, sys, spiderlab, spiderlab.cli\n"
+             "from spiderlab import montecarlo, LEAVES, SimConfig, UniformLeaf, run_experiment\n"
+             "montecarlo.POOL_MIN_WORK = 0\n"
+             "forked, fork = [], os.fork\n"
+             "os.fork = lambda: forked.append(1) or fork()\n"
+             "config = SimConfig(model=UniformLeaf(0.4), horizon=30, replicates=3000,\n"
+             "                   master_seed=1, indices=(LEAVES,))\n"
+             "assert run_experiment(config, 2).to_json() == run_experiment(config).to_json()\n"
+             "assert forked == [1]\n"
+             "print(sorted(m for m in sys.modules "
              "if m.startswith(('concurrent', 'multiprocessing'))))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)

@@ -214,7 +214,7 @@ DISPATCH_SPECS = NAMED_INDICES + (GeneralizedZagreb(2.5), Generic(Affine(2, 1), 
 
 
 def test_specs_survive_a_pickle_round_trip():
-    # a SimConfig's specs cross the process pool pickled
+    # a forked run inherits its specs, but a spec still pickles whole
     n = 80
     state = grow(UniformLeaf(0.4), n, RngStream(5))
     L = np.arange(3, n + 3)
@@ -413,6 +413,23 @@ def test_parse_index_round_trip():
     assert parse_index("generalized_zagreb:3") == GeneralizedZagreb(3)
     assert parse_index("generalized_zagreb:2.5") == GeneralizedZagreb(2.5)
     assert parse_index("ZAGREB") == ZAGREB
+
+
+def test_an_integral_float_exponent_is_the_int_exponent():
+    n = 40
+    L = np.arange(3, n + 3)
+    int_spec = GeneralizedZagreb(2)
+    for spec in (GeneralizedZagreb(2.0), parse_index("generalized_zagreb:2.0"),
+                 pickle.loads(pickle.dumps(GeneralizedZagreb(2.0)))):
+        assert type(spec.alpha) is int
+        assert spec == int_spec and hash(spec) == hash(int_spec)
+        assert spec.name == int_spec.name == "generalized_zagreb:2"
+        assert reduced_values(spec, n, L).tobytes() == reduced_values(int_spec, n, L).tobytes()
+        for leaves in (3, 17, n + 2):
+            value = eval_reduced(n, leaves, spec)
+            assert type(value) is int and value == eval_reduced(n, leaves, int_spec)
+        assert spiderlab.moment_catalog(spec).key == "generalized_zagreb:2"
+    assert Generic(Affine(2, 1), 3.0).name == Generic(Affine(2, 1), 3).name == "generic:affine:2:1:3"
 
 
 def test_parse_index_unknown():

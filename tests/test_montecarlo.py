@@ -1,5 +1,6 @@
-import concurrent.futures
 import math
+import os
+import time
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -56,7 +57,7 @@ def test_rerun_is_bit_identical():
 
 
 def test_parallel_run_matches_serial(monkeypatch):
-    monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)  # start the pool at any size
+    monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)  # fork at any size
     many_chunks = SimConfig(model=UniformLeaf(0.6), horizon=80, replicates=4000,
                             master_seed=123, indices=(LEAVES, ZAGREB, GINI))
     assert many_chunks.replicates > 3 * CHUNK_SIZE
@@ -362,19 +363,11 @@ def test_first_replicates_do_not_depend_on_the_replicate_count():
             assert np.array_equal(leaf_samples(n, p, R, 11), longest[:R])
 
 
-def test_pool_starts_only_above_the_work_threshold(monkeypatch):
-    started = []
-    real = concurrent.futures.ProcessPoolExecutor
-
-    def spy(max_workers):
-        started.append(max_workers)
-        return real(max_workers=max_workers)
-
+def test_pool_starts_only_above_the_work_threshold(monkeypatch, forks):
     def shape(n, replicates, p=0.4):
         return SimConfig(model=UniformLeaf(p), horizon=n, replicates=replicates,
                          master_seed=11, indices=(LEAVES, GINI))
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
     # the clt example's shape: counted serially under the bit rule, pooled at p = 0.4
     assert not montecarlo._pool_pays(shape(5000, 20_000, 0.5), 2)
     assert montecarlo._pool_pays(shape(5000, 20_000), 2)
@@ -389,17 +382,119 @@ def test_pool_starts_only_above_the_work_threshold(monkeypatch):
     assert not montecarlo._pool_pays(shape(201, 2000), 2)
     threshold = montecarlo.POOL_MIN_WORK
     for config in (shape(201, 2000), shape(5001, 1100), shape(5000, 20_000, 0.5)):
-        started.clear()
+        before = len(forks)
         serial = run_experiment(config, threads=1)
         below = run_experiment(config, threads=2)
-        assert started == []
+        assert len(forks) == before
         monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
         above = run_experiment(config, threads=2)
         monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", threshold)
-        assert started == [2]
+        assert len(forks) == before + 1  # forked once
         for run in (below, above):
             assert run.to_json_str() == serial.to_json_str()
             assert np.array_equal(run.leaf_counts, serial.leaf_counts)
+
+
+def chunk_fault(monkeypatch, fault, stream_index=1):
+    """Make ``block_leaf_counts`` call ``fault(counted)`` on the stream of
+    chunk ``stream_index``, ``counted`` its real result; a forked child
+    inherits the patch."""
+    real = montecarlo.block_leaf_counts
+
+    def patched(model, stream, *args):
+        counted = real(model, stream, *args)
+        return fault(counted) if stream.stream_index == stream_index else counted
+
+    monkeypatch.setattr(montecarlo, "block_leaf_counts", patched)
+
+
+# Two chunks, one batch each at threads=2: chunk 1 runs in the one child.
+TWO_CHUNKS = SimConfig(model=UniformLeaf(0.4), horizon=30, replicates=2 * CHUNK_SIZE,
+                       master_seed=8, indices=(LEAVES, GINI))
+
+
+def test_an_exception_in_a_child_s_chunk_is_raised_unchanged(monkeypatch, forks):
+    monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
+    chunk_fault(monkeypatch, lambda counted: (counted[0] + 1, counted[1]))
+    with pytest.raises(RuntimeError, match="leaf-count mismatch") as here:
+        montecarlo._chunk_worker((TWO_CHUNKS, CHUNK_SIZE, 2 * CHUNK_SIZE))
+    with pytest.raises(RuntimeError) as forked:
+        run_experiment(TWO_CHUNKS, threads=2)
+    assert len(forks) == 1
+    assert forked.type is RuntimeError and str(forked.value) == str(here.value)
+
+
+@pytest.mark.parametrize("end, status", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), 9), "was killed by signal 9"),
+])
+def test_a_child_that_ends_without_a_result_raises_with_its_status(monkeypatch, forks,
+                                                                   end, status):
+    monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
+    chunk_fault(monkeypatch, lambda counted: end())
+    with pytest.raises(RuntimeError, match=f"_count_chunks child process {status} without"):
+        run_experiment(TWO_CHUNKS, threads=2)
+    assert len(forks) == 1
+
+
+def test_an_interrupt_in_the_parent_s_batch_kills_and_reaps_the_child(monkeypatch, forks):
+    def interrupt(counted):
+        raise KeyboardInterrupt("planted")
+
+    monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
+    chunk_fault(monkeypatch, lambda counted: time.sleep(60) or counted)  # the child's chunk
+    chunk_fault(monkeypatch, interrupt, stream_index=0)  # the parent's own
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt, match="planted"):
+        run_experiment(TWO_CHUNKS, threads=2)
+    assert time.perf_counter() - start < 30   # killed, not waited for
+    assert len(forks) == 1
+
+
+def test_a_fork_that_fails_kills_and_reaps_the_children_forked_before_it(monkeypatch, forks):
+    spy = os.fork
+
+    def second_fails():
+        if forks:
+            raise OSError("planted fork failure")
+        return spy()
+
+    monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(os, "fork", second_fails)
+    chunk_fault(monkeypatch, lambda counted: time.sleep(60) or counted)
+    config = SimConfig(model=UniformLeaf(0.4), horizon=30, replicates=3 * CHUNK_SIZE,
+                       master_seed=8, indices=(LEAVES,))
+    start = time.perf_counter()
+    with pytest.raises(OSError, match="planted fork failure"):
+        run_experiment(config, threads=3)
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 1
+
+
+def test_a_run_forks_once_per_batch_after_the_first(monkeypatch, forks):
+    monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
+    config = SimConfig(model=UniformLeaf(0.4), horizon=30, replicates=4 * CHUNK_SIZE,
+                       master_seed=8, indices=(LEAVES, GINI))
+    serial = run_experiment(config, threads=1)
+    # 4 chunks over 3 processes: batches of ceil(4 / 3) = 2, so only 2 batches
+    assert run_experiment(config, threads=3).to_json_str() == serial.to_json_str()
+    assert len(forks) == 1
+    assert run_experiment(config, threads=4).to_json_str() == serial.to_json_str()
+    assert len(forks) == 1 + 3
+
+
+def test_without_os_fork_a_run_is_serial(monkeypatch):
+    monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
+    serial = run_experiment(TWO_CHUNKS, threads=1)
+    monkeypatch.delattr(os, "fork")
+    run = run_experiment(TWO_CHUNKS, threads=2)
+    assert run.to_json_str() == serial.to_json_str()
+    assert np.array_equal(run.leaf_counts, serial.leaf_counts)
+
+
+def test_threads_below_one_are_rejected():
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_experiment(TWO_CHUNKS, threads=0)
 
 
 def test_preferential_equals_uniform_half():

@@ -330,26 +330,6 @@ def test_a_wrong_shared_formula_is_reported_for_each_entry_that_shares_it():
     assert all(f.detail.startswith("variance formula ") for f in failures)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Spy on ``os.fork``: the pids of the children forked during the test,
-    each checked to be reaped (gone) when the test ends."""
-    pids = []
-    real_fork = os.fork
-
-    def spy():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", spy)
-    yield pids
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def _cpus(monkeypatch, count):
     monkeypatch.setattr(verify, "_cpus", lambda: count)
 
