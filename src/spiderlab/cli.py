@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed = flag("--seed", type=int, default=None,
                 help="master seed (drawn from system entropy and echoed when omitted)")
     threads = flag("--threads", type=_positive_int, default=1,
-                   help="worker processes for replicates")
+                   help="processes for replicates, at most the CPUs this process may use")
     fmt = flag("--format", choices=("json", "csv"), default="json")
     out = flag("--out", default=None, help="output file (stdout when omitted)")
     config = flag("--config", default=None,

@@ -370,11 +370,17 @@ def eval_direct(degrees: Mapping[int, int], n: int, index: IndexSpec):
     the degrees and whose exponent is a nonnegative integer, sums integer
     terms, so an entry equals ``float(eval_direct(spider_degrees(n, L), n,
     index))`` bit for bit while its terms and partial sums stay below 2**53
-    (Gini and Hoover rounded once, by one division).  Otherwise an entry
-    sums the three positive terms c * h(d)**alpha of the same float h
-    values in the same order as the scalar path, each power within one
-    ulp, so both lie within 5 * 2**-53 of the exact sum of those terms and
-    within 10 * 2**-53 relative of each other."""
+    (Gini and Hoover rounded once, by one division).  Past that, while
+    h(1)**alpha, h(2)**alpha and each product of two degrees or counts stay
+    below 2**53 (n < 9.4e7), it rounds each of three positive terms at most
+    once (Gini and Hoover: their division instead) and two additions: three
+    roundings of positive values, within (1 + 2**-53)**3 - 1 < 3.0001 *
+    2**-53 relative of the exact value, 3.1 * 2**-53 with a libm power
+    within 0.52 ulp (glibc's), far inside the audit's 1e-12.  Otherwise
+    an entry sums the three positive terms c * h(d)**alpha of the same
+    float h values in the same order as the scalar path, each power within
+    one ulp, so both lie within 5 * 2**-53 of the exact sum of those terms
+    and within 10 * 2**-53 relative of each other."""
     direct = getattr(index, "direct", None)
     if direct is None:
         raise UnknownIndexError(f"cannot evaluate index spec {index!r}")

@@ -33,19 +33,20 @@ sums rounded once (``atom_stats``), and ``ks_normal`` walks the same atoms,
 so all depend only on the multiset of L.
 
 Audit.  Replicates whose index is a multiple of SPOT_CHECK_STRIDE are
-audited; a chunk holds ten or eleven.  Each one's centroid schedule, which
-``block_leaf_counts`` reads back from its words apart from the popcount or
-byte sums that count it, is recounted: 3 plus its recruits must equal the
-counted L.  Every index is then evaluated by its definition on the degree
-multiset of that (n, L) (``tree.spider_degrees``) and compared with the
-atom value the statistics use at that L.  No tree is grown: an index reads
-nothing of a tree but its degree multiset.
+audited; a chunk holds ten or eleven.  Their centroid schedules, which
+``block_leaf_counts`` reads back from their words apart from the sums
+that count them, are recounted in one pass: 3 plus each one's recruits
+must equal its counted L.  Once per run, every index is then evaluated
+by its definition on the degree columns of all the audited (n, L), as
+``verify`` does, and compared with the atom values the statistics use.
+No tree is grown: an index reads nothing of a tree but its degree multiset.
 
 Work.  A chunk is one ``_chunk_worker`` call: ``block_leaf_counts`` counts
 its rows from its one stream in pieces of about ``tree.DRAW_PIECE`` words, so
 small-n rows are not each bound by numpy call overhead; the piece size
 bounds memory and is not part of the contract.  With ``threads`` > 1 the
-chunks are cut, in order, into batches of ceil(chunks / threads), and each
+chunks are cut, in order, into batches of ceil(chunks / T), T the lesser
+of ``threads`` and the CPUs the process may run on (``_cpus``), and each
 batch after the first runs in a child forked for it (``_Forked``) while
 this process runs the first; the children's results are appended in chunk
 order.  A run forks only where ``os.fork`` exists, and only when that takes
@@ -70,7 +71,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import exact_mean_variance, integer_scaled, moment_catalog
+from .analytics import integer_scaled, moment_catalog, scaled_moments
 from .indices import (Generic, Identity, IndexSpec, UnknownIndexError, check_positive,
                       eval_direct, reduced_values)
 from .tree import (ONE_BIT, GrowthModel, RngStream, block_leaf_counts, decision_threshold,
@@ -196,13 +197,13 @@ class SampleSummary:
 
 
 def _chunk_worker(args) -> tuple:
-    """Replicates ``start..stop-1``: their leaf counts, and for each audited
-    replicate its id and the direct value of every index at its (n, L).
+    """Replicates ``start..stop-1``: their leaf counts, and the ids of the
+    audited replicates among them, an int64 array.
 
     ``start`` is a multiple of CHUNK_SIZE; the chunk's rows below ``stop``
     are counted by ``block_leaf_counts`` from its one stream, laid out as a
-    whole chunk's, and each audited replicate's L is recounted from the
-    centroid schedule it returns.
+    whole chunk's, and the audited replicates' L recounted, in one
+    ``count_nonzero``, from the centroid schedules it returns.
     """
     config, start, stop = args
     n = config.horizon
@@ -212,16 +213,13 @@ def _chunk_worker(args) -> tuple:
     # no replicate's draws depend on the replicate count.
     counts, schedules = block_leaf_counts(config.model, stream, CHUNK_SIZE, n - 1, audit_rows,
                                           stop - start)
-    audits = []
-    for row, centroid in zip(audit_rows, schedules):
-        L = 3 + int(np.count_nonzero(centroid))
-        if L != counts[row]:
-            raise RuntimeError(f"leaf-count mismatch at n={n}: counted "
-                               f"L={int(counts[row])}, its schedule has L={L}")
-        degrees = spider_degrees(n, L)
-        audits.append((start + row, [float(eval_direct(degrees, n, spec))
-                                     for spec in config.indices]))
-    return counts, audits
+    recounted = 3 + np.count_nonzero(schedules, axis=1)
+    wrong = np.flatnonzero(recounted != counts[audit_rows.start::SPOT_CHECK_STRIDE])
+    if wrong.size:
+        k = wrong[0]
+        raise RuntimeError(f"leaf-count mismatch at n={n}: counted "
+                           f"L={int(counts[audit_rows[k]])}, its schedule has L={recounted[k]}")
+    return counts, np.arange(start + audit_rows.start, stop, SPOT_CHECK_STRIDE)
 
 
 def _pool_pays(config: SimConfig, threads: int) -> bool:
@@ -320,24 +318,29 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SampleSummary:
     """Run the experiment described by ``config``.
 
     ``threads`` > 1 cuts the replicate chunks, in order, into batches of
-    ceil(chunks / threads) when that takes at least POOL_MIN_WORK off the
-    busiest process (``_pool_pays``) and ``os.fork`` exists: each batch
-    after the first is counted in a child forked for it (``_Forked``) while
-    this process counts the first, and the results are appended in chunk
-    order, so the result is identical either way.  A child's exception is
-    raised here unchanged; on any exception here, a failed fork included,
-    every child forked so far is killed, and each is reaped on every path.
+    ceil(chunks / T), T = min(threads, ``_cpus()``), when that takes at
+    least POOL_MIN_WORK off the busiest process (``_pool_pays``) and
+    ``os.fork`` exists: each batch after the first is counted in a child
+    forked for it (``_Forked``) while this process counts the first, and
+    the results are appended in chunk order, so the result is identical
+    either way.  A child's exception is raised here unchanged; on any
+    exception here, a failed fork included, every child forked so far is
+    killed, and each is reaped on every path.
 
     Each index is evaluated once per distinct leaf count, and its
-    statistics are ``atom_stats`` over those float64 atom values.
+    statistics are ``atom_stats`` over those float64 atom values; the
+    audit evaluates it once more, by its definition, on the degree columns
+    of all the audited (n, L) (``eval_direct``, ``direct_mismatches``).
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     R, n = config.replicates, config.horizon
     tasks = [(config, start, min(start + CHUNK_SIZE, R)) for start in range(0, R, CHUNK_SIZE)]
     size = len(tasks)  # one batch, counted here, unless a split pays
-    if threads > 1 and size > 1 and _pool_pays(config, threads) and hasattr(os, "fork"):
-        size = -(-size // threads)
+    if threads > 1 and size > 1 and hasattr(os, "fork"):
+        threads = min(threads, _cpus())  # no more batches than CPUs to count them
+        if threads > 1 and _pool_pays(config, threads):
+            size = -(-size // threads)
     children = []
     try:
         for first in range(size, len(tasks), size):
@@ -349,22 +352,24 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SampleSummary:
         for child in children:
             child.close()
     leaf_counts = np.concatenate([counts for counts, _ in results])
-    audits = [audit for _, chunk in results for audit in chunk]
+    audited = np.concatenate([ids for _, ids in results])  # replicate 0 is always audited
 
     atoms, counts = leaf_atoms(leaf_counts)
     values = [reduced_values(spec, n, atoms) for spec in config.indices]
-    audited, direct = map(np.array, zip(*audits))  # replicate 0 is always audited
-    reduced = np.column_stack(values)[np.searchsorted(atoms, leaf_counts[audited])]
+    L = leaf_counts[audited]
+    degrees = spider_degrees(n, L)
+    direct = np.column_stack([eval_direct(degrees, n, spec) for spec in config.indices])
+    reduced = np.column_stack(values)[np.searchsorted(atoms, L)]
     mismatches = direct_mismatches(direct, reduced)
     if mismatches:
         k, j = mismatches[0]
         raise RuntimeError(f"direct/reduced mismatch for {config.indices[j].name} at n={n}, "
-                           f"L={int(leaf_counts[audited[k]])}: direct={float(direct[k, j])!r} "
+                           f"L={int(L[k])}: direct={float(direct[k, j])!r} "
                            f"reduced={float(reduced[k, j])!r}")
     stats = {spec.name: atom_stats(counts, v) for spec, v in zip(config.indices, values)}
     return SampleSummary(config=config, leaf_counts=leaf_counts, atoms=atoms,
                          atom_counts=counts, atom_values=values, stats=stats,
-                         spot_checks=len(audits))
+                         spot_checks=len(audited))
 
 
 def direct_mismatches(direct: np.ndarray, reduced: np.ndarray) -> list[list[int]]:
@@ -388,12 +393,14 @@ def leaf_atoms(leaf_counts: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def atom_stats(counts: list[int], values: np.ndarray) -> IndexStats:
     """Mean and sample variance (ddof 1; 0.0 at R = 1) of the sample that
-    holds ``values[i]`` ``counts[i]`` times, R = sum(counts): exact sums over
-    the atoms (``analytics.exact_mean_variance``), each rounded once."""
+    holds ``values[i]`` ``counts[i]`` times, R = sum(counts): exact integer
+    sums over the atoms (``analytics.scaled_moments``), each rounded once
+    by an int true division, which is correctly rounded."""
     R = sum(counts)
-    mean, variance = exact_mean_variance(counts, *integer_scaled(values.tolist()))
-    return IndexStats(count=R, mean=float(mean),
-                      variance=float(variance * R / (R - 1)) if R > 1 else 0.0)
+    xs, d = integer_scaled(values.tolist())
+    scale, s1, v = scaled_moments(counts, R, xs, [x * x for x in xs], d)
+    return IndexStats(count=R, mean=s1 / scale,
+                      variance=v * R / (scale * scale * (R - 1)) if R > 1 else 0.0)
 
 
 def standardize(samples, index: IndexSpec, n: int, p, k: float = 0.0) -> np.ndarray:

@@ -419,6 +419,7 @@ def test_import_leaves_the_process_pool_unloaded():
     probe = ("import os, sys, spiderlab, spiderlab.cli\n"
              "from spiderlab import montecarlo, LEAVES, SimConfig, UniformLeaf, run_experiment\n"
              "montecarlo.POOL_MIN_WORK = 0\n"
+             "montecarlo._cpus = lambda: 2  # split on a 1-CPU host too\n"
              "forked, fork = [], os.fork\n"
              "os.fork = lambda: forked.append(1) or fork()\n"
              "config = SimConfig(model=UniformLeaf(0.4), horizon=30, replicates=3000,\n"

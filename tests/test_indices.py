@@ -40,6 +40,7 @@ from spiderlab import (
     spider_degrees,
 )
 from spiderlab.indices import MAX_ABS_ALPHA
+from spiderlab.montecarlo import DIRECT_CHECK_RTOL
 from spiderlab.verify import _trial_specs
 
 SEED = new_seed()
@@ -383,6 +384,19 @@ def test_direct_values_equal_the_exact_definition_bit_for_bit(spec):
     for n in (1, 2, 37, 60):  # a scalar time beside an array of leaf counts
         got = _on_columns(spec, n, np.arange(3, n + 3))
         assert got.tobytes() == expected[GRID_N == n].tobytes()
+
+
+@pytest.mark.parametrize("spec", INTEGER_SPECS, ids=index_name)
+def test_direct_values_past_2_53_are_within_three_roundings_of_the_exact_value(spec):
+    # At n = 10**6 the cubes and higher powers pass 2**53: the column path
+    # rounds them, then its two additions round, where the definition is exact.
+    n = 10**6
+    Ls = np.array([3, n // 2, n + 2])
+    bound = Fraction(31, 10) * Fraction(1, 2**53)  # eval_direct's stated bound
+    assert bound < Fraction(DIRECT_CHECK_RTOL) / 1000
+    for L, value in zip(Ls.tolist(), _on_columns(spec, n, Ls).tolist()):
+        exact = Fraction(eval_direct(spider_degrees(n, L), n, spec))
+        assert abs(Fraction(value) - exact) <= bound * exact, L
 
 
 @pytest.mark.parametrize("spec", REAL_SPECS, ids=index_name)

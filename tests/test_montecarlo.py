@@ -338,9 +338,9 @@ def test_a_run_keys_one_stream_per_chunk_and_audits_each_hundredth_replicate_onc
     real = montecarlo._chunk_worker
 
     def chunk_worker(args):
-        counts, audits = real(args)
-        audited.extend(i for i, _ in audits)
-        return counts, audits
+        counts, ids = real(args)
+        audited.extend(ids.tolist())
+        return counts, ids
 
     monkeypatch.setattr(montecarlo, "_chunk_worker", chunk_worker)
     config = SimConfig(model=UniformLeaf(0.4), horizon=30, replicates=R,
@@ -349,6 +349,27 @@ def test_a_run_keys_one_stream_per_chunk_and_audits_each_hundredth_replicate_onc
     chunks = -(-R // CHUNK_SIZE)
     assert [(s.master_seed, s.stream_index) for s in recording] == [(8, c) for c in range(chunks)]
     assert audited == list(range(0, R, SPOT_CHECK_STRIDE))
+    assert summary.spot_checks == len(range(0, R, SPOT_CHECK_STRIDE))
+
+
+@pytest.mark.parametrize("R, threads", [(1, 1), (CHUNK_SIZE, 1), (2125, 1), (2125, 2)])
+def test_a_run_evaluates_each_index_by_its_definition_once(monkeypatch, forks, R, threads):
+    # The audit evaluates every index on the degree columns of all the
+    # audited replicates at once, in this process, after any fork.
+    monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
+    calls = []
+    real = montecarlo.eval_direct
+
+    def eval_direct(degrees, n, spec):
+        calls.append(spec)
+        return real(degrees, n, spec)
+
+    monkeypatch.setattr(montecarlo, "eval_direct", eval_direct)
+    config = SimConfig(model=UniformLeaf(0.4), horizon=30, replicates=R,
+                       master_seed=8, indices=(LEAVES, GINI, GeneralizedZagreb(2.5)))
+    summary = run_experiment(config, threads=threads)
+    assert calls == list(config.indices)
+    assert len(forks) == threads - 1
     assert summary.spot_checks == len(range(0, R, SPOT_CHECK_STRIDE))
 
 
@@ -481,6 +502,19 @@ def test_a_run_forks_once_per_batch_after_the_first(monkeypatch, forks):
     assert len(forks) == 1
     assert run_experiment(config, threads=4).to_json_str() == serial.to_json_str()
     assert len(forks) == 1 + 3
+
+
+def test_a_run_forks_no_more_batches_than_it_has_cpus(monkeypatch, forks):
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 2)
+    monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
+    config = SimConfig(model=UniformLeaf(0.4), horizon=30, replicates=4 * CHUNK_SIZE,
+                       master_seed=8, indices=(LEAVES, GINI))
+    serial = run_experiment(config, threads=1)
+    # 64 threads on 2 CPUs: batches of ceil(4 / 2) = 2 chunks, so one child
+    capped = run_experiment(config, threads=64)
+    assert len(forks) == 1
+    assert capped.to_json_str() == serial.to_json_str()
+    assert np.array_equal(capped.leaf_counts, serial.leaf_counts)
 
 
 def test_without_os_fork_a_run_is_serial(monkeypatch):
