@@ -33,13 +33,13 @@ sums rounded once (``atom_stats``), and ``ks_normal`` walks the same atoms,
 so all depend only on the multiset of L.
 
 Audit.  Replicates whose index is a multiple of SPOT_CHECK_STRIDE are
-audited; a chunk holds ten or eleven.  Their centroid schedules, which
-``block_leaf_counts`` reads back from their words apart from the sums
-that count them, are recounted in one pass: 3 plus each one's recruits
-must equal its counted L.  Once per run, every index is then evaluated
-by its definition on the degree columns of all the audited (n, L), as
-``verify`` does, and compared with the atom values the statistics use.
-No tree is grown: an index reads nothing of a tree but its degree multiset.
+audited; a chunk holds ten or eleven.  Each one's centroid schedule, which
+``block_leaf_counts`` reads back from its words apart from the popcount or
+byte sums that count it, is recounted: 3 plus its recruits must equal the
+counted L.  Every index is then evaluated by its definition on the degree
+multiset of that (n, L) (``tree.spider_degrees``) and compared with the
+atom value the statistics use at that L.  No tree is grown: an index reads
+nothing of a tree but its degree multiset.
 
 Work.  A chunk is one ``_chunk_worker`` call: ``block_leaf_counts`` counts
 its rows from its one stream in pieces of about ``tree.DRAW_PIECE`` words, so
@@ -197,13 +197,13 @@ class SampleSummary:
 
 
 def _chunk_worker(args) -> tuple:
-    """Replicates ``start..stop-1``: their leaf counts, and the ids of the
-    audited replicates among them, an int64 array.
+    """Replicates ``start..stop-1``: their leaf counts, and for each audited
+    replicate, in order, the direct value of every index at its (n, L).
 
     ``start`` is a multiple of CHUNK_SIZE; the chunk's rows below ``stop``
     are counted by ``block_leaf_counts`` from its one stream, laid out as a
-    whole chunk's, and the audited replicates' L recounted, in one
-    ``count_nonzero``, from the centroid schedules it returns.
+    whole chunk's, and each audited replicate's L is recounted from the
+    centroid schedule it returns.
     """
     config, start, stop = args
     n = config.horizon
@@ -213,13 +213,15 @@ def _chunk_worker(args) -> tuple:
     # no replicate's draws depend on the replicate count.
     counts, schedules = block_leaf_counts(config.model, stream, CHUNK_SIZE, n - 1, audit_rows,
                                           stop - start)
-    recounted = 3 + np.count_nonzero(schedules, axis=1)
-    wrong = np.flatnonzero(recounted != counts[audit_rows.start::SPOT_CHECK_STRIDE])
-    if wrong.size:
-        k = wrong[0]
-        raise RuntimeError(f"leaf-count mismatch at n={n}: counted "
-                           f"L={int(counts[audit_rows[k]])}, its schedule has L={recounted[k]}")
-    return counts, np.arange(start + audit_rows.start, stop, SPOT_CHECK_STRIDE)
+    audits = []
+    for row, centroid in zip(audit_rows, schedules):
+        L = 3 + int(np.count_nonzero(centroid))
+        if L != counts[row]:
+            raise RuntimeError(f"leaf-count mismatch at n={n}: counted "
+                               f"L={int(counts[row])}, its schedule has L={L}")
+        degrees = spider_degrees(n, L)
+        audits.append([float(eval_direct(degrees, n, spec)) for spec in config.indices])
+    return counts, audits
 
 
 def _pool_pays(config: SimConfig, threads: int) -> bool:
@@ -328,9 +330,7 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SampleSummary:
     killed, and each is reaped on every path.
 
     Each index is evaluated once per distinct leaf count, and its
-    statistics are ``atom_stats`` over those float64 atom values; the
-    audit evaluates it once more, by its definition, on the degree columns
-    of all the audited (n, L) (``eval_direct``, ``direct_mismatches``).
+    statistics are ``atom_stats`` over those float64 atom values.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -352,13 +352,11 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SampleSummary:
         for child in children:
             child.close()
     leaf_counts = np.concatenate([counts for counts, _ in results])
-    audited = np.concatenate([ids for _, ids in results])  # replicate 0 is always audited
+    direct = np.array([row for _, rows in results for row in rows])  # replicate 0 is audited
 
     atoms, counts = leaf_atoms(leaf_counts)
     values = [reduced_values(spec, n, atoms) for spec in config.indices]
-    L = leaf_counts[audited]
-    degrees = spider_degrees(n, L)
-    direct = np.column_stack([eval_direct(degrees, n, spec) for spec in config.indices])
+    L = leaf_counts[::SPOT_CHECK_STRIDE]
     reduced = np.column_stack(values)[np.searchsorted(atoms, L)]
     mismatches = direct_mismatches(direct, reduced)
     if mismatches:
@@ -369,7 +367,7 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SampleSummary:
     stats = {spec.name: atom_stats(counts, v) for spec, v in zip(config.indices, values)}
     return SampleSummary(config=config, leaf_counts=leaf_counts, atoms=atoms,
                          atom_counts=counts, atom_values=values, stats=stats,
-                         spot_checks=len(audited))
+                         spot_checks=len(L))
 
 
 def direct_mismatches(direct: np.ndarray, reduced: np.ndarray) -> list[list[int]]:

@@ -291,9 +291,8 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     """Leaf counts, of shape ``(counted,)``, of the first ``counted`` of a
     block of ``rows`` replicates of ``steps`` growth steps each, all laid
     out on the one ``stream``, decided by the bit rule at p = 1/2 and by
-    the byte rule at every other p; and the centroid schedules of the rows
-    in ``audit_rows``, in that order, as one ``(len(audit_rows), steps)``
-    bool array.
+    the byte rule at every other p; and the centroid schedule of each row
+    in ``audit_rows``, in that order.
 
     The bit rule applies when ``decision_threshold(model) == ONE_BIT``, so
     to ``Preferential`` and ``UniformLeaf(0.5)`` alike.  The stream yields
@@ -319,13 +318,9 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     ``counted``.  Under either rule the rows are drawn and counted in pieces
     of h = DRAW_PIECE // W whole rows (at least one), one pass each.  Ties
     are resolved after the last decision word, so the piece size bounds
-    memory and is not part of the contract.  The schedules are read back
-    from the audited rows' words apart from the sums that count them: one
-    ``np.unpackbits``, or one compare with A and one fill of the ties from
-    those rows' tail words, taken ascending (rows given out of order or
-    twice are read once each).  An audited row whose own ties differ from
-    its summed tie count raises the engine's "leaf-count mismatch"
-    ``RuntimeError``.
+    memory and is not part of the contract.  An audited row whose own ties
+    differ from its summed tie count raises the engine's "leaf-count
+    mismatch" ``RuntimeError``.
     """
     if not 0 <= counted <= rows:
         raise ValueError(f"{counted} counted rows outside 0..{rows}")
@@ -336,16 +331,12 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     width = -(-steps // (64 if one_bit else 8))  # decision words per row
     below = np.empty(counted, dtype=np.int64)  # recruits with no tail, per row
     ties = np.empty(counted, dtype=np.int64)   # bytes equal to A, per row
-    picked, back = np.array(audit_rows, dtype=np.intp), None
-    if np.any(picked[1:] <= picked[:-1]):  # the tail fill reads them ascending, each once
-        picked, back = np.unique(picked, return_inverse=True)
-    audited = np.empty((len(picked), width), dtype=np.uint64)  # their decision words
+    audited = dict.fromkeys(audit_rows)        # the audited rows' decision words
     height = max(1, DRAW_PIECE // max(width, 1))  # rows per piece
     for at in range(0, counted, height):
         end = min(at + height, counted)
         words = stream.words((end - at) * width).reshape(end - at, width)
-        here = (at <= picked) & (picked < end)
-        audited[here] = words[picked[here] - at]
+        audited.update({row: words[row - at].copy() for row in audited if at <= row < end})
         if one_bit:
             if steps % 64:
                 words[:, -1] &= np.uint64((1 << steps % 64) - 1)  # clear the unused bits
@@ -355,28 +346,27 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
             below[at:end] = _row_sums(octets < A, steps)
             ties[at:end] = _row_sums(octets <= A, steps) - below[at:end]
     counts = 3 + below
-    octets = audited.astype("<u8", copy=False).view(np.uint8)
-    if one_bit:
-        schedules = np.unpackbits(octets, axis=1, bitorder="little")[:, :steps] == 0
-    else:
+    if not one_bit:
         if counted < rows:
             stream.advance((rows - counted) * width)  # past the uncounted rows' decision words
         tail_rows = np.repeat(np.arange(counted), ties)  # the row each tail word decides for
         recruit = (stream.words(len(tail_rows)) >> np.uint64(TAIL_SHIFT)) < T
         counts += np.bincount(tail_rows[recruit], minlength=counted)
-        octets = octets[:, :steps]
+    schedules = []
+    for row in audit_rows:
+        octets = audited[row].astype("<u8", copy=False).view(np.uint8)
+        if one_bit:
+            schedules.append(np.unpackbits(octets, bitorder="little")[:steps] == 0)
+            continue
+        octets = octets[:steps]
         tied = octets == A
-        held = np.count_nonzero(tied, axis=1)
-        wrong = np.flatnonzero(held != ties[picked])
-        if wrong.size:
-            row = picked[wrong[0]]
+        if np.count_nonzero(tied) != ties[row]:
             raise RuntimeError(f"leaf-count mismatch at n={steps + 1}: row {row} holds "
-                               f"{held[wrong[0]]} ties, counted {ties[row]}")
-        mark = np.zeros(counted, dtype=bool)
-        mark[picked] = True
-        schedules = octets < A
-        schedules[tied] = recruit[mark[tail_rows]]  # row-major, as the audited rows ascend
-    return counts, schedules if back is None else schedules[back]
+                               f"{np.count_nonzero(tied)} ties, counted {ties[row]}")
+        centroid = octets < A
+        centroid[tied] = recruit[tail_rows == row]
+        schedules.append(centroid)
+    return counts, schedules
 
 
 def _row_sums(flags: np.ndarray, steps: int) -> np.ndarray:

@@ -12,12 +12,7 @@ settings.load_profile("ci")
 @pytest.fixture
 def forks(monkeypatch):
     """Spy on ``os.fork``: the pids of the children forked during the test,
-    each checked to be reaped (gone) when the test ends.  A run may split
-    over up to 4 processes (``montecarlo._cpus``), whatever the host's CPU
-    count, so a test's fork count does not depend on the host."""
-    from spiderlab import montecarlo
-
-    monkeypatch.setattr(montecarlo, "_cpus", lambda: 4)
+    each checked to be reaped (gone) when the test ends."""
     pids = []
     real_fork = os.fork
 

@@ -335,14 +335,13 @@ def test_an_audited_block_draws_its_decision_and_tail_words_only(recording, p):
 def test_a_run_keys_one_stream_per_chunk_and_audits_each_hundredth_replicate_once(
         monkeypatch, recording, R):
     audited = []
-    real = montecarlo._chunk_worker
+    real = montecarlo.block_leaf_counts
 
-    def chunk_worker(args):
-        counts, ids = real(args)
-        audited.extend(ids.tolist())
-        return counts, ids
+    def block_leaf_counts(model, stream, rows, steps, audit_rows, counted):
+        audited.extend(stream.stream_index * CHUNK_SIZE + row for row in audit_rows)
+        return real(model, stream, rows, steps, audit_rows, counted)
 
-    monkeypatch.setattr(montecarlo, "_chunk_worker", chunk_worker)
+    monkeypatch.setattr(montecarlo, "block_leaf_counts", block_leaf_counts)
     config = SimConfig(model=UniformLeaf(0.4), horizon=30, replicates=R,
                        master_seed=8, indices=(LEAVES, GINI))
     summary = run_experiment(config)
@@ -353,22 +352,25 @@ def test_a_run_keys_one_stream_per_chunk_and_audits_each_hundredth_replicate_onc
 
 
 @pytest.mark.parametrize("R, threads", [(1, 1), (CHUNK_SIZE, 1), (2125, 1), (2125, 2)])
-def test_a_run_evaluates_each_index_by_its_definition_once(monkeypatch, forks, R, threads):
-    # The audit evaluates every index on the degree columns of all the
-    # audited replicates at once, in this process, after any fork.
+def test_a_run_evaluates_each_index_once_per_audited_replicate(monkeypatch, forks, R, threads):
+    # One eval_direct call per (audited replicate, index), on that
+    # replicate's degree multiset, in the process that counted its chunk
+    # (split, this process counts chunks 0 and 1, the child chunk 2):
+    # bench/run.py --trace 1 counts the audited replicates by these calls.
     monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
     calls = []
     real = montecarlo.eval_direct
 
     def eval_direct(degrees, n, spec):
-        calls.append(spec)
+        calls.append((degrees[1], spec))
         return real(degrees, n, spec)
 
     monkeypatch.setattr(montecarlo, "eval_direct", eval_direct)
     config = SimConfig(model=UniformLeaf(0.4), horizon=30, replicates=R,
                        master_seed=8, indices=(LEAVES, GINI, GeneralizedZagreb(2.5)))
     summary = run_experiment(config, threads=threads)
-    assert calls == list(config.indices)
+    here = summary.leaf_counts[:R if threads == 1 else 2 * CHUNK_SIZE][::SPOT_CHECK_STRIDE]
+    assert calls == [(L, spec) for L in here.tolist() for spec in config.indices]
     assert len(forks) == threads - 1
     assert summary.spot_checks == len(range(0, R, SPOT_CHECK_STRIDE))
 
@@ -480,6 +482,7 @@ def test_a_fork_that_fails_kills_and_reaps_the_children_forked_before_it(monkeyp
             raise OSError("planted fork failure")
         return spy()
 
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 4)
     monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
     monkeypatch.setattr(os, "fork", second_fails)
     chunk_fault(monkeypatch, lambda counted: time.sleep(60) or counted)
@@ -493,6 +496,7 @@ def test_a_fork_that_fails_kills_and_reaps_the_children_forked_before_it(monkeyp
 
 
 def test_a_run_forks_once_per_batch_after_the_first(monkeypatch, forks):
+    monkeypatch.setattr(montecarlo, "_cpus", lambda: 4)
     monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
     config = SimConfig(model=UniformLeaf(0.4), horizon=30, replicates=4 * CHUNK_SIZE,
                        master_seed=8, indices=(LEAVES, GINI))

@@ -361,26 +361,6 @@ def test_schedules_follow_the_audited_rows_which_must_lie_in_the_block():
             block_leaf_counts(model, RngStream(6, 1), 4, 20, audit_rows, 4)
 
 
-@pytest.mark.parametrize("p", [0.4, 0.5])
-def test_schedules_of_rows_given_out_of_order_or_twice_follow_their_order(p):
-    # Under the byte rule the audited rows' ties take their tail words in
-    # ascending row order; rows given otherwise still get their own: here
-    # rows 5, 17, 22 and 36 hold one tie each, and only row 17's recruits.
-    model, rows, steps = UniformLeaf(p), 40, 100
-    want_counts, want_centroid = reference_block(RngStream(6, 2), rows, steps, p)
-    if p != 0.5:
-        octets = RngStream(6, 2).words(rows * 13).astype("<u8").view(np.uint8)
-        tied = octets.reshape(rows, 104)[:, :steps] == decision_threshold(model)[0]
-        assert [want_centroid[row][tied[row]].tolist() for row in (5, 17, 22, 36)] == [
-            [False], [True], [False], [False]]
-    for audit_rows in ([17, 5, 22], [36, 17, 5, 17, 3, 22]):
-        counts, schedules = block_leaf_counts(model, RngStream(6, 2), rows, steps, audit_rows,
-                                              rows)
-        assert counts.tolist() == want_counts.tolist()
-        assert schedules.shape == (len(audit_rows), steps)
-        assert np.array_equal(schedules, want_centroid[audit_rows])
-
-
 class SkipRecorder(RngStream):
     """An ``RngStream`` that records each ``words`` and ``advance`` call."""
 
