@@ -123,6 +123,9 @@ class SimConfig:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
+        if self.horizon > 1 << 32 and decision_threshold(self.model) == ONE_BIT:
+            raise ValueError(f"horizon must be <= 2**32 at p = 1/2, whose bit rule counts "
+                             f"in uint32 lanes, got {self.horizon}")
         if not self.indices:
             raise ValueError("at least one index is required")
         for spec in self.indices:

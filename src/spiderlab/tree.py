@@ -37,8 +37,9 @@ comparison is Knuth and Yao's ("The complexity of nonuniform random number
 generation", 1976).  At p = 1/2, K = 2**52, so A = 128 and T = 0: the
 comparison stops at its first bit, and ``block_leaf_counts`` draws one
 random bit per step (the bit rule) and counts a row's recruits by popcount
-(Warren, *Hacker's Delight*, ch. 5).  How the engine lays its replicates
-out over streams is documented in ``spiderlab.montecarlo``.
+(Warren, *Hacker's Delight*, ch. 5) in uint32 lanes; an audited row's
+schedule is its inverted words unpacked, read as bool.  How the engine lays
+its replicates out over streams is documented in ``spiderlab.montecarlo``.
 """
 
 from __future__ import annotations
@@ -300,7 +301,9 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     owns words ``r*W .. r*W + W - 1``, and step s of row r recruits iff bit
     ``s % 64`` of word ``r*W + s // 64`` is 0.  The bits of a row's last
     word above step ``steps - 1`` are unused.  The row's leaf count is 3 +
-    steps minus the popcount of its used bits.
+    steps minus the popcount of its used bits, summed in uint32, so steps
+    must be below 2**32 (``OverflowError`` otherwise).  An audited row's
+    schedule is its inverted words unpacked and viewed as bool.
 
     Under the byte rule the stream yields, in order:
 
@@ -340,7 +343,7 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
         if one_bit:
             if steps % 64:
                 words[:, -1] &= np.uint64((1 << steps % 64) - 1)  # clear the unused bits
-            below[at:end] = steps - np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+            below[at:end] = steps - np.bitwise_count(words).sum(axis=1, dtype=np.uint32)
         else:
             octets = words.astype("<u8", copy=False).view(np.uint8)
             below[at:end] = _row_sums(octets < A, steps)
@@ -356,7 +359,7 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     for row in audit_rows:
         octets = audited[row].astype("<u8", copy=False).view(np.uint8)
         if one_bit:
-            schedules.append(np.unpackbits(octets, bitorder="little")[:steps] == 0)
+            schedules.append(np.unpackbits(~octets, bitorder="little")[:steps].view(bool))
             continue
         octets = octets[:steps]
         tied = octets == A

@@ -158,6 +158,48 @@ def test_audit_rejects_a_flipped_step_in_the_audited_schedule(monkeypatch, p, fl
         run_experiment(config)
 
 
+def test_a_bit_rule_horizon_past_two_to_the_32_is_a_config_error():
+    # The bit rule sums a row's popcounts in uint32 lanes, exact up to 2**32 - 1
+    # steps; the byte rule sums in int64 and takes any horizon.
+    for model in (UniformLeaf(0.5), Preferential()):
+        with pytest.raises(ValueError, match=r"^horizon must be <= 2\*\*32 at p = 1/2, .* "
+                                             r"got 4294967297$"):
+            SimConfig(model=model, horizon=2**32 + 1, replicates=1, master_seed=0,
+                      indices=(LEAVES,))
+        SimConfig(model=model, horizon=2**32, replicates=1, master_seed=0, indices=(LEAVES,))
+    SimConfig(model=UniformLeaf(0.4), horizon=2**32 + 1, replicates=1, master_seed=0,
+              indices=(LEAVES,))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.4])
+def test_audit_checks_every_audited_replicate_not_only_the_first(monkeypatch, p):
+    # Replicate 1400 is row 376 of chunk 1 and past the first piece under
+    # both rules; it is the only audited replicate whose schedule is wrong.
+    n, R, target = 5000, 2125, 1400
+    chunk, row = divmod(target, CHUNK_SIZE)
+    width = -(-(n - 1) // (64 if p == 0.5 else 8))
+    assert target % SPOT_CHECK_STRIDE == 0 and row >= DRAW_PIECE // width
+    config = SimConfig(model=UniformLeaf(p), horizon=n, replicates=R,
+                       master_seed=2, indices=(LEAVES,))
+    L = run_experiment(config).leaf_counts
+    audited = L[::SPOT_CHECK_STRIDE].tolist()
+    assert audited.count(L[target]) == 1  # the message names this replicate alone
+    real = montecarlo.block_leaf_counts
+
+    def one_step_flipped(model, stream, rows, steps, audit_rows, counted):
+        counts, schedules = real(model, stream, rows, steps, audit_rows, counted)
+        if stream.stream_index == chunk:
+            centroid = schedules[list(audit_rows).index(row)]
+            centroid[2500] = ~centroid[2500]
+        return counts, schedules
+
+    monkeypatch.setattr(montecarlo, "block_leaf_counts", one_step_flipped)
+    with pytest.raises(RuntimeError, match=f"^leaf-count mismatch at n={n}: counted "
+                                           f"L={L[target]}, its schedule has "
+                                           f"L=({L[target] - 1}|{L[target] + 1})$"):
+        run_experiment(config)
+
+
 def test_a_faulty_byte_sum_is_named_as_a_leaf_count_mismatch(monkeypatch):
     # A byte sum that misses byte 0 of each word undercounts row 0's ties;
     # the audit names it before the row's tail words are scattered.

@@ -567,3 +567,22 @@ def test_bit_rule_reads_only_the_used_bits_and_draws_no_tail(monkeypatch, n):
     want_counts, want_centroid = reference_block(ScriptedWords(words), 5, steps, 0.5)
     assert want_counts.tolist() == want
     assert want_centroid[4].tolist() == [bit == 0 for bit in rows[4]]
+
+
+class OnesWords:
+    """Stand-in for RngStream whose every raw word has all 64 bits set,
+    served as a zero-stride view of one word, so a row of 2**26 words
+    costs 8 bytes."""
+
+    def words(self, count):
+        one = np.full(1, 2**64 - 1, dtype=np.uint64)
+        return np.lib.stride_tricks.as_strided(one, shape=(count,), strides=(0,))
+
+
+def test_bit_rule_raises_rather_than_miscount_from_two_to_the_32_steps():
+    # A row of 2**32 leaf steps has popcount 2**32, one past what the uint32
+    # lane holds, and 2**32 steps do not fit the lane either: the count
+    # raises instead of wrapping.  Only the row's 2**26 per-word popcounts
+    # (64 MiB of uint8) are allocated.
+    with pytest.raises(OverflowError):
+        block_leaf_counts(Preferential(), OnesWords(), 1, 2**32, [], 1)
