@@ -37,9 +37,11 @@ comparison is Knuth and Yao's ("The complexity of nonuniform random number
 generation", 1976).  At p = 1/2, K = 2**52, so A = 128 and T = 0: the
 comparison stops at its first bit, and ``block_leaf_counts`` draws one
 random bit per step (the bit rule) and counts a row's recruits by popcount
-(Warren, *Hacker's Delight*, ch. 5) in uint32 lanes; an audited row's
-schedule is its inverted words unpacked, read as bool.  How the engine lays
-its replicates out over streams is documented in ``spiderlab.montecarlo``.
+(Warren, *Hacker's Delight*, ch. 5) in uint32 lanes.  A block's audited
+schedules come from one array pass after its last piece, as one bool
+array; under the bit rule they are the audited rows' inverted words
+unpacked.  How the engine lays its replicates out over streams is
+documented in ``spiderlab.montecarlo``.
 """
 
 from __future__ import annotations
@@ -292,8 +294,9 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     """Leaf counts, of shape ``(counted,)``, of the first ``counted`` of a
     block of ``rows`` replicates of ``steps`` growth steps each, all laid
     out on the one ``stream``, decided by the bit rule at p = 1/2 and by
-    the byte rule at every other p; and the centroid schedule of each row
-    in ``audit_rows``, in that order.
+    the byte rule at every other p; and the centroid schedules of the rows
+    in ``audit_rows``, in that order, any order and repeats allowed, as one
+    ``(len(audit_rows), steps)`` bool array.
 
     The bit rule applies when ``decision_threshold(model) == ONE_BIT``, so
     to ``Preferential`` and ``UniformLeaf(0.5)`` alike.  The stream yields
@@ -302,8 +305,7 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     ``s % 64`` of word ``r*W + s // 64`` is 0.  The bits of a row's last
     word above step ``steps - 1`` are unused.  The row's leaf count is 3 +
     steps minus the popcount of its used bits, summed in uint32, so steps
-    must be below 2**32 (``OverflowError`` otherwise).  An audited row's
-    schedule is its inverted words unpacked and viewed as bool.
+    must be below 2**32 (``OverflowError`` otherwise).
 
     Under the byte rule the stream yields, in order:
 
@@ -321,9 +323,15 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     ``counted``.  Under either rule the rows are drawn and counted in pieces
     of h = DRAW_PIECE // W whole rows (at least one), one pass each.  Ties
     are resolved after the last decision word, so the piece size bounds
-    memory and is not part of the contract.  An audited row whose own ties
-    differ from its summed tie count raises the engine's "leaf-count
-    mismatch" ``RuntimeError``.
+    memory and is not part of the contract.
+
+    Each audited row's words are copied as its piece is drawn, and one
+    array pass after the last piece builds every schedule: the inverted
+    words unpacked, viewed as bool, under the bit rule; the bytes below A,
+    each row's ties filled from its tail words, under the byte rule.  The
+    first audited row, in ``audit_rows`` order, whose own ties differ from
+    its summed tie count raises the engine's "leaf-count mismatch"
+    ``RuntimeError``.
     """
     if not 0 <= counted <= rows:
         raise ValueError(f"{counted} counted rows outside 0..{rows}")
@@ -334,12 +342,17 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     width = -(-steps // (64 if one_bit else 8))  # decision words per row
     below = np.empty(counted, dtype=np.int64)  # recruits with no tail, per row
     ties = np.empty(counted, dtype=np.int64)   # bytes equal to A, per row
-    audited = dict.fromkeys(audit_rows)        # the audited rows' decision words
     height = max(1, DRAW_PIECE // max(width, 1))  # rows per piece
-    for at in range(0, counted, height):
+    audited = np.array(audit_rows, dtype=np.int64)
+    order = audited.argsort(kind="stable")  # positions in audit_rows, by row
+    edges = audited[order].searchsorted(range(0, counted + height, height)).tolist()
+    picked = np.empty((len(audited), width), dtype=np.uint64)  # their decision words
+    for piece, at in enumerate(range(0, counted, height)):
         end = min(at + height, counted)
         words = stream.words((end - at) * width).reshape(end - at, width)
-        audited.update({row: words[row - at].copy() for row in audited if at <= row < end})
+        if edges[piece] < edges[piece + 1]:  # audited rows in this piece
+            here = order[edges[piece]:edges[piece + 1]]
+            picked[here] = words[audited[here] - at]
         if one_bit:
             if steps % 64:
                 words[:, -1] &= np.uint64((1 << steps % 64) - 1)  # clear the unused bits
@@ -349,26 +362,27 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
             below[at:end] = _row_sums(octets < A, steps)
             ties[at:end] = _row_sums(octets <= A, steps) - below[at:end]
     counts = 3 + below
-    if not one_bit:
-        if counted < rows:
-            stream.advance((rows - counted) * width)  # past the uncounted rows' decision words
-        tail_rows = np.repeat(np.arange(counted), ties)  # the row each tail word decides for
-        recruit = (stream.words(len(tail_rows)) >> np.uint64(TAIL_SHIFT)) < T
-        counts += np.bincount(tail_rows[recruit], minlength=counted)
-    schedules = []
-    for row in audit_rows:
-        octets = audited[row].astype("<u8", copy=False).view(np.uint8)
-        if one_bit:
-            schedules.append(np.unpackbits(~octets, bitorder="little")[:steps].view(bool))
-            continue
-        octets = octets[:steps]
-        tied = octets == A
-        if np.count_nonzero(tied) != ties[row]:
-            raise RuntimeError(f"leaf-count mismatch at n={steps + 1}: row {row} holds "
-                               f"{np.count_nonzero(tied)} ties, counted {ties[row]}")
-        centroid = octets < A
-        centroid[tied] = recruit[tail_rows == row]
-        schedules.append(centroid)
+    octets = picked.astype("<u8", copy=False).view(np.uint8)
+    if one_bit:
+        return counts, np.unpackbits(~octets, axis=1, count=steps, bitorder="little").view(bool)
+    if counted < rows:
+        stream.advance((rows - counted) * width)  # past the uncounted rows' decision words
+    tail_rows = np.repeat(np.arange(counted), ties)  # the row each tail word decides for
+    recruit = (stream.words(len(tail_rows)) >> np.uint64(TAIL_SHIFT)) < T
+    counts += np.bincount(tail_rows[recruit], minlength=counted)
+    octets = octets[:, :steps]
+    tied = octets == A
+    held, want = np.count_nonzero(tied, axis=1), ties[audited]
+    wrong = np.flatnonzero(held != want)
+    if wrong.size:
+        k = wrong[0]
+        raise RuntimeError(f"leaf-count mismatch at n={steps + 1}: row {audited[k]} holds "
+                           f"{held[k]} ties, counted {want[k]}")
+    schedules = octets < A
+    # Each audited row's tail words, in audit order: from its first, one per tie.
+    first = tail_rows.searchsorted(audited)
+    start = np.repeat(first - want.cumsum() + want, want)
+    schedules[tied] = recruit[start + np.arange(len(start))]
     return counts, schedules
 
 

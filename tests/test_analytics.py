@@ -577,6 +577,24 @@ def test_support_weights_are_the_exact_masses(n, p):
     assert [Fraction(w, total) for w in weights] == support_pmf(law)
 
 
+@pytest.mark.parametrize("values", [
+    [],
+    [3, -7, 0, True],                           # one denominator, 1
+    [1.0, -2.0],
+    [0.25, -1.75, 3.25, 0.25],                  # one denominator, 2**2
+    [0.1, 0.5, 3.0, -2.75, 0.1],                # mixed powers of 2
+    [1e-300, 1e300, 5e-324],
+    [Fraction(1, 3), Fraction(-5, 6), 2, 0.5],  # mixed, not only powers of 2
+    [Fraction(7, 9), Fraction(-2, 9)],
+])
+def test_integer_scaled_puts_the_values_over_the_lcm_of_their_denominators(values):
+    exact = [Fraction(v) for v in values]
+    d = math.lcm(*(f.denominator for f in exact))  # 1 for no values
+    xs, s = integer_scaled(values)
+    assert s == d and xs == [int(f * d) for f in exact]
+    assert all(type(x) is int for x in xs)
+
+
 def test_exact_mean_variance_matches_fraction_sums():
     law = LeafLaw(9, Fraction(3, 7))
     pmf = support_pmf(law)

@@ -211,6 +211,35 @@ def test_a_faulty_byte_sum_is_named_as_a_leaf_count_mismatch(monkeypatch):
         run_experiment(config)
 
 
+def test_a_faulty_byte_sum_names_the_first_audited_row_it_miscounts(monkeypatch):
+    # The faulty sum misses the ties in byte 0 of a word.  At seed 12, the
+    # first audited row holding one is row 500 of chunk 0; rows 0 and 300
+    # hold ties in other bytes only, which it counts.  Audited in reverse,
+    # the first audited row it miscounts is the last such row.
+    model, n, seed = UniformLeaf(0.4), 201, 12
+    width = -(-(n - 1) // 8)
+    octets = RngStream(seed, 0).words(CHUNK_SIZE * width).astype("<u8").view(np.uint8)
+    tied = octets.reshape(CHUNK_SIZE, 8 * width)[:, :n - 1] == decision_threshold(model)[0]
+    missed = tied[:, ::8].sum(axis=1)
+    audited = range(0, CHUNK_SIZE, SPOT_CHECK_STRIDE)
+    wrong = [row for row in audited if missed[row]]
+    assert wrong[0] == 500 and len(wrong) > 1 and tied[[0, 300]].any(axis=1).all()
+    monkeypatch.setattr(tree, "_BYTE_SUM", 0x0001010101010101)
+
+    def message(row):
+        held = int(tied[row].sum())
+        return (f"^leaf-count mismatch at n={n}: row {row} holds {held} ties, "
+                f"counted {held - missed[row]}$")
+
+    config = SimConfig(model=model, horizon=n, replicates=CHUNK_SIZE, master_seed=seed,
+                       indices=(LEAVES,))
+    with pytest.raises(RuntimeError, match=message(wrong[0])):
+        run_experiment(config)
+    with pytest.raises(RuntimeError, match=message(wrong[-1])):
+        tree.block_leaf_counts(model, RngStream(seed, 0), CHUNK_SIZE, n - 1, audited[::-1],
+                               CHUNK_SIZE)
+
+
 # -- stream contract -------------------------------------------------------------
 
 def leaf_samples(n, p, replicates, master_seed, threads=1):
@@ -582,6 +611,26 @@ def test_preferential_equals_uniform_half():
     a = run_experiment(SimConfig(model=Preferential(), **base))
     b = run_experiment(SimConfig(model=UniformLeaf(0.5), **base))
     assert a.stats == b.stats
+
+
+def test_atom_stats_scale_a_runs_atoms_as_a_division_per_value_does(monkeypatch):
+    # integer_scaled divides the lcm once per distinct denominator, and not
+    # at all when there is one (the leaf count's integer atoms): the
+    # statistics must equal, bit for bit, those of one division per value.
+    config = SimConfig(model=UniformLeaf(0.4), horizon=201, replicates=3000, master_seed=7,
+                       indices=NAMED_INDICES + (GeneralizedZagreb(2.5),))
+    summary = run_experiment(config)
+
+    def per_value(values):
+        ratios = [v.as_integer_ratio() for v in values]
+        d = math.lcm(*(den for _, den in ratios))
+        return [num * (d // den) for num, den in ratios], d
+
+    monkeypatch.setattr(montecarlo, "integer_scaled", per_value)
+    for spec, values in zip(config.indices, summary.atom_values):
+        got, want = summary.stats[spec.name], montecarlo.atom_stats(summary.atom_counts, values)
+        assert (got.count, got.mean.hex(), got.variance.hex()) == (
+            want.count, want.mean.hex(), want.variance.hex()), spec.name
 
 
 def test_spot_checks_run_on_one_percent():

@@ -361,6 +361,39 @@ def test_schedules_follow_the_audited_rows_which_must_lie_in_the_block():
             block_leaf_counts(model, RngStream(6, 1), 4, 20, audit_rows, 4)
 
 
+@pytest.mark.parametrize("p, n, audit_rows", [(0.4, 201, [1000, 3, 3, 700]),
+                                                (0.5, 5000, [900, 5, 5])])
+def test_unsorted_repeated_audit_rows_across_pieces_get_their_own_schedules(p, n, audit_rows):
+    # A chunk is counted in pieces of 655 rows at n = 201 (byte rule) and of
+    # 207 at n = 5000 (bit rule); these rows lie in two pieces, out of order
+    # and repeated, and at p = 0.4 each of them holds ties.
+    model, rows, steps = UniformLeaf(p), 1024, n - 1
+    width = -(-steps // (64 if p == 0.5 else 8))
+    assert len({row // (DRAW_PIECE // width) for row in audit_rows}) == 2
+    if p != 0.5:
+        octets = RngStream(5, 0).words(rows * width).astype("<u8").view(np.uint8)
+        tied = octets.reshape(rows, 8 * width)[audit_rows, :steps] == decision_threshold(model)[0]
+        assert tied.any(axis=1).all()
+    want_counts, want_centroid = reference_block(RngStream(5, 0), rows, steps, p)
+    counts, schedules = block_leaf_counts(model, RngStream(5, 0), rows, steps, audit_rows, rows)
+    assert counts.tolist() == want_counts.tolist()
+    assert len(schedules) == len(audit_rows)
+    for row, centroid in zip(audit_rows, schedules):
+        assert np.array_equal(centroid, want_centroid[row])
+
+
+@pytest.mark.parametrize("p", [0.4, 0.5])
+@pytest.mark.parametrize("steps", [0, 1, 64, 200])
+@pytest.mark.parametrize("audit_rows", [[], [2], [3, 0, 3]])
+def test_schedules_are_one_bool_array_in_audit_order(p, steps, audit_rows):
+    want_counts, want_centroid = reference_block(RngStream(9, 4), 4, steps, p)
+    counts, schedules = block_leaf_counts(UniformLeaf(p), RngStream(9, 4), 4, steps,
+                                          audit_rows, 4)
+    assert counts.tolist() == want_counts.tolist()
+    assert type(schedules) is np.ndarray and schedules.dtype == bool
+    assert np.array_equal(schedules, want_centroid[audit_rows])
+
+
 class SkipRecorder(RngStream):
     """An ``RngStream`` that records each ``words`` and ``advance`` call."""
 
