@@ -468,13 +468,9 @@ def integer_scaled(values) -> tuple[list[int], int]:
     Scaling depends on the values alone, so a caller that sums one list of
     values under many weightings scales it once."""
     ratios = [v.as_integer_ratio() for v in values]
-    distinct = {den for _, den in ratios}
     # Pairwise: math.lcm(*denominators) grew RSS on every call under CPython 3.11.
-    d = reduce(math.lcm, distinct, 1)
-    if len(distinct) < 2:  # every value is already over d
-        return [num for num, _ in ratios], d
-    factor = {den: d // den for den in distinct}
-    return [num * factor[den] for num, den in ratios], d
+    d = reduce(math.lcm, (den for _, den in ratios), 1)
+    return [num * (d // den) for num, den in ratios], d
 
 
 def _float_horner(coeffs, m):

@@ -33,14 +33,13 @@ sums rounded once (``atom_stats``), and ``ks_normal`` walks the same atoms,
 so all depend only on the multiset of L.
 
 Audit.  Replicates whose index is a multiple of SPOT_CHECK_STRIDE are
-audited; a chunk holds ten or eleven.  Each one's centroid schedule is
-read back from its words apart from the popcount or byte sums that count
-it: ``block_leaf_counts`` builds a chunk's audited schedules in one array
-pass after its last piece and returns them as one (k, steps) bool array,
-in the order of the audited rows.  Each is recounted: 3 plus its recruits
-must equal the counted L.  Every index is then evaluated by its definition
-on the degree multiset of that (n, L) (``tree.spider_degrees``) and
-compared with the atom value the statistics use at that L.  No tree is
+audited; a chunk holds ten or eleven.  Each one's centroid schedule, which
+``block_leaf_counts`` reads back from its words apart from the popcount or
+byte sums that count it, is recounted: 3 plus its recruits must equal the
+counted L.  The schedules come back as one (k, steps) bool array in the
+order of the audited rows.  Every index is then evaluated by its
+definition on the degree multiset of that (n, L) (``tree.spider_degrees``)
+and compared with the atom value the statistics use at that L.  No tree is
 grown: an index reads nothing of a tree but its degree multiset.
 
 Work.  A chunk is one ``_chunk_worker`` call: ``block_leaf_counts`` counts
@@ -202,9 +201,8 @@ class SampleSummary:
 
 
 def _chunk_worker(args) -> tuple:
-    """Replicates ``start..stop-1``: their leaf counts, and one flat list of
-    the direct value of every index at each audited replicate's (n, L),
-    replicate by replicate, in ``config.indices`` order.
+    """Replicates ``start..stop-1``: their leaf counts, and for each audited
+    replicate, in order, the direct value of every index at its (n, L).
 
     ``start`` is a multiple of CHUNK_SIZE; the chunk's rows below ``stop``
     are counted by ``block_leaf_counts`` from its one stream, laid out as a
@@ -219,15 +217,15 @@ def _chunk_worker(args) -> tuple:
     # no replicate's draws depend on the replicate count.
     counts, schedules = block_leaf_counts(config.model, stream, CHUNK_SIZE, n - 1, audit_rows,
                                           stop - start)
-    direct = []
+    audits = []
     for row, centroid in zip(audit_rows, schedules):
         L = 3 + int(np.count_nonzero(centroid))
         if L != counts[row]:
             raise RuntimeError(f"leaf-count mismatch at n={n}: counted "
                                f"L={int(counts[row])}, its schedule has L={L}")
         degrees = spider_degrees(n, L)
-        direct += [float(eval_direct(degrees, n, spec)) for spec in config.indices]
-    return counts, direct
+        audits.append([float(eval_direct(degrees, n, spec)) for spec in config.indices])
+    return counts, audits
 
 
 def _pool_pays(config: SimConfig, threads: int) -> bool:
@@ -358,8 +356,7 @@ def run_experiment(config: SimConfig, threads: int = 1) -> SampleSummary:
         for child in children:
             child.close()
     leaf_counts = np.concatenate([counts for counts, _ in results])
-    direct = np.array([v for _, values in results for v in values]).reshape(
-        -1, len(config.indices))
+    direct = np.array([row for _, rows in results for row in rows])  # replicate 0 is audited
 
     atoms, counts = leaf_atoms(leaf_counts)
     values = [reduced_values(spec, n, atoms) for spec in config.indices]

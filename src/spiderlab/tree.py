@@ -37,11 +37,11 @@ comparison is Knuth and Yao's ("The complexity of nonuniform random number
 generation", 1976).  At p = 1/2, K = 2**52, so A = 128 and T = 0: the
 comparison stops at its first bit, and ``block_leaf_counts`` draws one
 random bit per step (the bit rule) and counts a row's recruits by popcount
-(Warren, *Hacker's Delight*, ch. 5) in uint32 lanes.  A block's audited
-schedules come from one array pass after its last piece, as one bool
-array; under the bit rule they are the audited rows' inverted words
-unpacked.  How the engine lays its replicates out over streams is
-documented in ``spiderlab.montecarlo``.
+(Warren, *Hacker's Delight*, ch. 5) in uint32 lanes; an audited row's
+schedule is its inverted words unpacked, read as bool.  A block's audited
+schedules come back as one (k, steps) bool array in ``audit_rows`` order.
+How the engine lays its replicates out over streams is documented in
+``spiderlab.montecarlo``.
 """
 
 from __future__ import annotations
@@ -342,17 +342,12 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     width = -(-steps // (64 if one_bit else 8))  # decision words per row
     below = np.empty(counted, dtype=np.int64)  # recruits with no tail, per row
     ties = np.empty(counted, dtype=np.int64)   # bytes equal to A, per row
+    audited = dict.fromkeys(audit_rows)        # the audited rows' decision words
     height = max(1, DRAW_PIECE // max(width, 1))  # rows per piece
-    audited = np.array(audit_rows, dtype=np.int64)
-    order = audited.argsort(kind="stable")  # positions in audit_rows, by row
-    edges = audited[order].searchsorted(range(0, counted + height, height)).tolist()
-    picked = np.empty((len(audited), width), dtype=np.uint64)  # their decision words
-    for piece, at in enumerate(range(0, counted, height)):
+    for at in range(0, counted, height):
         end = min(at + height, counted)
         words = stream.words((end - at) * width).reshape(end - at, width)
-        if edges[piece] < edges[piece + 1]:  # audited rows in this piece
-            here = order[edges[piece]:edges[piece + 1]]
-            picked[here] = words[audited[here] - at]
+        audited.update({row: words[row - at].copy() for row in audited if at <= row < end})
         if one_bit:
             if steps % 64:
                 words[:, -1] &= np.uint64((1 << steps % 64) - 1)  # clear the unused bits
@@ -362,7 +357,8 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
             below[at:end] = _row_sums(octets < A, steps)
             ties[at:end] = _row_sums(octets <= A, steps) - below[at:end]
     counts = 3 + below
-    octets = picked.astype("<u8", copy=False).view(np.uint8)
+    picked = np.array([audited[row] for row in audit_rows], dtype=np.uint64)
+    octets = picked.reshape(len(audit_rows), width).astype("<u8", copy=False).view(np.uint8)
     if one_bit:
         return counts, np.unpackbits(~octets, axis=1, count=steps, bitorder="little").view(bool)
     if counted < rows:
@@ -372,15 +368,16 @@ def block_leaf_counts(model: GrowthModel, stream, rows: int, steps: int, audit_r
     counts += np.bincount(tail_rows[recruit], minlength=counted)
     octets = octets[:, :steps]
     tied = octets == A
-    held, want = np.count_nonzero(tied, axis=1), ties[audited]
+    which = np.array(audit_rows, dtype=np.int64)
+    held, want = np.count_nonzero(tied, axis=1), ties[which]
     wrong = np.flatnonzero(held != want)
     if wrong.size:
         k = wrong[0]
-        raise RuntimeError(f"leaf-count mismatch at n={steps + 1}: row {audited[k]} holds "
+        raise RuntimeError(f"leaf-count mismatch at n={steps + 1}: row {which[k]} holds "
                            f"{held[k]} ties, counted {want[k]}")
     schedules = octets < A
-    # Each audited row's tail words, in audit order: from its first, one per tie.
-    first = tail_rows.searchsorted(audited)
+    # The ties fill in audit order, each row from its first tail word on.
+    first = (ties.cumsum() - ties)[which]
     start = np.repeat(first - want.cumsum() + want, want)
     schedules[tied] = recruit[start + np.arange(len(start))]
     return counts, schedules

@@ -6,6 +6,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,7 +48,7 @@ from spiderlab.analytics import (
     integer_scaled,
     support_weights,
 )
-from spiderlab.indices import eval_reduced, horner
+from spiderlab.indices import eval_reduced, horner, reduced_values
 from spiderlab.verify import catalog_oracle_suite, stirling2
 
 from conftest import ScriptedStream
@@ -586,6 +587,8 @@ def test_support_weights_are_the_exact_masses(n, p):
     [1e-300, 1e300, 5e-324],
     [Fraction(1, 3), Fraction(-5, 6), 2, 0.5],  # mixed, not only powers of 2
     [Fraction(7, 9), Fraction(-2, 9)],
+    reduced_values(ZAGREB, 201, np.arange(60, 110)).tolist(),  # a run's atom values
+    reduced_values(GINI, 201, np.arange(60, 110)).tolist(),
 ])
 def test_integer_scaled_puts_the_values_over_the_lcm_of_their_denominators(values):
     exact = [Fraction(v) for v in values]

@@ -613,26 +613,6 @@ def test_preferential_equals_uniform_half():
     assert a.stats == b.stats
 
 
-def test_atom_stats_scale_a_runs_atoms_as_a_division_per_value_does(monkeypatch):
-    # integer_scaled divides the lcm once per distinct denominator, and not
-    # at all when there is one (the leaf count's integer atoms): the
-    # statistics must equal, bit for bit, those of one division per value.
-    config = SimConfig(model=UniformLeaf(0.4), horizon=201, replicates=3000, master_seed=7,
-                       indices=NAMED_INDICES + (GeneralizedZagreb(2.5),))
-    summary = run_experiment(config)
-
-    def per_value(values):
-        ratios = [v.as_integer_ratio() for v in values]
-        d = math.lcm(*(den for _, den in ratios))
-        return [num * (d // den) for num, den in ratios], d
-
-    monkeypatch.setattr(montecarlo, "integer_scaled", per_value)
-    for spec, values in zip(config.indices, summary.atom_values):
-        got, want = summary.stats[spec.name], montecarlo.atom_stats(summary.atom_counts, values)
-        assert (got.count, got.mean.hex(), got.variance.hex()) == (
-            want.count, want.mean.hex(), want.variance.hex()), spec.name
-
-
 def test_spot_checks_run_on_one_percent():
     config = SimConfig(model=UniformLeaf(0.5), horizon=30, replicates=950,
                        master_seed=1, indices=(ZAGREB, GINI))
