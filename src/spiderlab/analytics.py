@@ -48,7 +48,6 @@ __all__ = [
     "support_weights",
     "integer_scaled",
     "scaled_moments",
-    "exact_mean_variance",
     "leaf_mgf",
     "affine_mgf",
     "coefficient_triangle",
@@ -165,19 +164,6 @@ def scaled_moments(weights: list[int], total: int, xs: list[int], squares: list[
     s1 = sum(map(operator.mul, weights, xs))
     s2 = sum(map(operator.mul, weights, squares))
     return total * d, s1, total * s2 - s1 * s1
-
-
-def exact_mean_variance(weights: list[int], xs: list[int], d: int) -> tuple[Fraction, Fraction]:
-    """Exact mean and population variance of the values ``xs[i] / d`` under
-    the non-negative integer ``weights[i]``.
-
-    ``(xs, d)`` is ``integer_scaled(values)``, so both sums stay in
-    integers (``scaled_moments``) and only the two results are
-    ``Fraction``s.  A caller that reports floats rounds each once, its
-    only rounding.
-    """
-    scale, s1, v = scaled_moments(weights, sum(weights), xs, [x * x for x in xs], d)
-    return Fraction(s1, scale), Fraction(v, scale * scale)
 
 
 def leaf_mgf(law: LeafLaw, t: float) -> float:
@@ -580,11 +566,12 @@ def oracle_mean_variance(index: IndexSpec, n: int, p, order: int = 1) -> tuple:
         raise ValueError(f"order must be an int >= 1, got {order!r}")
     law = LeafLaw(n, p)
     xs, d = reduced_row(index, n)
-    scaled = [x ** order for x in xs], d ** order
-    if isinstance(p, Fraction):
-        return exact_mean_variance(support_weights(law)[0], *scaled)
-    weights, _ = integer_scaled(support_pmf(law))
-    return tuple(map(float, exact_mean_variance(weights, *scaled)))
+    xs, d = [x ** order for x in xs], d ** order
+    exact = isinstance(p, Fraction)
+    weights = support_weights(law)[0] if exact else integer_scaled(support_pmf(law))[0]
+    scale, s1, v = scaled_moments(weights, sum(weights), xs, [x * x for x in xs], d)
+    moments = Fraction(s1, scale), Fraction(v, scale * scale)
+    return moments if exact else tuple(map(float, moments))
 
 
 def oracle_moment(index: IndexSpec, n: int, p, order: int = 1):
@@ -592,7 +579,7 @@ def oracle_moment(index: IndexSpec, n: int, p, order: int = 1):
 
     This is the verification oracle: it never uses the catalog polynomials,
     only the reduced closed form per leaf count weighted by the binomial
-    pmf, summed exactly (``exact_mean_variance``).  Exact for Fraction p.
+    pmf, summed exactly (``scaled_moments``).  Exact for Fraction p.
     For float p it is the exact moment of the float pmf, rounded once, so
     the only error is the pmf's (``support_pmf``): against the catalog at
     Fraction(p), every named index's mean and variance are within 4.4e-16

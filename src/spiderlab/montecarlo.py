@@ -200,7 +200,7 @@ class SampleSummary:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
 
-def _chunk_worker(args) -> tuple:
+def _chunk_worker(config: SimConfig, start: int, stop: int) -> tuple:
     """Replicates ``start..stop-1``: their leaf counts, and for each audited
     replicate, in order, the direct value of every index at its (n, L).
 
@@ -209,7 +209,6 @@ def _chunk_worker(args) -> tuple:
     whole chunk's, and each audited replicate's L is recounted from the
     centroid schedule it returns.
     """
-    config, start, stop = args
     n = config.horizon
     stream = RngStream(config.master_seed, start // CHUNK_SIZE)
     audit_rows = range(-start % SPOT_CHECK_STRIDE, stop - start, SPOT_CHECK_STRIDE)
@@ -317,7 +316,7 @@ class _Forked:
 
 def _count_chunks(tasks: list) -> list:
     """``_chunk_worker`` over ``tasks``, in order: one process's batch."""
-    return [_chunk_worker(task) for task in tasks]
+    return [_chunk_worker(*task) for task in tasks]
 
 
 def run_experiment(config: SimConfig, threads: int = 1) -> SampleSummary:

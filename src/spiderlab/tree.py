@@ -17,12 +17,11 @@ at every step, so the rule coincides with ``UniformLeaf(1/2)`` and shares
 its code path.
 
 Growth is written once: ``grow_legs(centroid, picks)`` applies one step
-per (decision, pick) pair to a tree from the seed, in one vectorised pass.
-``grow`` calls it, and ``verify.direct_reduced_suite`` once per sampled
-tree.  ``grow`` and ``step`` draw their uniforms from an ``RngStream``
-interleaved, (decision, pick) per step, and a step recruits at the
-centroid when its decision uniform is below p, so a grown tree equals a
-stepped one bit for bit.
+per (decision, pick) pair to a tree from the seed, in one vectorised pass,
+and ``grow`` calls it.  ``grow`` and ``step`` draw their uniforms from an
+``RngStream`` interleaved, (decision, pick) per step, and a step recruits
+at the centroid when its decision uniform is below p, so a grown tree
+equals a stepped one bit for bit.
 
 Everything the indices need is the leaf count, 3 plus the centroid recruits,
 and the Monte Carlo engine draws only that, with fewer random bits.  A
@@ -190,9 +189,8 @@ class RngStream:
     costs 12-20 us (``SeedSequence``, its state, and ``PCG64``), as much as
     drawing some 5000 words or uniforms (2.5-3.5 ns each, on a 2-core x86-64
     host), so the Monte Carlo engine keys one stream per chunk of 1024
-    replicates, and ``verify.direct_reduced_suite`` one per block of 64
-    trees, whose uniforms it draws in one ``doubles`` call, not one per
-    replicate or tree.
+    replicates, and ``verify.direct_reduced_suite`` one per 64 trees, which
+    ``grow`` draws from in turn, not one per replicate or tree.
     """
 
     __slots__ = ("master_seed", "stream_index", "_generator")

@@ -23,9 +23,10 @@ that do not share code with what they test:
   block: ``eval_direct`` runs the index's definition on the block's degree
   columns, built once per block (``spider_degrees``), ``reduced_values``
   its closed form, and the engine audit's check weighs only an index
-  whose two sides differ somewhere (``reachable_pairs_suite``;
-  ``direct_reduced_suite`` samples the same check on randomly grown
-  trees);
+  whose two sides differ somewhere (``reachable_pairs_suite``).
+  ``direct_reduced_suite``, which ``run_level`` does not run, makes the
+  same check on trees grown by ``tree.grow``, the direct side on each
+  tree's own degree multiset read off its legs;
 * the coefficient triangle against Stirling numbers of the second kind
   computed by inclusion-exclusion;
 * degeneracy at time 1, where the tree is deterministic, so every catalog
@@ -69,7 +70,8 @@ from .indices import (
 )
 from .indices import eval_reduced  # noqa: F401  unused, but bench/run.py --trace 1 rebinds it here
 from .montecarlo import _cpus, _Forked, direct_mismatches
-from .tree import RngStream, grow_legs, new_seed, spider_degrees
+from .tree import DegreeColumns, RngStream, UniformLeaf, grow, new_seed, spider_degrees
+from .tree import grow_legs  # noqa: F401  unused, but bench/run.py --trace 1 rebinds it here
 
 __all__ = [
     "Failure",
@@ -225,40 +227,34 @@ def direct_reduced_suite(trials: int, max_n: int, master_seed: int) -> list[Fail
     [0.05, 0.95) (``Preferential`` growth is the case p = 1/2).
 
     Trial t takes u = (u[2t], u[2t + 1]) of ``RngStream(master_seed, 0)``,
-    n = 1 + floor(u[0] max_n) and p = 0.05 + 0.9 u[1].  Trials run in blocks
-    of TRIAL_BLOCK = 64, this suite's own block, not the Monte Carlo
-    engine's chunk: block b = t // 64 draws from the one stream
-    ``RngStream(master_seed, 1 + b)``, which yields the 2 (n - 1) interleaved
-    (decision, pick) uniforms of each of its trials in trial order, as
-    ``tree.grow`` consumes them.  So a trial's tree depends only on
-    (master_seed, t, max_n), not on the trial count.  A block draws all its
-    uniforms in one ``doubles`` call and grows each trial's tree with one
-    ``grow_legs`` call on the trial's slice of that draw, which checks the
-    tree against ``TreeState``'s invariants; L is its leg count.
+    n = 1 + floor(u[0] max_n) and p = 0.05 + 0.9 u[1], and grows its tree
+    with ``grow`` on ``RngStream(master_seed, 1 + t // TRIAL_BLOCK)``, which
+    the TRIAL_BLOCK = 64 trials that share it draw from in trial order.  So
+    a trial's tree depends only on (master_seed, t, max_n), not on the trial
+    count.
 
-    Each block's (n, L) are checked as ``reachable_pairs_suite`` checks
-    its pairs (``_mismatches``); failures are listed in (trial, spec) order
-    with their (n, L, p) witness.  Only one block's trees are held at a
-    time.
+    The direct side runs on each tree's own degree multiset, read off its
+    legs: the centroid's degree and the leaf count are the leg count L, and
+    the degree-2 count is sum(legs) - L, the two ints kept per trial.  The
+    reduced side takes (n, L).  Both are weighed as ``reachable_pairs_suite``
+    weighs its pairs (``_mismatches``); failures are listed in (trial, spec)
+    order with their (n, L, p) witness.
     """
-    specs = _trial_specs()
-    failures = []
     meta = RngStream(master_seed, 0).doubles(2 * trials).reshape(trials, 2)
     ns = 1 + (meta[:, 0] * max_n).astype(np.int64)
     ps = 0.05 + 0.9 * meta[:, 1]
-    for first in range(0, trials, TRIAL_BLOCK):
-        n_block = ns[first:first + TRIAL_BLOCK]
-        stream = RngStream(master_seed, 1 + first // TRIAL_BLOCK)
-        u = stream.doubles(2 * int((n_block - 1).sum())).reshape(-1, 2)
-        draws = np.split(u, np.cumsum(n_block - 1)[:-1])  # one (decision, pick) slice per trial
-        L_block = np.array([len(grow_legs(d[:, 0] < p, d[:, 1]))
-                            for d, p in zip(draws, ps[first:first + TRIAL_BLOCK])], dtype=np.int64)
-        for k, name, detail in _mismatches(specs, n_block, L_block):  # (trial, spec) order
-            failures.append(Failure(
-                "direct-reduced", name,
-                {"n": int(n_block[k]), "L": int(L_block[k]), "p": round(float(ps[first + k]), 6)},
-                detail))
-    return failures
+    leaves, internal = [], []
+    for t, (n, p) in enumerate(zip(ns.tolist(), ps.tolist())):
+        if t % TRIAL_BLOCK == 0:
+            stream = RngStream(master_seed, 1 + t // TRIAL_BLOCK)
+        legs = grow(UniformLeaf(p), n, stream).legs
+        leaves.append(len(legs))
+        internal.append(sum(legs) - len(legs))
+    L = np.array(leaves, dtype=np.float64)
+    columns = DegreeColumns(((L, 1), (1.0, L), (2.0, np.array(internal, dtype=np.float64))))
+    return [Failure("direct-reduced", name,
+                    {"n": int(ns[k]), "L": leaves[k], "p": round(float(ps[k]), 6)}, detail)
+            for k, name, detail in _mismatches(_trial_specs(), ns.astype(np.float64), L, columns)]
 
 
 def reachable_pairs_suite(max_n: int) -> list[Failure]:
@@ -282,28 +278,27 @@ def reachable_pairs_suite(max_n: int) -> list[Failure]:
             last += 1
             size += last
         ns = np.arange(first, last + 1)
-        n_col = np.repeat(ns, ns)
-        L_col = 3 + np.arange(size) - np.repeat(np.cumsum(ns) - ns, ns)  # 3..n + 2 per horizon
-        for k, name, detail in _mismatches(specs, n_col, L_col):
+        n_col = np.repeat(ns, ns).astype(np.float64)
+        L_col = 3.0 + np.arange(size) - np.repeat(np.cumsum(ns) - ns, ns)  # 3..n + 2 per horizon
+        for k, name, detail in _mismatches(specs, n_col, L_col, spider_degrees(n_col, L_col)):
             failures.append(Failure("direct-reduced", name,
                                     {"n": int(n_col[k]), "L": int(L_col[k])}, detail))
         first = last + 1
     return failures
 
 
-def _mismatches(specs, n_col: np.ndarray, L_col: np.ndarray) -> list[tuple[int, str, str]]:
-    """(row, spec name, detail) of every (n, L) row and spec whose direct
-    and reduced values fail the engine audit's check
+def _mismatches(specs, n: np.ndarray, L: np.ndarray, columns) -> list[tuple[int, str, str]]:
+    """(row, spec name, detail) of every row and spec whose direct and
+    reduced values fail the engine audit's check
     (``montecarlo.direct_mismatches``), in (row, spec) order.  Both sides
     are float64, one pass per spec: its own definition run through
-    ``eval_direct`` on the rows' degree columns (``spider_degrees``, built
-    once; the same body runs exactly on one tree's multiset), and its
-    reduced form (``reduced_values``, the engine's path), both on the one
-    float64 copy of n and of L, integers well below 2**53, so no call
-    converts them again.  A spec is weighed by the check only where its two
-    sides differ at all, which on working code is nowhere."""
-    n, L = n_col.astype(np.float64), L_col.astype(np.float64)
-    columns = spider_degrees(n, L)
+    ``eval_direct`` on the rows' degree ``columns`` (``DegreeColumns``, built
+    once by the caller; the same body runs exactly on one tree's multiset),
+    and its reduced form (``reduced_values``, the engine's path) at the rows'
+    times ``n`` and leaf counts ``L``, float64 columns of integers well
+    below 2**53, so no call converts them again.  A spec is weighed by the
+    check only where its two sides differ at all, which on working code is
+    nowhere."""
     found = []
     for j, spec in enumerate(specs):
         direct = eval_direct(columns, n, spec)

@@ -2,8 +2,9 @@
 
 ``bench/run.py --trace 1`` rebinds, in ``spiderlab.cli``, ``montecarlo`` and
 ``verify``, the names ``trace_targets`` lists; a refactor that drops one
-breaks the traced run, not an untraced one.  The bench scripts import scipy,
-so they are parsed with ``ast`` rather than imported.
+breaks the traced run, not an untraced one, and a name the package imports
+only for it must be one of them.  The bench scripts import scipy, so they
+are parsed with ``ast`` rather than imported.
 """
 
 import ast
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+SRC = ROOT / "src" / "spiderlab"
 
 
 def _spiderlab_imports(tree):
@@ -40,7 +43,9 @@ def test_every_name_the_bench_imports_from_the_package_exists(script):
                 f"{script}: {module} has no {name}"
 
 
-def test_every_trace_target_is_bound_where_it_is_rebound():
+def _trace_targets():
+    """(module, name) of every entry ``trace_targets`` returns, read from
+    bench/run.py."""
     tree = ast.parse((BENCH / "run.py").read_text())
     modules = {}
     for module, name, alias in _spiderlab_imports(tree):
@@ -54,8 +59,25 @@ def test_every_trace_target_is_bound_where_it_is_rebound():
             for target, value in zip(node.targets[0].elts, node.value.elts):
                 modules[target.id] = modules[value.id]
     [ret] = [n for n in ast.walk(func) if isinstance(n, ast.Return)]
-    targets = [(modules[t.elts[0].id], t.elts[1].value) for t in ret.value.elts]
+    return [(modules[t.elts[0].id], t.elts[1].value) for t in ret.value.elts]
+
+
+def test_every_trace_target_is_bound_where_it_is_rebound():
+    targets = _trace_targets()
     assert {module for module, _ in targets} == {
         "spiderlab.cli", "spiderlab.montecarlo", "spiderlab.verify"}
     for module, name in targets:
         assert hasattr(importlib.import_module(module), name), f"{module} has no {name}"
+
+
+def test_every_unused_import_in_the_package_is_a_trace_target_there():
+    # An import kept only for the traced run must not outlive its target.
+    targets = set(_trace_targets())
+    kept = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.lineno - 1]:
+                kept += [(f"spiderlab.{path.stem}", a.asname or a.name) for a in node.names]
+    assert kept and set(kept) <= targets, sorted(set(kept) - targets)

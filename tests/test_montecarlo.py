@@ -511,7 +511,7 @@ def test_an_exception_in_a_child_s_chunk_is_raised_unchanged(monkeypatch, forks)
     monkeypatch.setattr(montecarlo, "POOL_MIN_WORK", 0)
     chunk_fault(monkeypatch, lambda counted: (counted[0] + 1, counted[1]))
     with pytest.raises(RuntimeError, match="leaf-count mismatch") as here:
-        montecarlo._chunk_worker((TWO_CHUNKS, CHUNK_SIZE, 2 * CHUNK_SIZE))
+        montecarlo._chunk_worker(TWO_CHUNKS, CHUNK_SIZE, 2 * CHUNK_SIZE)
     with pytest.raises(RuntimeError) as forked:
         run_experiment(TWO_CHUNKS, threads=2)
     assert len(forks) == 1

@@ -172,10 +172,10 @@ def test_counts_follow_the_legs_on_grown_trees(n, seed, p):
 
 @pytest.mark.parametrize("p", [0.05, 0.5, 0.9499])
 def test_blocks_of_64_with_a_partial_last_block_equal_per_tree_growth(p):
-    # verify's layout: block b of 64 trials draws all its uniforms from stream
-    # 1 + b in one call, and each trial's tree grows from its slice of that
-    # draw; 87 trials, so the last block holds 23, and n = 1 and n = 2 trees
-    # sit among the others
+    # grow's draw contract: trees grown in turn on one stream take its
+    # uniforms back to back, so they equal trees grown from slices of one
+    # draw of all their uniforms.  87 trees, 64 to a stream, so the last
+    # stream holds 23, and n = 1 and n = 2 trees sit among the others
     ns = np.random.default_rng(3).integers(1, 300, 87)
     ns[:6] = [1, 2, 1, 2, 2, 1]
     ns[64:66] = [2, 1]

@@ -1,19 +1,22 @@
 """The direct-vs-reduced suites: each reports planted faults with the right
 witness; the exhaustive suite reaches every reachable (n, L) whatever its
 block size, and a sampled trial's tree depends only on the seed and the
-trial.  The catalog suite evaluates each oracle row once per (n, index),
-in one exact pass that equals the scalar closed form value for value, and
-sums it once under every p's packed weights, each lane that p's sums;
-a formula shared by two entries is evaluated once for both.  run_level
-gives the same report whether its reachable-pairs suite runs in a forked
-child or here, and leaves no child behind on any path."""
+trial, its direct side read off that tree's own legs.  The catalog suite
+evaluates each oracle row once per (n, index), in one exact pass that
+equals the scalar closed form value for value, and sums it once under
+every p's packed weights, each lane that p's sums; a formula shared by two
+entries is evaluated once for both.  run_level gives the same report
+whether its reachable-pairs suite runs in a forked child or here, and
+leaves no child behind on any path."""
 
 import os
 import pickle
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,10 +72,10 @@ ZAGREB_ALL_LEGS_PLUS_ONE = replace(ZAGREB, name="zagreb_all_legs_plus_one",
                                    direct=_zagreb_plus_one_on_all_legs)
 
 
-def _trees(trials, max_n, seed):
+def _trees(trials, max_n, seed, growth=grow):
     """(n, tree, p) of each trial, read off the documented stream layout:
-    (n, p) from stream 0, two uniforms per trial, and trial t's growth
-    uniforms from stream 1 + t // 64, in trial order, as ``grow`` draws them."""
+    (n, p) from stream 0, two uniforms per trial, and trial t's tree grown
+    by ``growth`` on stream 1 + t // 64, in trial order."""
     meta = RngStream(seed, 0).doubles(2 * trials)
     out, stream = [], None
     for t in range(trials):
@@ -80,7 +83,7 @@ def _trees(trials, max_n, seed):
             stream = RngStream(seed, 1 + t // 64)
         n = 1 + int(meta[2 * t] * max_n)
         p = 0.05 + 0.9 * float(meta[2 * t + 1])
-        out.append((n, grow(UniformLeaf(p), n, stream), p))
+        out.append((n, growth(UniformLeaf(p), n, stream), p))
     return out
 
 
@@ -150,17 +153,58 @@ def test_trial_trees_do_not_depend_on_trial_count(planted):
     assert len({(f.witness["n"], f.witness["L"]) for f in long}) > 250
 
 
-def test_each_block_builds_its_columns_once_and_calls_eval_direct_through_verify(monkeypatch):
+def test_the_suite_grows_each_trial_once_and_calls_eval_direct_once_per_spec(monkeypatch):
     # bench/run.py --trace 1 counts the direct pass by rebinding verify's
     # names, so the suite must reach both through them.
     specs = verify._trial_specs()[:10] + (ZAGREB_PLUS_ONE, ZAGREB_DIRECT_PLUS_ONE)
     monkeypatch.setattr(verify, "_trial_specs", lambda: specs)
-    unwrapped = direct_reduced_suite(130, 60, SEED)  # blocks of 64, 64 and 2 trees
-    calls = _count_calls(monkeypatch, "eval_direct", "spider_degrees")
+    unwrapped = direct_reduced_suite(130, 60, SEED)  # streams of 64, 64 and 2 trees
+    calls = _count_calls(monkeypatch, "eval_direct", "grow")
     failures = direct_reduced_suite(130, 60, SEED)
-    assert calls == {"eval_direct": 3 * 12, "spider_degrees": 3}
+    assert calls == {"eval_direct": 12, "grow": 130}
     assert [str(f) for f in failures] == [str(f) for f in unwrapped]
     assert {f.index for f in failures} == {"zagreb_plus_one", "zagreb_direct_plus_one"}
+
+
+def _grow_one_step_short(model, n, stream):
+    return grow(model, max(1, n - 1), stream)
+
+
+def test_trees_grown_one_step_short_fail_every_spec_that_counts_degree_2_nodes(monkeypatch):
+    # A tree one step short of its trial's n has one degree-2 node fewer than
+    # a tree at n with its leaf count.  Every spec but leaves reads that
+    # count; at n = 1 the short tree is the seed, which is right.
+    monkeypatch.setattr(verify, "grow", _grow_one_step_short)
+    trials, max_n = 200, 20
+    trees = _trees(trials, max_n, SEED, _grow_one_step_short)
+    names = [spec.name for spec in verify._trial_specs() if spec != LEAVES]
+    expected = [(name, {"n": n, "L": tree.leaf_count, "p": round(p, 6)})
+                for n, tree, p in trees if n >= 2 for name in names]
+    failures = direct_reduced_suite(trials, max_n, SEED)
+    assert [(f.index, f.witness) for f in failures] == expected
+    assert len(names) == 11 and sum(n == 1 for n, _, _ in trees) > 5
+
+
+def test_the_direct_side_reads_each_tree_s_multiset_off_its_legs(monkeypatch):
+    seen = []
+    inner = verify._mismatches
+
+    def recording(specs, n, L, columns):
+        seen.append((n, columns))
+        return inner(specs, n, L, columns)
+
+    monkeypatch.setattr(verify, "_mismatches", recording)
+    trials, max_n = 300, 40
+    assert direct_reduced_suite(trials, max_n, SEED) == []
+    [(n_col, columns)] = seen
+    pairs = [(np.broadcast_to(d, n_col.shape), np.broadcast_to(c, n_col.shape))
+             for d, c in columns.items()]
+    for k, (n, tree, _) in enumerate(_trees(trials, max_n, SEED)):
+        multiset = Counter({len(tree.legs): 1})  # the centroid
+        for length in tree.legs:  # length - 1 degree-2 nodes, then the leaf
+            multiset.update([2] * (length - 1) + [1])
+        assert n_col[k] == n
+        assert {int(d[k]): int(c[k]) for d, c in pairs if c[k]} == dict(multiset)
 
 
 def _pairs(max_n):
